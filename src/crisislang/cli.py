@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from crisislang import divergence as div
 from crisislang import evaluation as ev
@@ -25,19 +25,21 @@ from crisislang import model as mdl
 from crisislang.features import (
     FeatureClass,
     missing_classes,
+    split_feature,
     vector_to_json,
     vectorize,
 )
 from crisislang.ingest import (
+    MAX_REPORTED_ERRORS,
     GeoPoint,
     PartitionLabel,
     RawTweet,
     RecordError,
     Region,
     TimeWindow,
+    iter_jsonl,
     load_corpus,
     parse_timestamp,
-    parse_tweet_record,
     tweet_to_record,
     write_jsonl,
 )
@@ -83,7 +85,6 @@ class RunConfig:
     balance: bool = True
     fallback_tags: bool = True
     seed: int = 0
-    threads: int = 1
     divergence_day: date | None = None
     divergence_hours: list[int] = field(default_factory=list)
     divergence_window: str = "crisis"
@@ -113,7 +114,6 @@ def load_config(
     path: str | Path,
     seed: int | None = None,
     output_dir: str | None = None,
-    threads: int | None = None,
 ) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -126,6 +126,8 @@ def load_config(
         if key not in doc:
             raise ConfigError(f"config is missing required key: {key}")
 
+    if not isinstance(doc["regions"], dict):
+        raise ConfigError("regions must be an object mapping names to regions")
     regions = {name: _parse_region(raw, name) for name, raw in doc["regions"].items()}
     primary = doc["primary_region"]
     if primary not in regions:
@@ -165,7 +167,11 @@ def load_config(
     div_day = date.fromisoformat(div_doc["day"]) if "day" in div_doc else None
     div_hours: list[int] = []
     if "hours" in div_doc:
-        first, last = div_doc["hours"]
+        hours = div_doc["hours"]
+        pair = isinstance(hours, list) and len(hours) == 2
+        if not (pair and all(isinstance(h, (int, float)) for h in hours)):
+            raise ConfigError(f"divergence hours must be a [first, last] pair, got {hours!r}")
+        first, last = hours
         if not 0 <= first <= last <= 23:
             raise ConfigError("divergence hours must satisfy 0 <= first <= last <= 23")
         div_hours = list(range(int(first), int(last) + 1))
@@ -174,6 +180,9 @@ def load_config(
         raise ConfigError(f"divergence window must be crisis or pre_crisis, got {div_window!r}")
 
     cv_doc = doc.get("cv", {})
+    cv_repeats, cv_folds = int(cv_doc.get("repeats", 3)), int(cv_doc.get("folds", 5))
+    if cv_repeats < 1 or cv_folds < 2:
+        raise ConfigError(f"cv needs repeats >= 1 and folds >= 2, got {cv_repeats} and {cv_folds}")
     config = RunConfig(
         input=Path(doc["input"]),
         output_dir=Path(output_dir if output_dir is not None else doc.get("output_dir", "out")),
@@ -186,13 +195,12 @@ def load_config(
         model_kind=kind,
         alpha=float(model_doc.get("alpha", 1.0)),
         logreg=logreg,
-        cv_repeats=int(cv_doc.get("repeats", 3)),
-        cv_folds=int(cv_doc.get("folds", 5)),
+        cv_repeats=cv_repeats,
+        cv_folds=cv_folds,
         imbalance_ratios=ratios,
         balance=bool(doc.get("balance", True)),
         fallback_tags=bool(doc.get("fallback_tags", True)),
         seed=int(seed if seed is not None else doc.get("seed", 0)),
-        threads=int(threads if threads is not None else doc.get("threads", 1)),
         divergence_day=div_day,
         divergence_hours=div_hours,
         divergence_window=div_window,
@@ -218,20 +226,18 @@ def _summary(command: str, warnings: list[str], **payload) -> dict:
     return doc
 
 
-def _read_raw_lenient(path: Path) -> tuple[list[RawTweet], int, list[str]]:
+def _read_tweets(path: Path) -> tuple[list[RawTweet], int, list[str]]:
+    """Parsed tweets, the skip count and the first skip reasons of a file."""
     tweets: list[RawTweet] = []
     skipped = 0
     reasons: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                tweets.append(parse_tweet_record(line))
-            except RecordError as exc:
-                skipped += 1
-                if len(reasons) < 20:
-                    reasons.append(f"line {lineno}: {exc}")
+    for lineno, tweet in iter_jsonl(path):
+        if isinstance(tweet, RecordError):
+            skipped += 1
+            if len(reasons) < MAX_REPORTED_ERRORS:
+                reasons.append(f"line {lineno}: {tweet}")
+        else:
+            tweets.append(tweet)
     return tweets, skipped, reasons
 
 
@@ -243,7 +249,7 @@ def _read_partition(config: RunConfig, label: PartitionLabel) -> list[RawTweet]:
     path = config.partitions_dir() / PARTITION_FILES[label]
     if not path.exists():
         raise ConfigError(f"partition file {path} not found; run the partition command first")
-    tweets, _, _ = _read_raw_lenient(path)
+    tweets, _, _ = _read_tweets(path)
     return tweets
 
 
@@ -251,7 +257,7 @@ def _read_unlabeled(config: RunConfig) -> list[RawTweet]:
     path = config.partitions_dir() / "unlabeled.jsonl"
     if not path.exists():
         raise ConfigError(f"{path} not found; run the partition command first")
-    tweets, _, _ = _read_raw_lenient(path)
+    tweets, _, _ = _read_tweets(path)
     return tweets
 
 
@@ -289,7 +295,7 @@ def cmd_partition(config: RunConfig) -> dict:
 
 
 def cmd_divergence(config: RunConfig, mode: str) -> dict:
-    tweets, skipped, reasons = _read_raw_lenient(config.input)
+    tweets, skipped, reasons = _read_tweets(config.input)
     if mode == "hourly":
         if config.divergence_day is None or not config.divergence_hours:
             raise ConfigError("hourly mode needs divergence.day and divergence.hours in the config")
@@ -397,7 +403,6 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             repeats=config.cv_repeats,
             folds=config.cv_folds,
             alpha=config.alpha,
-            workers=config.threads,
         )
         _write_text(config.output_dir / "combinations.csv", combo.to_csv())
         _write_json(config.output_dir / "combinations.json", combo.to_dict())
@@ -440,9 +445,10 @@ def _classify_tweets(
     model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel,
     classes: list[FeatureClass],
     tweets: Sequence[RawTweet],
-) -> tuple[list[tuple[RawTweet, mdl.Prediction]], list[str]]:
-    results: list[tuple[RawTweet, mdl.Prediction]] = []
-    skipped: list[str] = []
+    skipped: list[str],
+) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction]]:
+    """Tag, vectorize and label each tweet, lazily, so callers keep only what
+    they need; a tweet lacking a needed tag layer is reported in skipped."""
     for tweet in tweets:
         tagged = tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
         absent = missing_classes(tagged, classes)
@@ -450,9 +456,7 @@ def _classify_tweets(
             names = ",".join(c.value for c in absent)
             skipped.append(f"tweet {tweet.id}: missing layers for {names}")
             continue
-        vector = vectorize(tagged, classes)
-        results.append((tweet, mdl.predict(model, vector)))
-    return results, skipped
+        yield tweet, tagged, mdl.predict(model, vectorize(tagged, classes))
 
 
 def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -> dict:
@@ -461,8 +465,10 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
         logger.warning("model file lacks feature_classes; falling back to config")
         classes = config.feature_classes
     source = input_path if input_path is not None else config.partitions_dir() / "unlabeled.jsonl"
-    tweets, skipped_parse, reasons = _read_raw_lenient(source)
-    results, skipped_layers = _classify_tweets(config, model, classes, tweets)
+    tweets, skipped_parse, reasons = _read_tweets(source)
+    skipped_layers: list[str] = []
+    labelled = _classify_tweets(config, model, classes, tweets, skipped_layers)
+    results = [(tweet, prediction) for tweet, _, prediction in labelled]
     if tweets and not results:
         names = ", ".join(c.value for c in classes)
         raise ConfigError(
@@ -504,7 +510,7 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
     for cls in config.feature_classes:
         ranked = mdl.top_features(model, k, cls)
         for rank, (fid, weight) in enumerate(ranked, start=1):
-            key = fid.key.replace('"', '""')
+            key = split_feature(fid)[1].replace('"', '""')
             lines.append(f'{cls.value},{rank},"{key}",{weight!r}')
     csv_path = config.output_dir / "top_features.csv"
     _write_text(csv_path, "\n".join(lines) + "\n")
@@ -530,10 +536,10 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     if classes is None:
         classes = config.feature_classes
     unlabeled = _read_unlabeled(config)
-    results, skipped = _classify_tweets(config, model, classes, unlabeled)
+    skipped: list[str] = []
     additions = [
-        tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
-        for tweet, prediction in results
+        tagged
+        for _, tagged, prediction in _classify_tweets(config, model, classes, unlabeled, skipped)
         if prediction.label == mdl.IR
     ]
     combined_cloud = ev.bigram_cloud(list(ir_tagged) + additions, k)
@@ -560,7 +566,7 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
 def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None) -> dict:
     source = input_path if input_path is not None else config.input
     target = output_path if output_path is not None else config.output_dir / "tagged.jsonl"
-    tweets, skipped, reasons = _read_raw_lenient(source)
+    tweets, skipped, reasons = _read_tweets(source)
     target.parent.mkdir(parents=True, exist_ok=True)
     newly_tagged = 0
     with open(target, "w", encoding="utf-8") as handle:
@@ -585,7 +591,7 @@ def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None
 
 def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
     source = input_path if input_path is not None else config.input
-    tweets, skipped, reasons = _read_raw_lenient(source)
+    tweets, skipped, reasons = _read_tweets(source)
     out_path = config.output_dir / "vectors.jsonl"
     config.output_dir.mkdir(parents=True, exist_ok=True)
     coverage = {cls.value: 0 for cls in config.feature_classes}
@@ -620,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output-dir", default=None, help="override the config output dir")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for the combination search")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("partition", help="split the corpus into IR/OR/PC-IR/PC-OR/unlabeled")
@@ -658,9 +663,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(
-            args.config, seed=args.seed, output_dir=args.output_dir, threads=args.threads
-        )
+        config = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
         if args.command == "partition":
             summary = cmd_partition(config)
         elif args.command == "divergence":

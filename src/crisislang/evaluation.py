@@ -13,7 +13,6 @@ import itertools
 import logging
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -361,7 +360,6 @@ def enumerate_combinations(
     repeats: int = 3,
     folds: int = 5,
     alpha: float = 1.0,
-    workers: int = 1,
 ) -> CombinationReport:
     """Cross-validate every non-empty subset of the extractable classes.
 
@@ -381,17 +379,15 @@ def enumerate_combinations(
     for size in range(1, len(available) + 1):
         subsets.extend(itertools.combinations(available, size))
 
-    def run(subset: tuple[FeatureClass, ...]) -> CombinationEntry:
-        report = cross_validate(
-            data, list(subset), repeats=repeats, folds=folds, seed=seed, alpha=alpha
+    entries = [
+        CombinationEntry(
+            classes=subset,
+            report=cross_validate(
+                data, list(subset), repeats=repeats, folds=folds, seed=seed, alpha=alpha
+            ),
         )
-        return CombinationEntry(classes=subset, report=report)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run, subsets))
-    else:
-        entries = [run(subset) for subset in subsets]
+        for subset in subsets
+    ]
     return CombinationReport(entries=entries, excluded_classes=excluded)
 
 

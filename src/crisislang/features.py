@@ -6,15 +6,16 @@ mixed crisis-sensitive class (selected ARK tag patterns in tag-only and
 word/tag form, the "in ... <noun>" prepositional pattern, and existential
 "there" paired with its succeeding verb).
 
-Feature identifiers are class-qualified, so textually identical keys from
-different classes never collide. Counts are raw frequencies.
+A feature id is the class-qualified string ``CLASS:key``, the same form the
+model file and vector dumps use, so textually identical keys from different
+classes never collide. Counts are raw frequencies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from crisislang.text import TaggedTweet
 
@@ -28,11 +29,9 @@ class FeatureClass(Enum):
     CRISIS_SENSITIVE = "CRISIS_SENSITIVE"
 
 
-class FeatureId(NamedTuple):
-    cls: FeatureClass
-    key: str
-
-
+# "CLASS:key". No class name is a prefix of another, so sorting ids as plain
+# strings orders them by class name, then key.
+FeatureId = str
 FeatureVector = dict[FeatureId, int]
 
 # ARK tag patterns mined from in-region crisis data; matched stride-1 with
@@ -70,17 +69,13 @@ class MissingLayerError(ValueError):
         super().__init__(f"tweet {tweet_id!r} lacks tag layers for: {names}")
 
 
-def feature_to_str(fid: FeatureId) -> str:
-    return f"{fid.cls.value}:{fid.key}"
+def split_feature(fid: FeatureId) -> tuple[FeatureClass, str]:
+    """The class and key of a feature id; the key may itself contain ':'.
 
-
-def str_to_feature(raw: str) -> FeatureId:
-    cls_name, _, key = raw.partition(":")
-    return FeatureId(FeatureClass(cls_name), key)
-
-
-def feature_sort_key(fid: FeatureId) -> tuple[str, str]:
-    return (fid.cls.value, fid.key)
+    Raises ValueError when the prefix names no feature class.
+    """
+    cls_name, _, key = fid.partition(":")
+    return FeatureClass(cls_name), key
 
 
 def _has_layer(tweet: TaggedTweet, layer: str | None) -> bool:
@@ -98,10 +93,11 @@ def extract_word_ngrams(tweet: TaggedTweet, n: int) -> FeatureVector:
     if n not in (1, 2):
         raise ValueError(f"word n-grams support n in {{1, 2}}, got {n}")
     cls = FeatureClass.UNIGRAM if n == 1 else FeatureClass.BIGRAM
+    prefix = f"{cls.value}:"
     surfaces = tweet.surfaces()
     counts: Counter[FeatureId] = Counter()
     for i in range(len(surfaces) - n + 1):
-        counts[FeatureId(cls, " ".join(surfaces[i : i + n]))] += 1
+        counts[prefix + " ".join(surfaces[i : i + n])] += 1
     return dict(counts)
 
 
@@ -114,10 +110,11 @@ def extract_pos_ngrams(tweet: TaggedTweet, tagset: str, n: int) -> FeatureVector
     cls = FeatureClass.ARK_POS if tagset == "ark" else FeatureClass.PTB_POS
     if not _has_layer(tweet, tagset):
         raise MissingLayerError(tweet.tweet_id, [cls])
+    prefix = f"{cls.value}:"
     tags = [t.ark_tag if tagset == "ark" else t.ptb_tag for t in tweet.tokens]
     counts: Counter[FeatureId] = Counter()
     for i in range(len(tags) - n + 1):
-        counts[FeatureId(cls, " ".join(tags[i : i + n]))] += 1
+        counts[prefix + " ".join(tags[i : i + n])] += 1
     return dict(counts)
 
 
@@ -155,15 +152,15 @@ def extract_shallow_parse(tweet: TaggedTweet) -> FeatureVector:
     """
     if not tweet.has_chunk:
         raise MissingLayerError(tweet.tweet_id, [FeatureClass.SHALLOW_PARSE])
-    cls = FeatureClass.SHALLOW_PARSE
+    prefix = f"{FeatureClass.SHALLOW_PARSE.value}:"
     spans = chunk_spans(tweet)
     labels = [label for label, _, _ in spans]
     counts: Counter[FeatureId] = Counter()
     for n in (1, 2, 3):
         for i in range(len(labels) - n + 1):
-            counts[FeatureId(cls, " ".join(labels[i : i + n]))] += 1
+            counts[prefix + " ".join(labels[i : i + n])] += 1
     for label, _, end in spans:
-        counts[FeatureId(cls, f"{label}:{tweet.tokens[end - 1].surface}")] += 1
+        counts[f"{prefix}{label}:{tweet.tokens[end - 1].surface}"] += 1
     return dict(counts)
 
 
@@ -191,7 +188,7 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
     """
     if not tweet.has_ark:
         raise MissingLayerError(tweet.tweet_id, [FeatureClass.CRISIS_SENSITIVE])
-    cls = FeatureClass.CRISIS_SENSITIVE
+    prefix = f"{FeatureClass.CRISIS_SENSITIVE.value}:"
     tokens = tweet.tokens
     tags = [t.ark_tag for t in tokens]
     counts: Counter[FeatureId] = Counter()
@@ -201,9 +198,9 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
         for i in range(len(tags) - width + 1):
             if tuple(tags[i : i + width]) != pattern:
                 continue
-            counts[FeatureId(cls, "PAT:" + " ".join(pattern))] += 1
+            counts[prefix + "PAT:" + " ".join(pattern)] += 1
             wt = " ".join(f"{tokens[i + k].surface}/{pattern[k]}" for k in range(width))
-            counts[FeatureId(cls, "WT:" + wt)] += 1
+            counts[prefix + "WT:" + wt] += 1
 
     spans = chunk_spans(tweet) if tweet.has_chunk else None
     for i, token in enumerate(tokens):
@@ -215,7 +212,7 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
         if j < len(tokens) and tags[j] == "N":
             if spans is not None and not _pp_match_in_chunks(spans, i, j):
                 continue
-            counts[FeatureId(cls, f"PP:in:{tokens[j].surface}")] += 1
+            counts[f"{prefix}PP:in:{tokens[j].surface}"] += 1
 
     if tweet.has_ptb:
         for i, token in enumerate(tokens):
@@ -223,7 +220,7 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
                 continue
             for j in (i + 1, i + 2):
                 if j < len(tokens) and (tokens[j].ptb_tag or "").startswith("V"):
-                    counts[FeatureId(cls, f"EX:{tokens[j].surface}")] += 1
+                    counts[f"{prefix}EX:{tokens[j].surface}"] += 1
                     break
     else:
         for i, token in enumerate(tokens):
@@ -233,7 +230,7 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
                 continue
             for j in (i + 1, i + 2):
                 if j < len(tokens) and tags[j] == "V":
-                    counts[FeatureId(cls, f"EX:{tokens[j].surface}")] += 1
+                    counts[f"{prefix}EX:{tokens[j].surface}"] += 1
                     break
 
     return dict(counts)
@@ -282,5 +279,4 @@ def vectorize(
 
 
 def vector_to_json(vector: FeatureVector) -> dict[str, int]:
-    ordered = sorted(vector.items(), key=lambda kv: feature_sort_key(kv[0]))
-    return {feature_to_str(fid): count for fid, count in ordered}
+    return dict(sorted(vector.items()))

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 EARTH_RADIUS_KM = 6371.0
 
 TAG_LAYER_FIELDS = ("ark_tags", "ptb_tags", "chunk_tags")
+
+MAX_REPORTED_ERRORS = 20  # skip reasons kept; every skip is still counted
 
 
 class RecordError(ValueError):
@@ -209,12 +211,29 @@ class Corpus:
         return n_ir / (n_ir + n_or)
 
 
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, RawTweet | RecordError]]:
+    """Parse a JSON Lines file one non-blank line at a time.
+
+    Yields (line number, tweet), or (line number, error) for a record that
+    fails parsing, so each caller decides how to count and report skips.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record: RawTweet | RecordError = parse_tweet_record(line)
+            except RecordError as exc:
+                record = exc
+            yield lineno, record
+
+
 def load_corpus(
     path: str | Path,
     region: Region,
     crisis: TimeWindow,
     pre_crisis: TimeWindow | None = None,
-    max_reported_errors: int = 20,
+    max_reported_errors: int = MAX_REPORTED_ERRORS,
 ) -> Corpus:
     """Load and partition a JSON Lines corpus.
 
@@ -224,30 +243,24 @@ def load_corpus(
     """
     corpus = Corpus()
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            corpus.lines += 1
-            try:
-                tweet = parse_tweet_record(line)
-            except RecordError as exc:
-                corpus.skipped += 1
-                if len(corpus.skip_reasons) < max_reported_errors:
-                    corpus.skip_reasons.append(f"line {lineno}: {exc}")
-                continue
-            if tweet.id in seen:
-                corpus.skipped += 1
-                corpus.duplicates += 1
-                if len(corpus.skip_reasons) < max_reported_errors:
-                    corpus.skip_reasons.append(f"line {lineno}: duplicate id {tweet.id}")
-                continue
+    for lineno, tweet in iter_jsonl(path):
+        corpus.lines += 1
+        if isinstance(tweet, RecordError):
+            reason = str(tweet)
+        elif tweet.id in seen:
+            corpus.duplicates += 1
+            reason = f"duplicate id {tweet.id}"
+        else:
             seen.add(tweet.id)
             if tweet.geo is None:
                 corpus.unlabeled.append(tweet)
             else:
                 label = assign_partition(tweet, region, crisis, pre_crisis)
                 corpus.groups[label].append(tweet)
+            continue
+        corpus.skipped += 1
+        if len(corpus.skip_reasons) < max_reported_errors:
+            corpus.skip_reasons.append(f"line {lineno}: {reason}")
     return corpus
 
 
@@ -275,13 +288,3 @@ def write_jsonl(path: str | Path, tweets: Iterable[RawTweet]) -> int:
             handle.write(json.dumps(tweet_to_record(tweet), sort_keys=True) + "\n")
             written += 1
     return written
-
-
-def read_jsonl(path: str | Path) -> list[RawTweet]:
-    """Strict reader for files this package wrote itself (no skip logic)."""
-    tweets = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                tweets.append(parse_tweet_record(line))
-    return tweets

@@ -16,14 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from crisislang.features import (
-    FeatureClass,
-    FeatureId,
-    FeatureVector,
-    feature_sort_key,
-    feature_to_str,
-    str_to_feature,
-)
+from crisislang.features import FeatureClass, FeatureId, FeatureVector, split_feature
 
 IR = "IR"
 OR = "OR"
@@ -173,7 +166,7 @@ def design_matrix(
     data: Sequence[LabeledVector],
 ) -> tuple[np.ndarray, np.ndarray, list[FeatureId]]:
     """Dense design matrix with a deterministic feature ordering."""
-    vocab = sorted({fid for vector, _ in data for fid in vector}, key=feature_sort_key)
+    vocab = sorted({fid for vector, _ in data for fid in vector})
     index = {fid: i for i, fid in enumerate(vocab)}
     x = np.zeros((len(data), len(vocab)))
     y = np.zeros(len(data))
@@ -227,8 +220,10 @@ def top_features(
     """Most IR-indicative features of one class: weight descending, key ties."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    items = [(fid, w) for fid, w in model.weights.items() if fid.cls is feature_class]
-    items.sort(key=lambda kv: (-kv[1], kv[0].key))
+    items = [
+        (fid, w) for fid, w in model.weights.items() if split_feature(fid)[0] is feature_class
+    ]
+    items.sort(key=lambda kv: (-kv[1], kv[0]))
     return items[:k]
 
 
@@ -249,19 +244,13 @@ def model_to_dict(
         doc["alpha"] = model.alpha
         doc["class_log_prior"] = dict(model.class_log_prior)
         doc["feature_log_likelihood"] = {
-            label: {
-                feature_to_str(fid): ll
-                for fid, ll in sorted(table.items(), key=lambda kv: feature_sort_key(kv[0]))
-            }
+            label: dict(sorted(table.items()))
             for label, table in model.feature_log_likelihood.items()
         }
     else:
         doc["kind"] = "logreg"
         doc["bias"] = model.bias
-        doc["weights"] = {
-            feature_to_str(fid): w
-            for fid, w in sorted(model.weights.items(), key=lambda kv: feature_sort_key(kv[0]))
-        }
+        doc["weights"] = dict(sorted(model.weights.items()))
         doc["hyperparameters"] = {
             "learning_rate": model.params.learning_rate,
             "l2": model.params.l2,
@@ -272,35 +261,40 @@ def model_to_dict(
 
 
 def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:
+    """Rebuild a model; ValueError on a bad version, kind, field or feature class."""
     if doc.get("version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')}")
     raw_classes = doc.get("feature_classes")
     classes = [FeatureClass(c) for c in raw_classes] if raw_classes is not None else None
-    if doc["kind"] == "nb":
-        loglik = {
-            label: {str_to_feature(key): ll for key, ll in table.items()}
-            for label, table in doc["feature_log_likelihood"].items()
-        }
-        model: NaiveBayesModel | LogisticRegressionModel = NaiveBayesModel(
-            class_log_prior=dict(doc["class_log_prior"]),
-            feature_log_likelihood=loglik,
-            vocabulary=frozenset(loglik[IR]),
-            alpha=doc["alpha"],
-        )
-    elif doc["kind"] == "logreg":
-        hp = doc["hyperparameters"]
-        model = LogisticRegressionModel(
-            weights={str_to_feature(key): w for key, w in doc["weights"].items()},
-            bias=doc["bias"],
-            params=LogRegParams(
-                learning_rate=hp["learning_rate"],
-                l2=hp["l2"],
-                max_epochs=hp["max_epochs"],
-                tolerance=hp["tolerance"],
-            ),
-        )
-    else:
-        raise ValueError(f"unknown model kind: {doc.get('kind')!r}")
+    try:
+        if doc["kind"] == "nb":
+            loglik = {label: dict(table) for label, table in doc["feature_log_likelihood"].items()}
+            ids = [fid for table in loglik.values() for fid in table]
+            model: NaiveBayesModel | LogisticRegressionModel = NaiveBayesModel(
+                class_log_prior=dict(doc["class_log_prior"]),
+                feature_log_likelihood=loglik,
+                vocabulary=frozenset(loglik[IR]),
+                alpha=doc["alpha"],
+            )
+        elif doc["kind"] == "logreg":
+            hp = doc["hyperparameters"]
+            model = LogisticRegressionModel(
+                weights=dict(doc["weights"]),
+                bias=doc["bias"],
+                params=LogRegParams(
+                    learning_rate=hp["learning_rate"],
+                    l2=hp["l2"],
+                    max_epochs=hp["max_epochs"],
+                    tolerance=hp["tolerance"],
+                ),
+            )
+            ids = list(model.weights)
+        else:
+            raise ValueError(f"unknown model kind: {doc.get('kind')!r}")
+    except KeyError as exc:
+        raise ValueError(f"model document lacks field {exc}") from None
+    for fid in ids:
+        split_feature(fid)
     return model, classes
 
 

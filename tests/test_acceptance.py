@@ -23,7 +23,7 @@ from crisislang.evaluation import (
     roc_auc,
     stratified_fold_indices,
 )
-from crisislang.features import FeatureClass, extract_crisis_sensitive
+from crisislang.features import FeatureClass, extract_crisis_sensitive, split_feature
 from crisislang.ingest import GeoPoint, Region, haversine_km, parse_tweet_record
 from crisislang.model import (
     IR,
@@ -120,9 +120,7 @@ def test_criterion_03_cv_readings_and_fold_invariants():
 
 def test_criterion_04_nb_matches_enumeration_oracle():
     rng = random.Random(404)
-    from crisislang.features import FeatureId
-
-    features = [FeatureId(FeatureClass.UNIGRAM, f"f{i}") for i in range(5)]
+    features = [f"UNIGRAM:f{i}" for i in range(5)]
     for _ in range(1000):
         n_train = rng.randrange(2, 7)
         labels = [IR, OR] + [rng.choice([IR, OR]) for _ in range(n_train - 2)]
@@ -259,10 +257,11 @@ def test_criterion_10_crisis_pattern_fixture_exact(pattern_fixture):
     for line in lines:
         tweet = tag_raw_tweet(parse_tweet_record(line))
         for fid, count in extract_crisis_sensitive(tweet).items():
-            if fid.key.startswith("WT:"):
+            key = split_feature(fid)[1]
+            if key.startswith("WT:"):
                 wt_total += count
             else:
-                totals[fid.key] += count
+                totals[key] += count
     assert dict(totals) == expected
     # Every tag-pattern occurrence emits exactly one word/tag twin.
     pat_total = sum(c for k, c in expected.items() if k.startswith("PAT:"))
@@ -270,13 +269,11 @@ def test_criterion_10_crisis_pattern_fixture_exact(pattern_fixture):
 
 
 def test_criterion_11_logreg_gradient_and_ranking():
-    from crisislang.features import FeatureId
-
     rng = random.Random(111)
     data = []
     for i in range(16):
         vec = {
-            FeatureId(FeatureClass.UNIGRAM, f"g{j}"): rng.randrange(1, 3)
+            f"UNIGRAM:g{j}": rng.randrange(1, 3)
             for j in range(5)
             if rng.random() < 0.7
         }
@@ -294,8 +291,8 @@ def test_criterion_11_logreg_gradient_and_ranking():
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert rel < 1e-4
 
-    a = FeatureId(FeatureClass.UNIGRAM, "a")
-    b = FeatureId(FeatureClass.UNIGRAM, "b")
+    a = "UNIGRAM:a"
+    b = "UNIGRAM:b"
     toy = [({a: 1}, IR)] * 10 + [({b: 1}, OR)] * 10
     model = train_logreg(toy)
     assert model.weights[a] > 0 > model.weights[b]

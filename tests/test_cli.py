@@ -55,14 +55,32 @@ class TestConfig:
             load_config(bad)
 
     def test_overrides(self, workspace):
-        config = load_config(workspace["config"], seed=99, output_dir="elsewhere", threads=4)
+        config = load_config(workspace["config"], seed=99, output_dir="elsewhere")
         assert config.seed == 99
         assert config.output_dir == Path("elsewhere")
-        assert config.threads == 4
 
     def test_bad_exit_code(self, workspace, capsys):
         assert main(["--config", str(workspace["root"] / "nope.json"), "partition"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, command",
+        [
+            ("regions", [1, 2], ["partition"]),
+            ("cv", {"repeats": 0}, ["evaluate", "--mode", "single"]),
+            ("cv", {"folds": 0}, ["evaluate", "--mode", "single"]),
+            ("divergence", {"day": "2013-04-15", "hours": 5}, ["divergence", "--mode", "hourly"]),
+        ],
+    )
+    def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
+        run(workspace, "partition")
+        doc = read_json(workspace["config"])
+        doc[key] = value
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, *command) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}")
 
 
 class TestPartition:
@@ -218,15 +236,33 @@ class TestTrainClassify:
         doc["feature_classes"] = ["PTB_POS"]
         workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
         run(workspace, "partition")
-        from crisislang.features import FeatureClass, FeatureId
+        from crisislang.features import FeatureClass
         from crisislang.model import save_model, train_naive_bayes
 
-        fid = FeatureId(FeatureClass.PTB_POS, "NN")
-        model = train_naive_bayes([({fid: 1}, "IR"), ({}, "OR")])
+        model = train_naive_bayes([({"PTB_POS:NN": 1}, "IR"), ({}, "OR")])
         model_path = workspace["root"] / "ptb_model.json"
         save_model(model_path, model, feature_classes=[FeatureClass.PTB_POS])
         assert run(workspace, "classify", "--model", str(model_path)) == 1
         assert "PTB_POS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda doc: doc.pop("feature_log_likelihood"), "feature_log_likelihood"),
+            (lambda doc: doc["feature_log_likelihood"]["OR"].update({"NOPE:x": -1.0}), "NOPE"),
+        ],
+    )
+    def test_corrupt_model_is_one_error_line(self, workspace, capsys, corrupt, message):
+        run(workspace, "partition")
+        run(workspace, "train")
+        model_path = workspace["out"] / "model.json"
+        doc = read_json(model_path)
+        corrupt(doc)
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, "classify", "--model", str(model_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
     def test_partition_warns_on_malformed_lines(self, workspace):
         with open(workspace["corpus"], "a", encoding="utf-8") as handle:

@@ -251,14 +251,6 @@ class TestEnumerateCombinations:
         else:
             pytest.fail("singleton UNIGRAM entry missing")
 
-    def test_threaded_equals_sequential(self):
-        data = separable_labeled_set(n=20, seed=13)
-        seq = enumerate_combinations(data, seed=2, repeats=1, folds=2, workers=1)
-        par = enumerate_combinations(data, seed=2, repeats=1, folds=2, workers=4)
-        assert json.dumps(seq.to_dict(), sort_keys=True) == json.dumps(
-            par.to_dict(), sort_keys=True
-        )
-
     def test_ranking_is_f1_descending(self):
         report = enumerate_combinations(self._tagged_data(), seed=4, repeats=1, folds=2)
         f1s = [e.report.mean.f1 for e in report.ranked()]

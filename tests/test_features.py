@@ -6,15 +6,13 @@ import pytest
 from crisislang.features import (
     ARK_CRISIS_PATTERNS,
     FeatureClass,
-    FeatureId,
     MissingLayerError,
     extract_crisis_sensitive,
     extract_pos_ngrams,
     extract_shallow_parse,
     extract_word_ngrams,
-    feature_to_str,
     missing_classes,
-    str_to_feature,
+    split_feature,
     vectorize,
 )
 from crisislang.ingest import parse_tweet_record
@@ -27,14 +25,14 @@ def tweet_of(tokens, ark=None, ptb=None, chunks=None, tweet_id="t"):
 
 
 def keys(vector):
-    return {fid.key: count for fid, count in vector.items()}
+    return {split_feature(fid)[1]: count for fid, count in vector.items()}
 
 
 class TestWordNgrams:
     def test_bigrams(self):
         v = extract_word_ngrams(tweet_of(["i'm", "safe", "in", "boston"]), 2)
         assert keys(v) == {"i'm safe": 1, "safe in": 1, "in boston": 1}
-        assert all(fid.cls is FeatureClass.BIGRAM for fid in v)
+        assert all(split_feature(fid)[0] is FeatureClass.BIGRAM for fid in v)
 
     def test_short_tweet_empty(self):
         assert extract_word_ngrams(tweet_of(["boston"]), 2) == {}
@@ -188,7 +186,7 @@ class TestCrisisSensitive:
             tags = [rng.choice(tagset) for _ in range(length)]
             tokens = [f"w{i}" for i in range(length)]
             v = extract_crisis_sensitive(tweet_of(tokens, ark=tags))
-            got = {fid.key: c for fid, c in v.items() if fid.key.startswith("PAT:")}
+            got = {k: c for k, c in keys(v).items() if k.startswith("PAT:")}
             for pattern in ARK_CRISIS_PATTERNS:
                 expected = scan_tag_patterns(tags, list(pattern))
                 assert got.get("PAT:" + " ".join(pattern), 0) == expected
@@ -199,7 +197,7 @@ class TestCrisisSensitive:
         for line in lines:
             tweet = tag_raw_tweet(parse_tweet_record(line))
             for fid, count in extract_crisis_sensitive(tweet).items():
-                totals[fid.key] += count
+                totals[split_feature(fid)[1]] += count
         pattern_keys = {k: c for k, c in totals.items() if not k.startswith("WT:")}
         assert pattern_keys == expected
 
@@ -207,7 +205,7 @@ class TestCrisisSensitive:
 class TestVectorize:
     def test_single_class(self):
         v = vectorize(tweet_of(["boston"]), [FeatureClass.UNIGRAM])
-        assert v == {FeatureId(FeatureClass.UNIGRAM, "boston"): 1}
+        assert v == {"UNIGRAM:boston": 1}
 
     def test_union_of_classes(self):
         tweet = tweet_of(["in", "boston"])
@@ -230,7 +228,7 @@ class TestVectorize:
     def test_skip_mode_drops_missing(self):
         tweet = tweet_of(["a", "b"])
         v = vectorize(tweet, [FeatureClass.UNIGRAM, FeatureClass.ARK_POS], on_missing="skip")
-        assert all(fid.cls is FeatureClass.UNIGRAM for fid in v)
+        assert all(split_feature(fid)[0] is FeatureClass.UNIGRAM for fid in v)
 
     def test_restriction_equals_single_extractor(self):
         rng = random.Random(23)
@@ -244,14 +242,14 @@ class TestVectorize:
             tweet = tweet_of(tokens, ark=ark, ptb=ptb, chunks=chunks, tweet_id=f"r{i}")
             full = vectorize(tweet, all_classes)
             for cls in all_classes:
-                restricted = {fid: c for fid, c in full.items() if fid.cls is cls}
+                restricted = {fid: c for fid, c in full.items() if split_feature(fid)[0] is cls}
                 assert restricted == vectorize(tweet, [cls])
 
     def test_no_cross_class_collisions(self):
         tweet = tweet_of(["n"], ark=["N"], ptb=["N"], chunks=["B-N"])
         v = vectorize(tweet, [FeatureClass.ARK_POS, FeatureClass.PTB_POS])
-        ark_key = FeatureId(FeatureClass.ARK_POS, "N")
-        ptb_key = FeatureId(FeatureClass.PTB_POS, "N")
+        ark_key = "ARK_POS:N"
+        ptb_key = "PTB_POS:N"
         assert v[ark_key] == 1 and v[ptb_key] == 1
 
     def test_missing_classes_helper(self):
@@ -260,13 +258,3 @@ class TestVectorize:
             FeatureClass.PTB_POS,
             FeatureClass.SHALLOW_PARSE,
         ]
-
-
-class TestFeatureIdSerialization:
-    def test_round_trip(self):
-        fid = FeatureId(FeatureClass.CRISIS_SENSITIVE, "PP:in:boston")
-        assert str_to_feature(feature_to_str(fid)) == fid
-
-    def test_key_with_colons_and_spaces(self):
-        fid = FeatureId(FeatureClass.CRISIS_SENSITIVE, "WT:in/P the/D city/N")
-        assert str_to_feature(feature_to_str(fid)) == fid

@@ -12,9 +12,9 @@ from crisislang.ingest import (
     TimeWindow,
     assign_partition,
     haversine_km,
+    iter_jsonl,
     load_corpus,
     parse_tweet_record,
-    read_jsonl,
     write_jsonl,
 )
 from oracles import spherical_law_km
@@ -258,10 +258,10 @@ class TestLoadCorpus:
         ]
         src = tmp_path / "src.jsonl"
         self._write(src, lines)
-        tweets = read_jsonl(src)
+        tweets = [tweet for _, tweet in iter_jsonl(src)]
         dst = tmp_path / "dst.jsonl"
         write_jsonl(dst, tweets)
-        assert read_jsonl(dst) == tweets
+        assert [tweet for _, tweet in iter_jsonl(dst)] == tweets
 
 
 class TestTypeInvariants:

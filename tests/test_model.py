@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from crisislang.features import FeatureClass, FeatureId
+from crisislang.features import FeatureClass, split_feature
 from crisislang.model import (
     IR,
     OR,
@@ -29,7 +29,7 @@ U = FeatureClass.UNIGRAM
 
 
 def uf(key):
-    return FeatureId(U, key)
+    return f"UNIGRAM:{key}"
 
 
 def uvec(**counts):
@@ -216,7 +216,7 @@ class TestTopFeatures:
 
     def test_k_larger_than_vocabulary(self):
         ranked = top_features(self._model(), 100, U)
-        assert [fid.key for fid, _ in ranked] == ["a", "b"]
+        assert [split_feature(fid)[1] for fid, _ in ranked] == ["a", "b"]
 
     def test_k_nonpositive(self):
         with pytest.raises(ValueError):
@@ -231,17 +231,17 @@ class TestTopFeatures:
             params=LogRegParams(),
         )
         ranked = top_features(model, 3, U)
-        assert [fid.key for fid, _ in ranked] == ["mid", "alpha", "zeta"]
+        assert [split_feature(fid)[1] for fid, _ in ranked] == ["mid", "alpha", "zeta"]
 
     def test_class_filter(self):
         from crisislang.model import LogisticRegressionModel
 
         model = LogisticRegressionModel(
-            weights={uf("a"): 1.0, FeatureId(FeatureClass.BIGRAM, "a b"): 5.0},
+            weights={uf("a"): 1.0, "BIGRAM:a b": 5.0},
             bias=0.0,
             params=LogRegParams(),
         )
-        assert [fid.key for fid, _ in top_features(model, 5, U)] == ["a"]
+        assert [split_feature(fid)[1] for fid, _ in top_features(model, 5, U)] == ["a"]
 
 
 class TestSelectAllBaseline:
@@ -251,21 +251,27 @@ class TestSelectAllBaseline:
         assert select_all_baseline({}).score == math.inf
 
 
+# Keys that themselves hold colons and spaces must survive serialization.
+PP_IN = "CRISIS_SENSITIVE:PP:in:boston"
+WT = "CRISIS_SENSITIVE:WT:in/P the/D city/N"
+
+
 class TestSerialization:
     def test_nb_round_trip(self):
         model = train_naive_bayes(
-            [(uvec(x=1, y=2), IR), (uvec(y=1), OR)], alpha=0.5
+            [({**uvec(x=1, y=2), PP_IN: 1}, IR), ({**uvec(y=1), WT: 2}, OR)], alpha=0.5
         )
         doc = model_to_dict(model, feature_classes=[U])
         restored, classes = model_from_dict(doc)
         assert classes == [U]
         assert restored.class_log_prior == model.class_log_prior
         assert restored.feature_log_likelihood == model.feature_log_likelihood
-        for vec in (uvec(x=1), uvec(y=3), {}):
+        assert restored.vocabulary == model.vocabulary
+        for vec in (uvec(x=1), uvec(y=3), {}, {PP_IN: 1, WT: 1}):
             assert predict_nb(restored, vec) == predict_nb(model, vec)
 
     def test_logreg_round_trip(self, tmp_path):
-        data = [(uvec(a=1), IR)] * 5 + [(uvec(b=1), OR)] * 5
+        data = [({**uvec(a=1), PP_IN: 1}, IR)] * 5 + [({**uvec(b=1), WT: 1}, OR)] * 5
         model = train_logreg(data)
         path = tmp_path / "model.json"
         save_model(path, model, feature_classes=[U])
@@ -281,3 +287,15 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             model_from_dict({"version": 99, "kind": "nb"})
+
+    def test_unknown_feature_class_rejected(self):
+        doc = model_to_dict(train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)]))
+        doc["feature_log_likelihood"][OR]["NOPE:x"] = -1.0
+        with pytest.raises(ValueError, match="NOPE"):
+            model_from_dict(doc)
+
+    def test_missing_field_rejected(self):
+        doc = model_to_dict(train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)]))
+        del doc["feature_log_likelihood"]
+        with pytest.raises(ValueError, match="feature_log_likelihood"):
+            model_from_dict(doc)

@@ -258,3 +258,17 @@ class TestVectorize:
             FeatureClass.PTB_POS,
             FeatureClass.SHALLOW_PARSE,
         ]
+
+
+class TestFeatureIdSerialization:
+    def test_round_trip(self):
+        fid = "CRISIS_SENSITIVE:PP:in:boston"
+        cls, key = split_feature(fid)
+        assert (cls, key) == (FeatureClass.CRISIS_SENSITIVE, "PP:in:boston")
+        assert f"{cls.value}:{key}" == fid
+
+    def test_key_with_colons_and_spaces(self):
+        fid = "CRISIS_SENSITIVE:WT:in/P the/D city/N"
+        cls, key = split_feature(fid)
+        assert (cls, key) == (FeatureClass.CRISIS_SENSITIVE, "WT:in/P the/D city/N")
+        assert f"{cls.value}:{key}" == fid

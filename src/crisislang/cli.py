@@ -43,7 +43,7 @@ from crisislang.ingest import (
     tweet_to_record,
     write_jsonl,
 )
-from crisislang.text import TaggedTweet, fallback_ark_tags, tag_raw_tweet, tokenize
+from crisislang.text import AlignmentError, TaggedTweet, fallback_ark_tags, tag_raw_tweet, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +110,13 @@ def _parse_region(raw: dict, name: str) -> Region:
         raise ConfigError(f"region {name!r} is invalid: {exc}") from None
 
 
+def _section(doc: dict, key: str) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object, got {section!r}")
+    return section
+
+
 def load_config(
     path: str | Path,
     seed: int | None = None,
@@ -121,6 +128,8 @@ def load_config(
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
 
     for key in ("input", "regions", "primary_region", "crisis_window"):
         if key not in doc:
@@ -145,12 +154,12 @@ def load_config(
     if not classes:
         raise ConfigError("feature_classes must not be empty")
 
-    model_doc = doc.get("model", {})
+    model_doc = _section(doc, "model")
     kind = model_doc.get("kind", "nb")
     if kind not in ("nb", "logreg"):
         raise ConfigError(f"model kind must be nb or logreg, got {kind!r}")
 
-    lr_doc = doc.get("logreg", {})
+    lr_doc = _section(doc, "logreg")
     logreg = mdl.LogRegParams(
         learning_rate=float(lr_doc.get("learning_rate", 0.1)),
         l2=float(lr_doc.get("l2", 1e-4)),
@@ -163,7 +172,7 @@ def load_config(
         if not 0.0 < r < 1.0:
             raise ConfigError(f"imbalance ratio must be in (0, 1), got {r}")
 
-    div_doc = doc.get("divergence", {})
+    div_doc = _section(doc, "divergence")
     div_day = date.fromisoformat(div_doc["day"]) if "day" in div_doc else None
     div_hours: list[int] = []
     if "hours" in div_doc:
@@ -179,7 +188,7 @@ def load_config(
     if div_window not in ("crisis", "pre_crisis"):
         raise ConfigError(f"divergence window must be crisis or pre_crisis, got {div_window!r}")
 
-    cv_doc = doc.get("cv", {})
+    cv_doc = _section(doc, "cv")
     cv_repeats, cv_folds = int(cv_doc.get("repeats", 3)), int(cv_doc.get("folds", 5))
     if cv_repeats < 1 or cv_folds < 2:
         raise ConfigError(f"cv needs repeats >= 1 and folds >= 2, got {cv_repeats} and {cv_folds}")
@@ -448,9 +457,14 @@ def _classify_tweets(
     skipped: list[str],
 ) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction]]:
     """Tag, vectorize and label each tweet, lazily, so callers keep only what
-    they need; a tweet lacking a needed tag layer is reported in skipped."""
+    they need; a tweet whose tag layers are misaligned or lack one the model
+    needs is reported in skipped."""
     for tweet in tweets:
-        tagged = tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
+        try:
+            tagged = tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
+        except AlignmentError as exc:
+            skipped.append(str(exc))
+            continue
         absent = missing_classes(tagged, classes)
         if absent:
             names = ",".join(c.value for c in absent)

@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from crisislang.features import FeatureClass, missing_classes, vectorize
-from crisislang.model import IR, OR, predict_nb, train_naive_bayes
+from crisislang.features import (
+    FeatureClass,
+    FeatureId,
+    FeatureVector,
+    MissingLayerError,
+    missing_classes,
+    vectorize,
+)
+from crisislang.model import IR, OR, _check_labels, predict_nb, train_naive_bayes
 from crisislang.text import TaggedTweet
 
 logger = logging.getLogger(__name__)
@@ -166,10 +174,116 @@ class CvReport:
         return "\n".join(lines) + "\n"
 
 
-def _vectorize_all(
+def _vectorize_by_class(
     data: Sequence[LabeledTweet], classes: Sequence[FeatureClass]
-) -> list[dict]:
-    return [vectorize(tweet, classes, on_missing="error") for tweet, _ in data]
+) -> list[list[FeatureVector]]:
+    """One vector per class per tweet, raising what vectorize(tweet, classes) would."""
+    if not classes:
+        raise ValueError("at least one feature class is required")
+    rows = []
+    for tweet, _ in data:
+        absent = missing_classes(tweet, classes)
+        if absent:
+            raise MissingLayerError(tweet.tweet_id, absent)
+        rows.append([vectorize(tweet, [cls]) for cls in classes])
+    return rows
+
+
+def _class_table(
+    rows: list[list[FeatureVector]], labels: Sequence[str], train_idx: list[int], k: int
+) -> tuple[dict[FeatureId, list[int]], list[int]]:
+    """Class k's [IR, OR] count per feature and [IR, OR] totals over train_idx."""
+    counts: dict[FeatureId, list[int]] = {}
+    totals = [0, 0]
+    for i in train_idx:
+        slot = 0 if labels[i] == IR else 1
+        for fid, count in rows[i][k].items():
+            pair = counts.get(fid)
+            if pair is None:
+                pair = counts[fid] = [0, 0]
+            pair[slot] += count
+            totals[slot] += count
+    return counts, totals
+
+
+def _subset_readings(
+    data: Sequence[LabeledTweet],
+    classes: Sequence[FeatureClass],
+    subsets: Sequence[tuple[int, ...]],
+    repeats: int,
+    folds: int,
+    seed: int,
+    alpha: float,
+) -> list[list[Metrics]]:
+    """Repeated stratified CV of NB on every subset of classes (given as index
+    tuples into classes), counting each fold's training side once per class.
+
+    A subset's NB model is the disjoint union of its classes' tables, so its
+    margins are built from them with the arithmetic of train_naive_bayes and
+    predict_nb: the same integer totals and vocabulary size, the same
+    log((n + alpha) / denom) terms summed in the same order. Readings are
+    bit-identical to training one model per subset and fold. Folds run in
+    the outer loop, so only one fold's tables are alive at a time.
+    """
+    if len(data) < folds:
+        raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
+    rows = _vectorize_by_class(data, classes)
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    labels = [label for _, label in data]
+    log = math.log
+    readings: list[list[Metrics]] = [[] for _ in subsets]
+    for repeat in range(repeats):
+        rng = random.Random(seed + repeat)
+        for held_out in stratified_fold_indices(labels, folds, rng):
+            held = set(held_out)
+            train_idx = [i for i in range(len(data)) if i not in held]
+            _check_labels([({}, labels[i]) for i in train_idx])
+            n = len(train_idx)
+            n_ir = sum(1 for i in train_idx if labels[i] == IR)
+            prior = log(n_ir / n) - log((n - n_ir) / n)
+            tables = [_class_table(rows, labels, train_idx, k) for k in range(len(classes))]
+            # A feature's term depends only on its (n_IR, n_OR) pair and the
+            # subset's denominators, so each distinct pair gets an index and
+            # its term is computed once per subset. Per held-out tweet and
+            # class: (count, pair index) of each in-vocabulary feature, in
+            # the vector's order.
+            pairs: dict[tuple[int, int], int] = {}
+            hits = [
+                [
+                    [
+                        (count, pairs.setdefault((pair[0], pair[1]), len(pairs)))
+                        for fid, count in rows[j][k].items()
+                        if (pair := counts.get(fid)) is not None
+                    ]
+                    for k, (counts, _) in enumerate(tables)
+                ]
+                for j in held_out
+            ]
+            truth = [labels[j] for j in held_out]
+            for subset, subset_readings in zip(subsets, readings):
+                v = sum(len(tables[k][0]) for k in subset)
+                denom_ir = sum(tables[k][1][0] for k in subset) + alpha * v
+                denom_or = sum(tables[k][1][1] for k in subset) + alpha * v
+                terms = [
+                    log((n_fir + alpha) / denom_ir) - log((n_for + alpha) / denom_or)
+                    for n_fir, n_for in pairs
+                ]
+                predicted = []
+                for tweet_hits in hits:
+                    score = prior
+                    for k in subset:
+                        for count, t in tweet_hits[k]:
+                            score += count * terms[t]
+                    predicted.append(IR if score >= 0.0 else OR)
+                subset_readings.append(compute_metrics(predicted, truth))
+    return readings
+
+
+def _cv_report(readings: list[Metrics], seed: int, repeats: int, folds: int) -> CvReport:
+    return CvReport(
+        readings=readings, mean=mean_metrics(readings), seed=seed, repeats=repeats, folds=folds
+    )
 
 
 def cross_validate(
@@ -185,28 +299,11 @@ def cross_validate(
     Each repeat reshuffles with seed + repeat index; the report carries
     repeats x folds readings plus their arithmetic mean.
     """
-    if len(data) < folds:
-        raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
-    vectors = _vectorize_all(data, classes)
-    labels = [label for _, label in data]
-    readings: list[Metrics] = []
-    for repeat in range(repeats):
-        rng = random.Random(seed + repeat)
-        assignments = stratified_fold_indices(labels, folds, rng)
-        for held_out in assignments:
-            held = set(held_out)
-            train = [(vectors[i], labels[i]) for i in range(len(data)) if i not in held]
-            model = train_naive_bayes(train, alpha=alpha)
-            predicted = [predict_nb(model, vectors[i]).label for i in held_out]
-            truth = [labels[i] for i in held_out]
-            readings.append(compute_metrics(predicted, truth))
-    return CvReport(
-        readings=readings,
-        mean=mean_metrics(readings),
-        seed=seed,
-        repeats=repeats,
-        folds=folds,
+    classes = list(dict.fromkeys(classes))
+    [readings] = _subset_readings(
+        data, classes, [tuple(range(len(classes)))], repeats, folds, seed, alpha
     )
+    return _cv_report(readings, seed, repeats, folds)
 
 
 def roc_auc(scores: Sequence[float], truth: Sequence[str]) -> float:
@@ -365,7 +462,10 @@ def enumerate_combinations(
 
     All subsets share the same fold seed, so rankings compare like-for-like.
     A class is extractable only when every tweet carries its tag layer;
-    anything else is excluded and reported.
+    anything else is excluded and reported. Each fold's training side is
+    counted once per class and every subset is scored from those tables:
+    the classes' feature ids are disjoint, so a subset's totals and
+    vocabulary size are the sums of its classes'.
     """
     available = [
         cls
@@ -375,18 +475,17 @@ def enumerate_combinations(
     excluded = [cls for cls in FeatureClass if cls not in available]
     if not available:
         raise ValueError("no feature class is extractable from this data")
-    subsets: list[tuple[FeatureClass, ...]] = []
+    subsets: list[tuple[int, ...]] = []
     for size in range(1, len(available) + 1):
-        subsets.extend(itertools.combinations(available, size))
+        subsets.extend(itertools.combinations(range(len(available)), size))
 
+    readings = _subset_readings(data, available, subsets, repeats, folds, seed, alpha)
     entries = [
         CombinationEntry(
-            classes=subset,
-            report=cross_validate(
-                data, list(subset), repeats=repeats, folds=folds, seed=seed, alpha=alpha
-            ),
+            classes=tuple(available[k] for k in subset),
+            report=_cv_report(subset_readings, seed, repeats, folds),
         )
-        for subset in subsets
+        for subset, subset_readings in zip(subsets, readings)
     ]
     return CombinationReport(entries=entries, excluded_classes=excluded)
 

@@ -262,6 +262,8 @@ def model_to_dict(
 
 def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:
     """Rebuild a model; ValueError on a bad version, kind, field or feature class."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')}")
     raw_classes = doc.get("feature_classes")

@@ -52,6 +52,34 @@ def separable_labeled_set(
     return data
 
 
+TAGGED_WORDS = BASE_VOCAB[:20] + ["in", "there", "the", "city"]
+ARK_TAGS = ("N", "A", "!", "R", "L", "P", "D", "V")
+PTB_TAGS = ("NN", "JJ", "UH", "RB", "PRP", "IN", "DT", "VB", "EX")
+CHUNK_TAGS = ("B-NP", "I-NP", "B-PP", "B-VP", "I-VP", "O")
+
+
+def tagged_labeled_set(n: int = 40, seed: int = 0) -> list[tuple[TaggedTweet, str]]:
+    """Half IR, half OR, every tweet carrying random ARK, PTB and chunk
+    layers, so all six feature classes are extractable. Most IR tweets carry
+    marker qz1 and most OR tweets qz2, so margins vary in sign and size."""
+    rng = random.Random(seed)
+    data = []
+    for i in range(n):
+        label = IR if i < n // 2 else OR
+        words = _text(rng, TAGGED_WORDS, rng.randrange(3, 10))
+        if rng.random() < 0.7:
+            words.insert(rng.randrange(len(words) + 1), "qz1" if label == IR else "qz2")
+        tweet = attach_tags(
+            words,
+            [rng.choice(ARK_TAGS) for _ in words],
+            [rng.choice(PTB_TAGS) for _ in words],
+            [rng.choice(CHUNK_TAGS) for _ in words],
+            tweet_id=f"g{i}",
+        )
+        data.append((tweet, label))
+    return data
+
+
 def hourly_shift_tweets(
     seed: int = 0,
     tweets_per_hour: int = 200,

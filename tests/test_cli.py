@@ -82,6 +82,26 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: {**doc, "cv": 5},
+            lambda doc: {**doc, "model": "nb"},
+            lambda doc: {**doc, "logreg": [0.1]},
+            lambda doc: {**doc, "divergence": None},
+            lambda doc: [doc],
+        ],
+        ids=["cv", "model", "logreg", "divergence", "top-level"],
+    )
+    def test_non_object_section_is_one_error_line(self, workspace, capsys, corrupt):
+        doc = corrupt(read_json(workspace["config"]))
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match="must be"):
+            load_config(workspace["config"])
+        assert run(workspace, "partition") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestPartition:
     def test_files_and_counts(self, workspace):
@@ -244,6 +264,27 @@ class TestTrainClassify:
         save_model(model_path, model, feature_classes=[FeatureClass.PTB_POS])
         assert run(workspace, "classify", "--model", str(model_path)) == 1
         assert "PTB_POS" in capsys.readouterr().err
+
+    def test_classify_misaligned_record_is_counted_skip(self, workspace, tmp_path):
+        run(workspace, "partition")
+        run(workspace, "train")
+        records = [
+            {"id": "a1", "text": "qz1 w1 w2 w3 w4", "created_at": "2013-04-15T20:00:00Z"},
+            {"id": "a2", "text": "qz2 w5 w6 w7 w8", "created_at": "2013-04-15T20:01:00Z",
+             "ark_tags": ["N"]},
+            {"id": "a3", "text": "qz2 w9 w1 w2 w3", "created_at": "2013-04-15T20:02:00Z"},
+        ]
+        source = tmp_path / "three.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(
+            workspace, "classify", "--model", str(workspace["out"] / "model.json"),
+            "--input", str(source),
+        ) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "classified.jsonl")]
+        assert [r["id"] for r in rows] == ["a1", "a3"]
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (3, 2, 1)
+        assert summary["warnings"] == ["tweet 'a2': ark_tags has 1 tags for 5 tokens"]
 
     @pytest.mark.parametrize(
         "corrupt, message",

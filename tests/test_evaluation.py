@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crisislang import evaluation
 from crisislang.evaluation import (
     balanced_sample,
     bigram_cloud,
@@ -14,10 +15,11 @@ from crisislang.evaluation import (
     roc_auc,
     stratified_fold_indices,
 )
-from crisislang.features import FeatureClass
-from crisislang.model import IR, OR, select_all_baseline
+from crisislang.features import FeatureClass, MissingLayerError, vectorize
+from crisislang.model import IR, OR, predict_nb, select_all_baseline, train_naive_bayes
+from crisislang.text import attach_tags
 from oracles import auc_pairwise, confusion_metrics
-from synthdata import separable_labeled_set, tweet_from_text
+from synthdata import separable_labeled_set, tagged_labeled_set, tweet_from_text
 
 U = [FeatureClass.UNIGRAM]
 
@@ -255,6 +257,97 @@ class TestEnumerateCombinations:
         report = enumerate_combinations(self._tagged_data(), seed=4, repeats=1, folds=2)
         f1s = [e.report.mean.f1 for e in report.ranked()]
         assert f1s == sorted(f1s, reverse=True)
+
+
+def reference_readings(data, classes, repeats, folds, seed, alpha=1.0):
+    """CV readings from one train_naive_bayes model per fold, plus every
+    held-out (tweet id, score) that predict_nb gave."""
+    vectors = [vectorize(tweet, classes) for tweet, _ in data]
+    labels = [label for _, label in data]
+    readings, scores = [], []
+    for repeat in range(repeats):
+        rng = random.Random(seed + repeat)
+        for held_out in stratified_fold_indices(labels, folds, rng):
+            held = set(held_out)
+            train = [(vectors[i], labels[i]) for i in range(len(data)) if i not in held]
+            model = train_naive_bayes(train, alpha=alpha)
+            predictions = [predict_nb(model, vectors[i]) for i in held_out]
+            scores += [(data[i][0].tweet_id, p.score) for i, p in zip(held_out, predictions)]
+            readings.append(
+                compute_metrics([p.label for p in predictions], [labels[i] for i in held_out])
+            )
+    return readings, scores
+
+
+def zero_margin_corpus():
+    """Four IR and four OR tweets, all fully tagged. With two folds every
+    training side holds two of each label, so the prior difference is 0, and
+    the OR tweet "z" shares no word, tag or chunk label with any other tweet:
+    held out, it has no in-vocabulary feature and a margin of exactly 0."""
+    data = tagged_labeled_set(n=8, seed=21)
+    words = ["zq1", "zq2", "zq3"]
+    z = attach_tags(words, ["Z"] * 3, ["ZZ"] * 3, ["B-ZP", "I-ZP", "B-ZP"], tweet_id="z")
+    return data[:-1] + [(z, OR)]
+
+
+class TestReferenceEquality:
+    @pytest.mark.parametrize(
+        "make_data, folds, alpha",
+        [
+            (lambda: tagged_labeled_set(n=40, seed=7), 5, 1.0),
+            (lambda: tagged_labeled_set(n=30, seed=8), 3, 0.3),
+            (zero_margin_corpus, 2, 1.0),
+        ],
+        ids=["tagged", "tagged-alpha", "zero-margin"],
+    )
+    def test_every_subset_matches_per_fold_training(self, make_data, folds, alpha):
+        data = make_data()
+        report = enumerate_combinations(data, seed=3, repeats=3, folds=folds, alpha=alpha)
+        assert len(report.entries) == 63
+        for entry in report.entries:
+            classes = list(entry.classes)
+            expected, _ = reference_readings(data, classes, 3, folds, seed=3, alpha=alpha)
+            assert entry.report.readings == expected, entry.class_names()
+            direct = cross_validate(data, classes, repeats=3, folds=folds, seed=3, alpha=alpha)
+            assert direct.readings == expected, entry.class_names()
+
+    def test_zero_margin_corpus_has_its_tie(self):
+        # The equality test above covers the IR tie-break only if "z" really
+        # scores exactly 0 in every subset.
+        data = zero_margin_corpus()
+        for size in range(1, 7):
+            for subset in itertools.combinations(list(FeatureClass), size):
+                _, scores = reference_readings(data, list(subset), 3, 2, seed=3)
+                assert [score for tweet_id, score in scores if tweet_id == "z"] == [0.0] * 3
+
+    def test_search_vectorizes_once_and_never_trains(self, monkeypatch):
+        data = tagged_labeled_set(n=20, seed=9)
+        calls = {"vectorize": 0, "train_naive_bayes": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+        report = enumerate_combinations(data, seed=1, repeats=2, folds=3)
+        assert len(report.entries) == 63
+        assert 0 < calls["vectorize"] <= len(data) * len(FeatureClass)
+        assert calls["train_naive_bayes"] == 0
+
+    def test_errors_keep_their_types(self):
+        data = tagged_labeled_set(n=10, seed=4)
+        with pytest.raises(ValueError, match="alpha"):
+            cross_validate(data, U, folds=2, alpha=0.0)
+        with pytest.raises(ValueError, match="both labels"):
+            cross_validate([(t, IR) for t, _ in data], U, folds=2)
+        untagged = separable_labeled_set(n=10, seed=4)
+        classes = [FeatureClass.UNIGRAM, FeatureClass.ARK_POS, FeatureClass.PTB_POS]
+        with pytest.raises(MissingLayerError, match="ARK_POS, PTB_POS"):
+            cross_validate(untagged, classes, folds=2)
 
 
 class TestBigramCloud:

@@ -299,3 +299,8 @@ class TestSerialization:
         del doc["feature_log_likelihood"]
         with pytest.raises(ValueError, match="feature_log_likelihood"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "nb", None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            model_from_dict(doc)

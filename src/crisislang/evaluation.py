@@ -238,43 +238,50 @@ def _subset_readings(
         for held_out in stratified_fold_indices(labels, folds, rng):
             held = set(held_out)
             train_idx = [i for i in range(len(data)) if i not in held]
-            _check_labels([({}, labels[i]) for i in train_idx])
+            _check_labels(labels[i] for i in train_idx)
             n = len(train_idx)
             n_ir = sum(1 for i in train_idx if labels[i] == IR)
             prior = log(n_ir / n) - log((n - n_ir) / n)
             tables = [_class_table(rows, labels, train_idx, k) for k in range(len(classes))]
             # A feature's term depends only on its (n_IR, n_OR) pair and the
-            # subset's denominators, so each distinct pair gets an index and
-            # its term is computed once per subset. Per held-out tweet and
-            # class: (count, pair index) of each in-vocabulary feature, in
-            # the vector's order.
-            pairs: dict[tuple[int, int], int] = {}
-            hits = [
-                [
-                    [
-                        (count, pairs.setdefault((pair[0], pair[1]), len(pairs)))
-                        for fid, count in rows[j][k].items()
-                        if (pair := counts.get(fid)) is not None
-                    ]
-                    for k, (counts, _) in enumerate(tables)
-                ]
-                for j in held_out
-            ]
+            # subset's denominators. Per class, each distinct pair among the
+            # held-out tweets' in-vocabulary features gets an index, and a
+            # subset computes the term of each of its classes' pairs once.
+            # hits[t][k]: (count, pair index) per in-vocabulary feature of
+            # held-out tweet t in class k, in the vector's order.
+            hits: list[list[list[tuple[int, int]]]] = [[] for _ in held_out]
+            class_pairs: list[list[tuple[int, int]]] = []
+            for k, (counts, _) in enumerate(tables):
+                index: dict[tuple[int, int], int] = {}
+                for tweet_hits, j in zip(hits, held_out):
+                    tweet_hits.append(
+                        [
+                            (count, index.setdefault((pair[0], pair[1]), len(index)))
+                            for fid, count in rows[j][k].items()
+                            if (pair := counts.get(fid)) is not None
+                        ]
+                    )
+                class_pairs.append(list(index))
             truth = [labels[j] for j in held_out]
             for subset, subset_readings in zip(subsets, readings):
                 v = sum(len(tables[k][0]) for k in subset)
                 denom_ir = sum(tables[k][1][0] for k in subset) + alpha * v
                 denom_or = sum(tables[k][1][1] for k in subset) + alpha * v
+                # A class with no pairs computes no term, so an empty
+                # vocabulary (v = 0, zero denominators) is never divided by.
                 terms = [
-                    log((n_fir + alpha) / denom_ir) - log((n_for + alpha) / denom_or)
-                    for n_fir, n_for in pairs
+                    [
+                        log((n_fir + alpha) / denom_ir) - log((n_for + alpha) / denom_or)
+                        for n_fir, n_for in class_pairs[k]
+                    ]
+                    for k in subset
                 ]
                 predicted = []
                 for tweet_hits in hits:
                     score = prior
-                    for k in subset:
+                    for k, class_terms in zip(subset, terms):
                         for count, t in tweet_hits[k]:
-                            score += count * terms[t]
+                            score += count * class_terms[t]
                     predicted.append(IR if score >= 0.0 else OR)
                 subset_readings.append(compute_metrics(predicted, truth))
     return readings

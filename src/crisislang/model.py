@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,10 +64,10 @@ class LogisticRegressionModel:
     params: LogRegParams
 
 
-def _check_labels(data: Sequence[LabeledVector]) -> None:
-    if not data:
+def _check_labels(labels: Iterable[str]) -> None:
+    seen = set(labels)
+    if not seen:
         raise ValueError("training data is empty")
-    seen = {label for _, label in data}
     bad = seen - set(LABELS)
     if bad:
         raise ValueError(f"labels must be IR or OR, got {sorted(bad)}")
@@ -79,7 +79,7 @@ def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> Naiv
     """Fit multinomial NB: likelihood(f|c) = (n_fc + alpha) / (n_c + alpha |V|)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    _check_labels(data)
+    _check_labels(label for _, label in data)
 
     class_counts = {label: 0 for label in LABELS}
     feature_counts: dict[str, dict[FeatureId, int]] = {label: {} for label in LABELS}
@@ -181,7 +181,7 @@ def train_logreg(
     data: Sequence[LabeledVector], params: LogRegParams = LogRegParams()
 ) -> LogisticRegressionModel:
     """Batch gradient descent from zero init until the update stalls."""
-    _check_labels(data)
+    _check_labels(label for _, label in data)
     x, y, vocab = design_matrix(data)
     weights = np.zeros(len(vocab))
     bias = 0.0

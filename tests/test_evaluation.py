@@ -290,6 +290,32 @@ def zero_margin_corpus():
     return data[:-1] + [(z, OR)]
 
 
+def _rebuilt(tweet, tokens, chunk_tags=None):
+    return attach_tags(
+        [t.surface for t in tokens],
+        [t.ark_tag for t in tokens],
+        [t.ptb_tag for t in tokens],
+        chunk_tags or [t.chunk_tag for t in tokens],
+        tweet_id=tweet.tweet_id,
+    )
+
+
+def all_o_chunk_corpus():
+    """Fully tagged tweets whose chunk tags are all O: the SHALLOW_PARSE
+    layer is present, but the class has no feature and an empty vocabulary."""
+    data = tagged_labeled_set(n=20, seed=5)
+    return [(_rebuilt(t, t.tokens, ["O"] * len(t.tokens)), label) for t, label in data]
+
+
+def one_token_corpus():
+    """Fully tagged one-token tweets, the marker kept where there is one:
+    BIGRAM has no feature and an empty vocabulary."""
+    data = tagged_labeled_set(n=20, seed=6)
+    markers = ("qz1", "qz2")
+    kept = [next((x for x in t.tokens if x.surface in markers), t.tokens[0]) for t, _ in data]
+    return [(_rebuilt(t, [token]), label) for (t, label), token in zip(data, kept)]
+
+
 class TestReferenceEquality:
     @pytest.mark.parametrize(
         "make_data, folds, alpha",
@@ -297,8 +323,10 @@ class TestReferenceEquality:
             (lambda: tagged_labeled_set(n=40, seed=7), 5, 1.0),
             (lambda: tagged_labeled_set(n=30, seed=8), 3, 0.3),
             (zero_margin_corpus, 2, 1.0),
+            (all_o_chunk_corpus, 3, 1.0),
+            (one_token_corpus, 3, 1.0),
         ],
-        ids=["tagged", "tagged-alpha", "zero-margin"],
+        ids=["tagged", "tagged-alpha", "zero-margin", "empty-shallow-parse", "empty-bigram"],
     )
     def test_every_subset_matches_per_fold_training(self, make_data, folds, alpha):
         data = make_data()
@@ -319,6 +347,20 @@ class TestReferenceEquality:
             for subset in itertools.combinations(list(FeatureClass), size):
                 _, scores = reference_readings(data, list(subset), 3, 2, seed=3)
                 assert [score for tweet_id, score in scores if tweet_id == "z"] == [0.0] * 3
+
+    @pytest.mark.parametrize(
+        "make_data, empty",
+        [
+            (all_o_chunk_corpus, FeatureClass.SHALLOW_PARSE),
+            (one_token_corpus, FeatureClass.BIGRAM),
+        ],
+    )
+    def test_empty_class_corpora_have_their_empty_class(self, make_data, empty):
+        # The equality test above covers a subset whose vocabulary is empty
+        # only if the class really yields no feature on any tweet.
+        data = make_data()
+        assert all(vectorize(t, [empty]) == {} for t, _ in data)
+        assert all(vectorize(t, [FeatureClass.UNIGRAM]) for t, _ in data)
 
     def test_search_vectorizes_once_and_never_trains(self, monkeypatch):
         data = tagged_labeled_set(n=20, seed=9)

@@ -117,6 +117,13 @@ def _section(doc: dict, key: str) -> dict:
     return section
 
 
+def _list(doc: dict, key: str, default: list) -> list:
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def load_config(
     path: str | Path,
     seed: int | None = None,
@@ -147,8 +154,9 @@ def load_config(
     if doc.get("pre_crisis_window") is not None:
         pre = _parse_window(doc["pre_crisis_window"], "pre_crisis_window")
 
+    raw_classes = _list(doc, "feature_classes", ["UNIGRAM", "BIGRAM"])
     try:
-        classes = [FeatureClass(c) for c in doc.get("feature_classes", ["UNIGRAM", "BIGRAM"])]
+        classes = [FeatureClass(c) for c in raw_classes]
     except ValueError as exc:
         raise ConfigError(f"unknown feature class: {exc}") from None
     if not classes:
@@ -167,7 +175,11 @@ def load_config(
         tolerance=float(lr_doc.get("tolerance", 1e-6)),
     )
 
-    ratios = [float(r) for r in doc.get("imbalance_ratios", ev.DEFAULT_IMBALANCE_RATIOS)]
+    raw_ratios = _list(doc, "imbalance_ratios", list(ev.DEFAULT_IMBALANCE_RATIOS))
+    try:
+        ratios = [float(r) for r in raw_ratios]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"imbalance_ratios must hold numbers: {exc}") from None
     for r in ratios:
         if not 0.0 < r < 1.0:
             raise ConfigError(f"imbalance ratio must be in (0, 1), got {r}")
@@ -250,8 +262,21 @@ def _read_tweets(path: Path) -> tuple[list[RawTweet], int, list[str]]:
     return tweets, skipped, reasons
 
 
-def _tag_all(config: RunConfig, tweets: Sequence[RawTweet]) -> list[TaggedTweet]:
-    return [tag_raw_tweet(t, use_fallback=config.fallback_tags) for t in tweets]
+def _tag(config: RunConfig, tweet: RawTweet, skipped: list[str]) -> TaggedTweet | None:
+    """The tagged tweet, or None with the reason in skipped when its tag
+    layers are misaligned."""
+    try:
+        return tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
+    except AlignmentError as exc:
+        skipped.append(str(exc))
+        return None
+
+
+def _tag_all(
+    config: RunConfig, tweets: Sequence[RawTweet], skipped: list[str]
+) -> list[TaggedTweet]:
+    tagged = (_tag(config, t, skipped) for t in tweets)
+    return [t for t in tagged if t is not None]
 
 
 def _read_partition(config: RunConfig, label: PartitionLabel) -> list[RawTweet]:
@@ -270,9 +295,11 @@ def _read_unlabeled(config: RunConfig) -> list[RawTweet]:
     return tweets
 
 
-def _labeled_data(config: RunConfig, balance: bool) -> list[ev.LabeledTweet]:
-    ir = _tag_all(config, _read_partition(config, PartitionLabel.IR))
-    or_pool = _tag_all(config, _read_partition(config, PartitionLabel.OR))
+def _labeled_data(
+    config: RunConfig, balance: bool, skipped: list[str]
+) -> list[ev.LabeledTweet]:
+    ir = _tag_all(config, _read_partition(config, PartitionLabel.IR), skipped)
+    or_pool = _tag_all(config, _read_partition(config, PartitionLabel.OR), skipped)
     if not ir:
         raise ConfigError("IR partition is empty; cannot build a labeled set")
     if balance:
@@ -305,6 +332,7 @@ def cmd_partition(config: RunConfig) -> dict:
 
 def cmd_divergence(config: RunConfig, mode: str) -> dict:
     tweets, skipped, reasons = _read_tweets(config.input)
+    skipped_layers: list[str] = []
     if mode == "hourly":
         if config.divergence_day is None or not config.divergence_hours:
             raise ConfigError("hourly mode needs divergence.day and divergence.hours in the config")
@@ -332,12 +360,12 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
                 and window.contains(t.created_at)
                 and region.contains(t.geo)
             ]
-            groups[name] = _tag_all(config, members)
+            groups[name] = _tag_all(config, members, skipped_layers)
         matrix, warnings = div.regional_divergence_matrix(groups)
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
 
-    warnings = list(warnings) + reasons
+    warnings = list(warnings) + reasons + skipped_layers
     csv_path = config.output_dir / f"divergence_{mode}.csv"
     json_path = config.output_dir / f"divergence_{mode}.json"
     _write_text(csv_path, matrix.to_csv())
@@ -356,7 +384,8 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
 
 def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
     do_balance = config.balance if balance is None else balance
-    data = _labeled_data(config, do_balance)
+    skipped: list[str] = []
+    data = _labeled_data(config, do_balance, skipped)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     if config.model_kind == "nb":
         model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel = mdl.train_naive_bayes(
@@ -372,7 +401,7 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
     labels = [label for _, label in data]
     summary = _summary(
         "train",
-        warnings=[],
+        warnings=skipped,
         model=str(model_path),
         kind=config.model_kind,
         seed=config.seed,
@@ -387,8 +416,9 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
 
 def cmd_evaluate(config: RunConfig, mode: str) -> dict:
     files: dict[str, str] = {}
+    skipped: list[str] = []
     if mode == "single":
-        data = _labeled_data(config, balance=True)
+        data = _labeled_data(config, True, skipped)
         report = ev.cross_validate(
             data,
             config.feature_classes,
@@ -405,7 +435,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
         }
         payload: dict = {"readings": len(report.readings), "mean_f1": report.mean.f1}
     elif mode == "combos":
-        data = _labeled_data(config, balance=True)
+        data = _labeled_data(config, True, skipped)
         combo = ev.enumerate_combinations(
             data,
             seed=config.seed,
@@ -424,8 +454,8 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             "excluded_classes": [c.value for c in combo.excluded_classes],
         }
     elif mode == "imbalance":
-        ir = _tag_all(config, _read_partition(config, PartitionLabel.IR))
-        or_pool = _tag_all(config, _read_partition(config, PartitionLabel.OR))
+        ir = _tag_all(config, _read_partition(config, PartitionLabel.IR), skipped)
+        or_pool = _tag_all(config, _read_partition(config, PartitionLabel.OR), skipped)
         sweep = ev.imbalance_sweep(
             ir,
             or_pool,
@@ -444,7 +474,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
     else:
         raise ConfigError(f"unknown evaluate mode: {mode!r}")
 
-    summary = _summary("evaluate", warnings=[], mode=mode, files=files, **payload)
+    summary = _summary("evaluate", warnings=skipped, mode=mode, files=files, **payload)
     _write_json(config.output_dir / "evaluate_summary.json", summary)
     return summary
 
@@ -460,10 +490,8 @@ def _classify_tweets(
     they need; a tweet whose tag layers are misaligned or lack one the model
     needs is reported in skipped."""
     for tweet in tweets:
-        try:
-            tagged = tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
-        except AlignmentError as exc:
-            skipped.append(str(exc))
+        tagged = _tag(config, tweet, skipped)
+        if tagged is None:
             continue
         absent = missing_classes(tagged, classes)
         if absent:
@@ -517,7 +545,8 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
 def cmd_top_features(config: RunConfig, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
-    data = _labeled_data(config, balance=config.balance)
+    skipped: list[str] = []
+    data = _labeled_data(config, config.balance, skipped)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     model = mdl.train_logreg(vectors, config.logreg)
     lines = ["class,rank,feature,weight"]
@@ -530,7 +559,7 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
     _write_text(csv_path, "\n".join(lines) + "\n")
     summary = _summary(
         "top-features",
-        warnings=[],
+        warnings=skipped,
         k=k,
         classes=[c.value for c in config.feature_classes],
         files={"csv": str(csv_path)},
@@ -542,15 +571,14 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
 def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
-    ir_raw = _read_partition(config, PartitionLabel.IR)
-    ir_tagged = _tag_all(config, ir_raw)
+    skipped: list[str] = []
+    ir_tagged = _tag_all(config, _read_partition(config, PartitionLabel.IR), skipped)
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
     model, classes = mdl.load_model(model_path)
     if classes is None:
         classes = config.feature_classes
     unlabeled = _read_unlabeled(config)
-    skipped: list[str] = []
     additions = [
         tagged
         for _, tagged, prediction in _classify_tweets(config, model, classes, unlabeled, skipped)

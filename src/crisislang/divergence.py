@@ -48,7 +48,7 @@ def word_distribution(tweets: Iterable[TaggedTweet]) -> TokenDistribution:
     counts: dict[str, int] = {}
     total = 0
     for tweet in tweets:
-        for token in tweet.surfaces():
+        for token in tweet.words:
             counts[token] = counts.get(token, 0) + 1
             total += 1
     if total == 0:

@@ -503,8 +503,8 @@ def bigram_cloud(tweets: Iterable[TaggedTweet], k: int) -> list[tuple[str, int]]
         raise ValueError(f"k must be positive, got {k}")
     counts: Counter[str] = Counter()
     for tweet in tweets:
-        surfaces = tweet.surfaces()
-        for i in range(len(surfaces) - 1):
-            counts[f"{surfaces[i]} {surfaces[i + 1]}"] += 1
+        words = tweet.words
+        for i in range(len(words) - 1):
+            counts[f"{words[i]} {words[i + 1]}"] += 1
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ordered[:k]

@@ -13,9 +13,8 @@ classes never collide. Counts are raw frequencies.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from crisislang.text import TaggedTweet
 
@@ -48,6 +47,21 @@ ARK_CRISIS_PATTERNS: tuple[tuple[str, ...], ...] = (
     ("A", "N", "P"),
 )
 
+# Id prefixes, computed once: naming or hashing an Enum member runs Python
+# code, which the per-tweet extractors would otherwise pay on every call.
+_WORD_NGRAM_PREFIX = {1: f"{FeatureClass.UNIGRAM.value}:", 2: f"{FeatureClass.BIGRAM.value}:"}
+_POS_CLASS = {"ark": FeatureClass.ARK_POS, "ptb": FeatureClass.PTB_POS}
+_POS_PREFIX = {tagset: f"{cls.value}:" for tagset, cls in _POS_CLASS.items()}
+_SHALLOW_PREFIX = f"{FeatureClass.SHALLOW_PARSE.value}:"
+_CRISIS_PREFIX = f"{FeatureClass.CRISIS_SENSITIVE.value}:"
+
+# Index, pattern and width of every crisis pattern, keyed by its first tag,
+# and each pattern's PAT: id.
+_PATTERNS_BY_FIRST_TAG: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
+for _k, _pattern in enumerate(ARK_CRISIS_PATTERNS):
+    _PATTERNS_BY_FIRST_TAG.setdefault(_pattern[0], []).append((_k, _pattern, len(_pattern)))
+_PAT_IDS = tuple(f"{_CRISIS_PREFIX}PAT:{' '.join(p)}" for p in ARK_CRISIS_PATTERNS)
+
 # Layers each class needs beyond the tokens themselves.
 _REQUIRED_LAYER = {
     FeatureClass.UNIGRAM: None,
@@ -79,43 +93,42 @@ def split_feature(fid: FeatureId) -> tuple[FeatureClass, str]:
 
 
 def _has_layer(tweet: TaggedTweet, layer: str | None) -> bool:
-    if layer is None:
-        return True
-    return {"ark": tweet.has_ark, "ptb": tweet.has_ptb, "chunk": tweet.has_chunk}[layer]
+    return layer is None or (bool(tweet.words) and getattr(tweet, layer) is not None)
 
 
 def missing_classes(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> list[FeatureClass]:
     return [c for c in classes if not _has_layer(tweet, _REQUIRED_LAYER[c])]
 
 
+def _add_ngrams(counts: FeatureVector, prefix: str, seq: Sequence[str], n: int) -> None:
+    """Count the contiguous n-grams of seq into counts, as prefix + the
+    space-joined n-gram, each id inserted where it first occurs."""
+    grams = seq if n == 1 else map(" ".join, zip(*(seq[k:] for k in range(n))))
+    for gram in grams:
+        fid = prefix + gram
+        counts[fid] = counts.get(fid, 0) + 1
+
+
 def extract_word_ngrams(tweet: TaggedTweet, n: int) -> FeatureVector:
     """Contiguous word n-grams (n = 1 or 2), no boundary padding."""
-    if n not in (1, 2):
+    if n not in _WORD_NGRAM_PREFIX:
         raise ValueError(f"word n-grams support n in {{1, 2}}, got {n}")
-    cls = FeatureClass.UNIGRAM if n == 1 else FeatureClass.BIGRAM
-    prefix = f"{cls.value}:"
-    surfaces = tweet.surfaces()
-    counts: Counter[FeatureId] = Counter()
-    for i in range(len(surfaces) - n + 1):
-        counts[prefix + " ".join(surfaces[i : i + n])] += 1
-    return dict(counts)
+    counts: FeatureVector = {}
+    _add_ngrams(counts, _WORD_NGRAM_PREFIX[n], tweet.words, n)
+    return counts
 
 
 def extract_pos_ngrams(tweet: TaggedTweet, tagset: str, n: int) -> FeatureVector:
     """Contiguous POS-tag n-grams (n = 1..3) over the ARK or PTB layer."""
-    if tagset not in ("ark", "ptb"):
+    if tagset not in _POS_CLASS:
         raise ValueError(f"tagset must be 'ark' or 'ptb', got {tagset!r}")
     if n not in (1, 2, 3):
         raise ValueError(f"POS n-grams support n in {{1, 2, 3}}, got {n}")
-    cls = FeatureClass.ARK_POS if tagset == "ark" else FeatureClass.PTB_POS
     if not _has_layer(tweet, tagset):
-        raise MissingLayerError(tweet.tweet_id, [cls])
-    prefix = f"{cls.value}:"
-    tags = [t.ark_tag if tagset == "ark" else t.ptb_tag for t in tweet.tokens]
-    counts: Counter[FeatureId] = Counter()
-    for i in range(len(tags) - n + 1):
-        counts[prefix + " ".join(tags[i : i + n])] += 1
-    return dict(counts)
+        raise MissingLayerError(tweet.tweet_id, [_POS_CLASS[tagset]])
+    counts: FeatureVector = {}
+    _add_ngrams(counts, _POS_PREFIX[tagset], getattr(tweet, tagset), n)
+    return counts
 
 
 def chunk_spans(tweet: TaggedTweet) -> list[tuple[str, int, int]]:
@@ -126,8 +139,8 @@ def chunk_spans(tweet: TaggedTweet) -> list[tuple[str, int, int]]:
     """
     spans: list[tuple[str, int, int]] = []
     current: tuple[str, int] | None = None
-    for i, token in enumerate(tweet.tokens):
-        tag = token.chunk_tag or "O"
+    for i, tag in enumerate(tweet.chunk or ()):
+        tag = tag or "O"
         if tag == "O":
             if current is not None:
                 spans.append((current[0], current[1], i))
@@ -140,7 +153,7 @@ def chunk_spans(tweet: TaggedTweet) -> list[tuple[str, int, int]]:
             spans.append((current[0], current[1], i))
         current = (label, i)
     if current is not None:
-        spans.append((current[0], current[1], len(tweet.tokens)))
+        spans.append((current[0], current[1], len(tweet.words)))
     return spans
 
 
@@ -152,16 +165,16 @@ def extract_shallow_parse(tweet: TaggedTweet) -> FeatureVector:
     """
     if not tweet.has_chunk:
         raise MissingLayerError(tweet.tweet_id, [FeatureClass.SHALLOW_PARSE])
-    prefix = f"{FeatureClass.SHALLOW_PARSE.value}:"
     spans = chunk_spans(tweet)
     labels = [label for label, _, _ in spans]
-    counts: Counter[FeatureId] = Counter()
+    counts: FeatureVector = {}
     for n in (1, 2, 3):
-        for i in range(len(labels) - n + 1):
-            counts[prefix + " ".join(labels[i : i + n])] += 1
+        _add_ngrams(counts, _SHALLOW_PREFIX, labels, n)
+    words = tweet.words
     for label, _, end in spans:
-        counts[f"{prefix}{label}:{tweet.tokens[end - 1].surface}"] += 1
-    return dict(counts)
+        fid = f"{_SHALLOW_PREFIX}{label}:{words[end - 1]}"
+        counts[fid] = counts.get(fid, 0) + 1
+    return counts
 
 
 def _pp_match_in_chunks(spans: list[tuple[str, int, int]], i: int, j: int) -> bool:
@@ -185,55 +198,70 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
     ARK patterns; PP:in:<noun> for "in" + optional determiners/adjectives +
     noun (confined to a PP+NP chunk pair when a chunk layer is present); and
     EX:<verb> for existential "there" with its succeeding verb.
+
+    One pass over the positions finds every pattern match, trying only the
+    patterns that start with the tag found there. Matches are then emitted
+    pattern by pattern, in ARK_CRISIS_PATTERNS order, so ids are inserted in
+    the order one scan per pattern would insert them.
     """
     if not tweet.has_ark:
         raise MissingLayerError(tweet.tweet_id, [FeatureClass.CRISIS_SENSITIVE])
-    prefix = f"{FeatureClass.CRISIS_SENSITIVE.value}:"
-    tokens = tweet.tokens
-    tags = [t.ark_tag for t in tokens]
-    counts: Counter[FeatureId] = Counter()
+    words, tags = tweet.words, tweet.ark
+    n_tokens = len(words)
+    counts: FeatureVector = {}
 
-    for pattern in ARK_CRISIS_PATTERNS:
-        width = len(pattern)
-        for i in range(len(tags) - width + 1):
-            if tuple(tags[i : i + width]) != pattern:
-                continue
-            counts[prefix + "PAT:" + " ".join(pattern)] += 1
-            wt = " ".join(f"{tokens[i + k].surface}/{pattern[k]}" for k in range(width))
-            counts[prefix + "WT:" + wt] += 1
+    starts: list[list[int]] = [[] for _ in ARK_CRISIS_PATTERNS]
+    for i, tag in enumerate(tags):
+        for k, pattern, width in _PATTERNS_BY_FIRST_TAG.get(tag, ()):
+            if width == 1 or tags[i : i + width] == pattern:
+                starts[k].append(i)
+    word_tags = [f"{word}/{tag}" for word, tag in zip(words, tags)]
+    wt_prefix = _CRISIS_PREFIX + "WT:"
+    for k, pattern_starts in enumerate(starts):
+        if not pattern_starts:
+            continue
+        counts[_PAT_IDS[k]] = len(pattern_starts)
+        width = len(ARK_CRISIS_PATTERNS[k])
+        for i in pattern_starts:
+            fid = wt_prefix + (word_tags[i] if width == 1 else " ".join(word_tags[i : i + width]))
+            counts[fid] = counts.get(fid, 0) + 1
 
     spans = chunk_spans(tweet) if tweet.has_chunk else None
-    for i, token in enumerate(tokens):
-        if token.surface != "in" or tags[i] != "P":
+    for i, word in enumerate(words):
+        if word != "in" or tags[i] != "P":
             continue
         j = i + 1
-        while j < len(tokens) and tags[j] in ("D", "A"):
+        while j < n_tokens and tags[j] in ("D", "A"):
             j += 1
-        if j < len(tokens) and tags[j] == "N":
+        if j < n_tokens and tags[j] == "N":
             if spans is not None and not _pp_match_in_chunks(spans, i, j):
                 continue
-            counts[f"{prefix}PP:in:{tokens[j].surface}"] += 1
+            fid = f"{_CRISIS_PREFIX}PP:in:{words[j]}"
+            counts[fid] = counts.get(fid, 0) + 1
 
     if tweet.has_ptb:
-        for i, token in enumerate(tokens):
-            if token.ptb_tag != "EX":
+        ptb = tweet.ptb
+        for i, tag in enumerate(ptb):
+            if tag != "EX":
                 continue
             for j in (i + 1, i + 2):
-                if j < len(tokens) and (tokens[j].ptb_tag or "").startswith("V"):
-                    counts[f"{prefix}EX:{tokens[j].surface}"] += 1
+                if j < n_tokens and (ptb[j] or "").startswith("V"):
+                    fid = f"{_CRISIS_PREFIX}EX:{words[j]}"
+                    counts[fid] = counts.get(fid, 0) + 1
                     break
     else:
-        for i, token in enumerate(tokens):
-            if token.surface != "there":
+        for i, word in enumerate(words):
+            if word != "there":
                 continue
             if i > 0 and tags[i - 1] == "P":
                 continue
             for j in (i + 1, i + 2):
-                if j < len(tokens) and tags[j] == "V":
-                    counts[f"{prefix}EX:{tokens[j].surface}"] += 1
+                if j < n_tokens and tags[j] == "V":
+                    fid = f"{_CRISIS_PREFIX}EX:{words[j]}"
+                    counts[fid] = counts.get(fid, 0) + 1
                     break
 
-    return dict(counts)
+    return counts
 
 
 def _extract_class(tweet: TaggedTweet, cls: FeatureClass) -> FeatureVector:
@@ -243,10 +271,10 @@ def _extract_class(tweet: TaggedTweet, cls: FeatureClass) -> FeatureVector:
         return extract_word_ngrams(tweet, 2)
     if cls in (FeatureClass.ARK_POS, FeatureClass.PTB_POS):
         tagset = "ark" if cls is FeatureClass.ARK_POS else "ptb"
-        merged: Counter[FeatureId] = Counter()
+        merged: FeatureVector = {}
         for n in (1, 2, 3):
-            merged.update(extract_pos_ngrams(tweet, tagset, n))
-        return dict(merged)
+            _add_ngrams(merged, _POS_PREFIX[tagset], getattr(tweet, tagset), n)
+        return merged
     if cls is FeatureClass.SHALLOW_PARSE:
         return extract_shallow_parse(tweet)
     return extract_crisis_sensitive(tweet)

@@ -3,7 +3,8 @@
 Multinomial Naive Bayes with Laplace smoothing is the primary model.
 Logistic regression (batch gradient descent, L2 on the weights) exists for
 feature-importance ranking, and the select-all baseline labels everything IR.
-All models serialize to a versioned JSON document.
+All models serialize to a versioned JSON document. numpy is imported only
+inside the logistic-regression functions, so the NB path never loads it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from crisislang.features import FeatureClass, FeatureId, FeatureVector, split_feature
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IR = "IR"
 OR = "OR"
@@ -141,6 +143,8 @@ def predict_nb(model: NaiveBayesModel, vector: FeatureVector) -> Prediction:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -153,6 +157,8 @@ def logistic_loss_and_gradient(
     x: np.ndarray, y: np.ndarray, weights: np.ndarray, bias: float, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean negative log-likelihood plus (l2/2)||w||^2; bias unregularized."""
+    import numpy as np
+
     with np.errstate(over="ignore"):  # inf loss is caught by the trainer
         z = x @ weights + bias
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(weights @ weights))
@@ -166,6 +172,8 @@ def design_matrix(
     data: Sequence[LabeledVector],
 ) -> tuple[np.ndarray, np.ndarray, list[FeatureId]]:
     """Dense design matrix with a deterministic feature ordering."""
+    import numpy as np
+
     vocab = sorted({fid for vector, _ in data for fid in vector})
     index = {fid: i for i, fid in enumerate(vocab)}
     x = np.zeros((len(data), len(vocab)))
@@ -181,6 +189,8 @@ def train_logreg(
     data: Sequence[LabeledVector], params: LogRegParams = LogRegParams()
 ) -> LogisticRegressionModel:
     """Batch gradient descent from zero init until the update stalls."""
+    import numpy as np
+
     _check_labels(label for _, label in data)
     x, y, vocab = design_matrix(data)
     weights = np.zeros(len(vocab))

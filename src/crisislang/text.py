@@ -8,6 +8,12 @@ are the one exception to lowercasing; their original form is preserved.
 External taggers are out of scope. Corpora may carry pre-computed ARK, PTB,
 and IOB chunk layers; for untagged desk-scale data the rule-based fallback
 produces ARK-style tags only.
+
+A tagged tweet is stored by column, not by token: ``words`` holds the tokens
+and ``ark``, ``ptb`` and ``chunk`` hold one tag per token each, as parallel
+tuples, so ``ark[i]`` is the ARK tag of ``words[i]``. A layer the tweet does
+not carry is ``None``. Feature extractors read whole columns, and tagging a
+tweet builds no per-token object.
 """
 
 from __future__ import annotations
@@ -86,33 +92,27 @@ class AlignmentError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class TaggedToken:
-    surface: str
-    ark_tag: str | None = None
-    ptb_tag: str | None = None
-    chunk_tag: str | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedTweet:
-    tweet_id: str
-    tokens: tuple[TaggedToken, ...]
+    """Tokens and tag layers as parallel tuples; an absent layer is None."""
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+    tweet_id: str
+    words: tuple[str, ...]
+    ark: tuple[str, ...] | None = None
+    ptb: tuple[str, ...] | None = None
+    chunk: tuple[str, ...] | None = None
 
     @property
     def has_ark(self) -> bool:
-        return bool(self.tokens) and self.tokens[0].ark_tag is not None
+        return bool(self.words) and self.ark is not None
 
     @property
     def has_ptb(self) -> bool:
-        return bool(self.tokens) and self.tokens[0].ptb_tag is not None
+        return bool(self.words) and self.ptb is not None
 
     @property
     def has_chunk(self) -> bool:
-        return bool(self.tokens) and self.tokens[0].chunk_tag is not None
+        return bool(self.words) and self.chunk is not None
 
 
 def _is_punct(ch: str) -> bool:
@@ -176,16 +176,13 @@ def attach_tags(
     for name, layer in layers.items():
         if layer is not None and len(layer) != len(tokens):
             raise AlignmentError(tweet_id, name, len(layer), len(tokens))
-    tagged = tuple(
-        TaggedToken(
-            surface=token,
-            ark_tag=ark_tags[i] if ark_tags is not None else None,
-            ptb_tag=ptb_tags[i] if ptb_tags is not None else None,
-            chunk_tag=chunk_tags[i] if chunk_tags is not None else None,
-        )
-        for i, token in enumerate(tokens)
+    return TaggedTweet(
+        tweet_id,
+        tuple(tokens),
+        tuple(ark_tags) if ark_tags is not None else None,
+        tuple(ptb_tags) if ptb_tags is not None else None,
+        tuple(chunk_tags) if chunk_tags is not None else None,
     )
-    return TaggedTweet(tweet_id=tweet_id, tokens=tagged)
 
 
 def _open_class_tag(token: str) -> str:

@@ -8,6 +8,7 @@ meaningful check rather than a tautology.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 
 def spherical_law_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -115,3 +116,129 @@ def fd_gradient(loss_fn, params: list[float], h: float = 1e-5) -> list[float]:
         lo[i] -= h
         grad.append((loss_fn(hi) - loss_fn(lo)) / (2.0 * h))
     return grad
+
+
+# Reference feature extractors: the plain per-class algorithms the package's
+# fast extractors replace, reading the same columnar tagged tweet. Counts go
+# into a Counter, the crisis patterns are found by one slicing scan each, and
+# ids are inserted in the order those loops first reach them.
+
+REFERENCE_CRISIS_PATTERNS = (
+    ("N",), ("A",), ("!",), ("N", "R"), ("L", "A"), ("N", "P"),
+    ("P", "D", "N"), ("L", "A", "!"), ("A", "N", "P"),
+)
+
+
+def _reference_ngrams(seq, n: int, prefix: str) -> dict[str, int]:
+    counts: Counter[str] = Counter()
+    for i in range(len(seq) - n + 1):
+        counts[prefix + " ".join(seq[i : i + n])] += 1
+    return dict(counts)
+
+
+def reference_chunk_spans(words, chunk) -> list[tuple[str, int, int]]:
+    spans: list[tuple[str, int, int]] = []
+    current = None
+    for i in range(len(words)):
+        tag = chunk[i] or "O"
+        if tag == "O":
+            if current is not None:
+                spans.append((current[0], current[1], i))
+                current = None
+            continue
+        head, _, label = tag.partition("-")
+        if head == "I" and current is not None and current[0] == label:
+            continue
+        if current is not None:
+            spans.append((current[0], current[1], i))
+        current = (label, i)
+    if current is not None:
+        spans.append((current[0], current[1], len(words)))
+    return spans
+
+
+def reference_shallow_parse(words, chunk) -> dict[str, int]:
+    prefix = "SHALLOW_PARSE:"
+    spans = reference_chunk_spans(words, chunk)
+    labels = [label for label, _, _ in spans]
+    counts: Counter[str] = Counter()
+    for n in (1, 2, 3):
+        for i in range(len(labels) - n + 1):
+            counts[prefix + " ".join(labels[i : i + n])] += 1
+    for label, _, end in spans:
+        counts[f"{prefix}{label}:{words[end - 1]}"] += 1
+    return dict(counts)
+
+
+def _reference_pp_match(spans, i: int, j: int) -> bool:
+    for idx, (label, start, end) in enumerate(spans):
+        if start <= i < end:
+            if label != "PP" or idx + 1 >= len(spans):
+                return False
+            nxt_label, nxt_start, nxt_end = spans[idx + 1]
+            return nxt_label == "NP" and nxt_start == end and nxt_start <= j < nxt_end
+    return False
+
+
+def reference_crisis_sensitive(words, ark, ptb, chunk) -> dict[str, int]:
+    prefix = "CRISIS_SENSITIVE:"
+    tags = list(ark)
+    counts: Counter[str] = Counter()
+    for pattern in REFERENCE_CRISIS_PATTERNS:
+        width = len(pattern)
+        for i in range(len(tags) - width + 1):
+            if tuple(tags[i : i + width]) != pattern:
+                continue
+            counts[prefix + "PAT:" + " ".join(pattern)] += 1
+            wt = " ".join(f"{words[i + k]}/{pattern[k]}" for k in range(width))
+            counts[prefix + "WT:" + wt] += 1
+
+    spans = reference_chunk_spans(words, chunk) if chunk is not None else None
+    for i, word in enumerate(words):
+        if word != "in" or tags[i] != "P":
+            continue
+        j = i + 1
+        while j < len(words) and tags[j] in ("D", "A"):
+            j += 1
+        if j < len(words) and tags[j] == "N":
+            if spans is not None and not _reference_pp_match(spans, i, j):
+                continue
+            counts[f"{prefix}PP:in:{words[j]}"] += 1
+
+    if ptb is not None:
+        for i in range(len(words)):
+            if ptb[i] != "EX":
+                continue
+            for j in (i + 1, i + 2):
+                if j < len(words) and (ptb[j] or "").startswith("V"):
+                    counts[f"{prefix}EX:{words[j]}"] += 1
+                    break
+    else:
+        for i, word in enumerate(words):
+            if word != "there" or (i > 0 and tags[i - 1] == "P"):
+                continue
+            for j in (i + 1, i + 2):
+                if j < len(words) and tags[j] == "V":
+                    counts[f"{prefix}EX:{words[j]}"] += 1
+                    break
+    return dict(counts)
+
+
+def reference_vector(tweet, class_name: str) -> dict[str, int]:
+    """One feature class's vector of a tagged tweet whose layers that class
+    needs are present, by the reference extractors above."""
+    words = tweet.words
+    prefix = class_name + ":"
+    if class_name == "UNIGRAM":
+        return _reference_ngrams(words, 1, prefix)
+    if class_name == "BIGRAM":
+        return _reference_ngrams(words, 2, prefix)
+    if class_name in ("ARK_POS", "PTB_POS"):
+        tags = list(tweet.ark if class_name == "ARK_POS" else tweet.ptb)
+        merged: Counter[str] = Counter()
+        for n in (1, 2, 3):
+            merged.update(_reference_ngrams(tags, n, prefix))
+        return dict(merged)
+    if class_name == "SHALLOW_PARSE":
+        return reference_shallow_parse(words, tweet.chunk)
+    return reference_crisis_sensitive(words, tweet.ark, tweet.ptb, tweet.chunk)

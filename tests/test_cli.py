@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from crisislang.cli import ConfigError, load_config, main
+from crisislang.text import tokenize
 from synthdata import pipeline_corpus_lines, write_config
 
 
@@ -102,6 +106,26 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("feature_classes", 5),
+            ("imbalance_ratios", 0.5),
+            ("feature_classes", "UNIGRAM"),
+            ("imbalance_ratios", [None]),
+        ],
+        ids=["classes-number", "ratios-number", "classes-string", "ratios-null-item"],
+    )
+    def test_list_key_of_wrong_type_is_one_error_line(self, workspace, capsys, key, value):
+        doc = read_json(workspace["config"])
+        doc[key] = value
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            load_config(workspace["config"])
+        assert run(workspace, "partition") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}")
+
 
 class TestPartition:
     def test_files_and_counts(self, workspace):
@@ -182,6 +206,20 @@ class TestDivergence:
         assert main(["--config", str(config), "divergence", "--mode", "hourly"]) == 0
         doc = read_json(tmp_path / "o" / "divergence_hourly.json")
         assert doc["labels"] == [f"{h:02d}:00" for h in range(10, 20)]
+
+    def test_regional_misaligned_record_is_counted_skip(self, workspace):
+        lines = read_lines(workspace["corpus"])
+        bad = json.loads(lines[0])
+        assert bad.get("geo") is not None
+        bad["chunk_tags"] = ["O"]
+        workspace["corpus"].write_text(
+            "".join(line + "\n" for line in [json.dumps(bad), *lines[1:]]), encoding="utf-8"
+        )
+        assert run(workspace, "divergence", "--mode", "regional") == 0
+        summary = read_json(workspace["out"] / "divergence_summary.json")
+        assert [w for w in summary["warnings"] if "chunk_tags" in w] == [
+            f"tweet {bad['id']!r}: chunk_tags has 1 tags for {len(tokenize(bad['text']))} tokens"
+        ]
 
     def test_identical_groups_zero_matrix(self, tmp_path):
         # One tweet duplicated at both epicenters: off-diagonal exactly zero.
@@ -285,6 +323,55 @@ class TestTrainClassify:
         summary = read_json(workspace["out"] / "classify_summary.json")
         assert (summary["total"], summary["classified"], summary["skipped"]) == (3, 2, 1)
         assert summary["warnings"] == ["tweet 'a2': ark_tags has 1 tags for 5 tokens"]
+
+    def test_train_misaligned_record_is_counted_skip(self, workspace):
+        run(workspace, "partition")
+        ir_path = workspace["out"] / "partitions" / "ir.jsonl"
+        first, *rest = read_lines(ir_path)
+        ir_path.write_text("".join(line + "\n" for line in rest), encoding="utf-8")
+        assert run(workspace, "train") == 0
+        without_record = (workspace["out"] / "model.json").read_bytes()
+
+        bad = json.loads(first)
+        bad["ark_tags"] = ["N"]
+        ir_path.write_text(
+            "".join(line + "\n" for line in [json.dumps(bad), *rest]), encoding="utf-8"
+        )
+        assert run(workspace, "train") == 0
+        assert (workspace["out"] / "model.json").read_bytes() == without_record
+        n_tokens = len(tokenize(bad["text"]))
+        summary = read_json(workspace["out"] / "train_summary.json")
+        assert summary["warnings"] == [
+            f"tweet {bad['id']!r}: ark_tags has 1 tags for {n_tokens} tokens"
+        ]
+        assert summary["class_counts"]["IR"] == len(rest)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "--mode", "single"],
+            ["evaluate", "--mode", "combos"],
+            ["evaluate", "--mode", "imbalance"],
+            ["top-features", "--k", "2"],
+            ["cloud", "--model", "MODEL", "--k", "3"],
+        ],
+        ids=["single", "combos", "imbalance", "top-features", "cloud"],
+    )
+    def test_misaligned_partition_record_is_skipped_by(self, workspace, command):
+        run(workspace, "partition")
+        run(workspace, "train")
+        ir_path = workspace["out"] / "partitions" / "ir.jsonl"
+        first, *rest = read_lines(ir_path)
+        bad = json.loads(first)
+        bad["ptb_tags"] = ["NN"]
+        ir_path.write_text(
+            "".join(line + "\n" for line in [json.dumps(bad), *rest]), encoding="utf-8"
+        )
+        model = str(workspace["out"] / "model.json")
+        assert run(workspace, *[model if arg == "MODEL" else arg for arg in command]) == 0
+        name = {"evaluate": "evaluate", "top-features": "top_features", "cloud": "cloud"}
+        summary = read_json(workspace["out"] / f"{name[command[0]]}_summary.json")
+        assert summary["warnings"][0].startswith(f"tweet {bad['id']!r}: ptb_tags has 1 tags")
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -479,3 +566,36 @@ class TestEndToEndDeterminism:
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], name
+
+
+_NUMPY_PROBE = """
+import sys
+from crisislang.cli import main
+
+config, model = sys.argv[1], sys.argv[2]
+for argv in (
+    ["partition"],
+    ["train"],
+    ["classify", "--model", model],
+    ["evaluate", "--mode", "single"],
+    ["divergence", "--mode", "regional"],
+    ["cloud", "--model", model],
+):
+    assert main(["--config", config, *argv]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert main(["--config", config, "top-features", "--k", "2"]) == 0
+assert "numpy" in sys.modules, "top-features"
+"""
+
+
+class TestNumpyOnlyForLogisticRegression:
+    def test_nb_stages_leave_numpy_unloaded(self, workspace):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, str(workspace["config"]),
+             str(workspace["out"] / "model.json")],
+            capture_output=True, text=True, env=env, cwd=workspace["root"],
+        )
+        assert result.returncode == 0, result.stderr

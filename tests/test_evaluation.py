@@ -290,12 +290,12 @@ def zero_margin_corpus():
     return data[:-1] + [(z, OR)]
 
 
-def _rebuilt(tweet, tokens, chunk_tags=None):
+def _rebuilt(tweet, positions, chunk_tags=None):
     return attach_tags(
-        [t.surface for t in tokens],
-        [t.ark_tag for t in tokens],
-        [t.ptb_tag for t in tokens],
-        chunk_tags or [t.chunk_tag for t in tokens],
+        [tweet.words[i] for i in positions],
+        [tweet.ark[i] for i in positions],
+        [tweet.ptb[i] for i in positions],
+        chunk_tags or [tweet.chunk[i] for i in positions],
         tweet_id=tweet.tweet_id,
     )
 
@@ -304,7 +304,9 @@ def all_o_chunk_corpus():
     """Fully tagged tweets whose chunk tags are all O: the SHALLOW_PARSE
     layer is present, but the class has no feature and an empty vocabulary."""
     data = tagged_labeled_set(n=20, seed=5)
-    return [(_rebuilt(t, t.tokens, ["O"] * len(t.tokens)), label) for t, label in data]
+    return [
+        (_rebuilt(t, range(len(t.words)), ["O"] * len(t.words)), label) for t, label in data
+    ]
 
 
 def one_token_corpus():
@@ -312,8 +314,8 @@ def one_token_corpus():
     BIGRAM has no feature and an empty vocabulary."""
     data = tagged_labeled_set(n=20, seed=6)
     markers = ("qz1", "qz2")
-    kept = [next((x for x in t.tokens if x.surface in markers), t.tokens[0]) for t, _ in data]
-    return [(_rebuilt(t, [token]), label) for (t, label), token in zip(data, kept)]
+    kept = [next((i for i, w in enumerate(t.words) if w in markers), 0) for t, _ in data]
+    return [(_rebuilt(t, [i]), label) for (t, label), i in zip(data, kept)]
 
 
 class TestReferenceEquality:

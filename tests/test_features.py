@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisislang.features import (
     ARK_CRISIS_PATTERNS,
@@ -16,8 +18,8 @@ from crisislang.features import (
     vectorize,
 )
 from crisislang.ingest import parse_tweet_record
-from crisislang.text import attach_tags, tag_raw_tweet
-from oracles import scan_tag_patterns
+from crisislang.text import ARK_TAGS, attach_tags, tag_raw_tweet
+from oracles import reference_vector, scan_tag_patterns
 
 
 def tweet_of(tokens, ark=None, ptb=None, chunks=None, tweet_id="t"):
@@ -272,3 +274,59 @@ class TestFeatureIdSerialization:
         cls, key = split_feature(fid)
         assert (cls, key) == (FeatureClass.CRISIS_SENSITIVE, "WT:in/P the/D city/N")
         assert f"{cls.value}:{key}" == fid
+
+
+_WORDS = ["in", "there", "the", "a", "city", "boston", "is", "safe", "!", "i'm", "x y", "w/N"]
+_FREQUENT_ARK = ["N", "A", "!", "R", "L", "P", "D", "V"]
+_PTB = ["EX", "VBZ", "VB", "NN", "IN", "DT", ""]
+_CHUNK = ["O", "B-NP", "I-NP", "B-PP", "I-PP", "B-VP", "I-VP", "I-", ""]
+
+
+@st.composite
+def tagged_tweets(draw):
+    """Fully ARK-tagged tweets, with and without PTB and chunk layers, empty
+    ones included, biased towards the tags and words the crisis patterns use."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    word = st.one_of(st.sampled_from(_WORDS), st.text(alphabet="ab", min_size=1, max_size=2))
+    ark_tag = st.one_of(st.sampled_from(_FREQUENT_ARK), st.sampled_from(sorted(ARK_TAGS)))
+    words = draw(st.lists(word, min_size=n, max_size=n))
+    ark = draw(st.lists(ark_tag, min_size=n, max_size=n))
+    ptb = draw(st.none() | st.lists(st.sampled_from(_PTB), min_size=n, max_size=n))
+    chunk = draw(st.none() | st.lists(st.sampled_from(_CHUNK), min_size=n, max_size=n))
+    return tweet_of(words, ark=ark, ptb=ptb, chunks=chunk)
+
+
+class TestReferenceEquality:
+    """Every extractor yields the ids, counts and insertion order of the
+    reference extractors in oracles.py; predict_nb sums in that order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tweet=tagged_tweets())
+    def test_each_class_matches_reference_in_order(self, tweet):
+        for cls in FeatureClass:
+            if missing_classes(tweet, [cls]):
+                with pytest.raises(MissingLayerError):
+                    vectorize(tweet, [cls])
+                continue
+            assert list(vectorize(tweet, [cls]).items()) == list(
+                reference_vector(tweet, cls.value).items()
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(tweet=tagged_tweets(), classes=st.permutations(list(FeatureClass)))
+    def test_union_matches_references_in_class_order(self, tweet, classes):
+        expected: dict[str, int] = {}
+        for cls in classes:
+            if not missing_classes(tweet, [cls]):
+                expected.update(reference_vector(tweet, cls.value))
+        got = vectorize(tweet, classes, on_missing="skip")
+        assert list(got.items()) == list(expected.items())
+
+    def test_crisis_ids_keep_pattern_order(self):
+        # "safe" matches A first, then A N P; pattern order puts N before A.
+        tweet = tweet_of(["safe", "city", "in"], ark=["A", "N", "P"])
+        ids = list(extract_crisis_sensitive(tweet))
+        assert ids == list(reference_vector(tweet, "CRISIS_SENSITIVE"))
+        assert [split_feature(fid)[1] for fid in ids[:4]] == [
+            "PAT:N", "WT:city/N", "PAT:A", "WT:safe/A"
+        ]

@@ -77,7 +77,7 @@ class TestAttachTags:
     def test_layers_attached(self):
         tweet = attach_tags(["a", "b", "c"], ark_tags=["N", "V", "N"], tweet_id="t1")
         assert tweet.has_ark and not tweet.has_ptb
-        assert [t.ark_tag for t in tweet.tokens] == ["N", "V", "N"]
+        assert list(tweet.ark) == ["N", "V", "N"]
 
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError, match="t1.*ark"):
@@ -86,14 +86,14 @@ class TestAttachTags:
     def test_no_layers(self):
         tweet = attach_tags(["a", "b", "c"], tweet_id="t1")
         assert not tweet.has_ark and not tweet.has_ptb and not tweet.has_chunk
-        assert tweet.surfaces() == ["a", "b", "c"]
+        assert list(tweet.words) == ["a", "b", "c"]
 
     def test_round_trip_with_tokenize(self):
         tokens = tokenize("there is a bomb")
         tweet = attach_tags(tokens, ark_tags=["R", "V", "D", "N"],
                             ptb_tags=["EX", "VBZ", "DT", "NN"],
                             chunk_tags=["B-NP", "B-VP", "B-NP", "I-NP"], tweet_id="t")
-        assert len(tweet.tokens) == 4
+        assert len(tweet.words) == 4
         assert tweet.has_ark and tweet.has_ptb and tweet.has_chunk
 
 
@@ -131,11 +131,11 @@ class TestTagRawTweet:
 
     def test_supplied_tags_attached(self):
         tweet = tag_raw_tweet(self._raw(ark_tags=("P", "N")))
-        assert [t.ark_tag for t in tweet.tokens] == ["P", "N"]
+        assert list(tweet.ark) == ["P", "N"]
 
     def test_fallback_fills_missing_ark(self):
         tweet = tag_raw_tweet(self._raw(), use_fallback=True)
-        assert [t.ark_tag for t in tweet.tokens] == ["P", "N"]
+        assert list(tweet.ark) == ["P", "N"]
 
     def test_no_fallback_leaves_untagged(self):
         tweet = tag_raw_tweet(self._raw())

@@ -24,6 +24,7 @@ from crisislang import evaluation as ev
 from crisislang import model as mdl
 from crisislang.features import (
     FeatureClass,
+    MissingLayerError,
     missing_classes,
     split_feature,
     vector_to_json,
@@ -493,12 +494,13 @@ def _classify_tweets(
         tagged = _tag(config, tweet, skipped)
         if tagged is None:
             continue
-        absent = missing_classes(tagged, classes)
-        if absent:
-            names = ",".join(c.value for c in absent)
+        try:
+            vector = vectorize(tagged, classes)
+        except MissingLayerError as exc:
+            names = ",".join(c.value for c in exc.classes)
             skipped.append(f"tweet {tweet.id}: missing layers for {names}")
             continue
-        yield tweet, tagged, mdl.predict(model, vectorize(tagged, classes))
+        yield tweet, tagged, mdl.predict(model, vector)
 
 
 def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -> dict:
@@ -634,12 +636,15 @@ def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None
 def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
     source = input_path if input_path is not None else config.input
     tweets, skipped, reasons = _read_tweets(source)
+    skipped_layers: list[str] = []
     out_path = config.output_dir / "vectors.jsonl"
     config.output_dir.mkdir(parents=True, exist_ok=True)
     coverage = {cls.value: 0 for cls in config.feature_classes}
     with open(out_path, "w", encoding="utf-8") as handle:
         for tweet in tweets:
-            tagged = tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
+            tagged = _tag(config, tweet, skipped_layers)
+            if tagged is None:
+                continue
             absent = set(missing_classes(tagged, config.feature_classes))
             for cls in config.feature_classes:
                 if cls not in absent:
@@ -649,11 +654,11 @@ def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
             handle.write(json.dumps(doc, sort_keys=True) + "\n")
     summary = _summary(
         "vectors",
-        warnings=reasons,
+        warnings=reasons + skipped_layers,
         input=str(source),
         output=str(out_path),
         total=len(tweets),
-        skipped=skipped,
+        skipped=skipped + len(skipped_layers),
         class_coverage=coverage,
     )
     _write_json(config.output_dir / "vectors_summary.json", summary)

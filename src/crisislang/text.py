@@ -9,6 +9,13 @@ External taggers are out of scope. Corpora may carry pre-computed ARK, PTB,
 and IOB chunk layers; for untagged desk-scale data the rule-based fallback
 produces ARK-style tags only.
 
+Both ``tokenize`` and ``fallback_ark_tags`` take a fast path for the common
+plain token, with unchanged output. A whitespace piece that is alphanumeric
+holds no punctuation, sigil or URL prefix, so it is one token, lowercased.
+The tagger looks every token up in one merged lexicon first and sends an
+alphabetic miss straight to the suffix rules; only the rest go through the
+sigil, URL, punctuation and number checks.
+
 A tagged tweet is stored by column, not by token: ``words`` holds the tokens
 and ``ark``, ``ptb`` and ``chunk`` hold one tag per token each, as parallel
 tuples, so ``ark[i]`` is the ARK tag of ``words[i]``. A layer the tweet does
@@ -142,6 +149,11 @@ def tokenize(text: str) -> list[str]:
     """Deterministic, lowercasing tokenization of one message."""
     tokens: list[str] = []
     for piece in text.split():
+        if piece.isalnum():
+            # No alphanumeric character is punctuation, '@' or '#', nor does
+            # one lowercase to any, so the piece is one token.
+            tokens.append(piece.lower())
+            continue
         if _URL_RE.match(piece):
             tokens.append(piece)  # URLs verbatim, case preserved
             continue
@@ -185,14 +197,41 @@ def attach_tags(
     )
 
 
-def _open_class_tag(token: str) -> str:
+# The closed-class lexicons as one lookup, inserted lowest precedence first
+# so that a word in two lexicons keeps the tag the first matching rule gave:
+# P > D > L > R > V > A. No lexicon word is a sigil, a URL, punctuation or a
+# number, so looking a token up here first changes no tag.
+_CLOSED: dict[str, str] = {
+    word: tag
+    for lexicon, tag in (
+        (ADJECTIVE_LEXICON, "A"),
+        (VERB_LEXICON, "V"),
+        (ADVERB_LEXICON, "R"),
+        (CONTRACTIONS, "L"),
+        (DETERMINERS, "D"),
+        (PREPOSITIONS, "P"),
+    )
+    for word in lexicon
+}
+
+
+def _fallback_tag(token: str) -> str:
+    tag = _CLOSED.get(token)
+    if tag is not None:
+        return tag
+    # An alphabetic token is no sigil, URL, punctuation or number.
+    if not token.isalpha():
+        if token.startswith("@") and len(token) > 1:
+            return "@"
+        if token.startswith("#") and len(token) > 1:
+            return "#"
+        if _URL_RE.match(token):
+            return "U"
+        if all(_is_punct(ch) for ch in token):
+            return "!"
+        if _NUMERIC_RE.match(token):
+            return "$"
     # Heuristic fallback for open-class words; noun is the default.
-    if token in ADVERB_LEXICON:
-        return "R"
-    if token in VERB_LEXICON:
-        return "V"
-    if token in ADJECTIVE_LEXICON:
-        return "A"
     if token.endswith("ly"):
         return "R"
     if token.endswith(("ing", "ed")):
@@ -204,27 +243,7 @@ def _open_class_tag(token: str) -> str:
 
 def fallback_ark_tags(tokens: list[str]) -> list[str]:
     """Rule-based ARK-style tag per token; deterministic, list-driven."""
-    tags = []
-    for token in tokens:
-        if token.startswith("@") and len(token) > 1:
-            tags.append("@")
-        elif token.startswith("#") and len(token) > 1:
-            tags.append("#")
-        elif _URL_RE.match(token):
-            tags.append("U")
-        elif all(_is_punct(ch) for ch in token):
-            tags.append("!")
-        elif token in PREPOSITIONS:
-            tags.append("P")
-        elif token in DETERMINERS:
-            tags.append("D")
-        elif token in CONTRACTIONS:
-            tags.append("L")
-        elif _NUMERIC_RE.match(token):
-            tags.append("$")
-        else:
-            tags.append(_open_class_tag(token))
-    return tags
+    return [_fallback_tag(token) for token in tokens]
 
 
 def tag_raw_tweet(tweet: RawTweet, use_fallback: bool = False) -> TaggedTweet:

@@ -8,7 +8,18 @@ meaningful check rather than a tautology.
 from __future__ import annotations
 
 import math
+import re
+import unicodedata
 from collections import Counter
+
+from crisislang.text import (
+    ADJECTIVE_LEXICON,
+    ADVERB_LEXICON,
+    CONTRACTIONS,
+    DETERMINERS,
+    PREPOSITIONS,
+    VERB_LEXICON,
+)
 
 
 def spherical_law_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -242,3 +253,101 @@ def reference_vector(tweet, class_name: str) -> dict[str, int]:
     if class_name == "SHALLOW_PARSE":
         return reference_shallow_parse(words, tweet.chunk)
     return reference_crisis_sensitive(words, tweet.ark, tweet.ptb, tweet.chunk)
+
+
+# Reference tokenizer and fallback tagger: the plain rule chains the package's
+# fast paths short-cut, kept as they were before those paths existed. Every
+# piece goes through the URL, sigil and edge-punctuation rules, and every
+# token through the tag rules in order.
+
+_URL_RE = re.compile(r"^(https?://|www\.)", re.IGNORECASE)
+_SIGIL_RE = re.compile(r"^[@#][a-z0-9_]", re.IGNORECASE)
+_NUMERIC_RE = re.compile(r"^[0-9]+([.,:/-][0-9]+)*%?$")
+_ADJ_SUFFIXES = ("ous", "ful", "ive", "able", "ible", "less", "ish", "al", "ic")
+
+
+def _is_punct(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("P")
+
+
+def _split_piece(piece: str) -> list[str]:
+    """Peel leading/trailing punctuation characters into their own tokens."""
+    i, j = 0, len(piece) - 1
+    left: list[str] = []
+    while i <= j and _is_punct(piece[i]):
+        left.append(piece[i])
+        i += 1
+    right: list[str] = []
+    while j >= i and _is_punct(piece[j]):
+        right.append(piece[j])
+        j -= 1
+    core = piece[i : j + 1]
+    out = left
+    if core:
+        out.append(core)
+    out.extend(reversed(right))
+    return out
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Deterministic, lowercasing tokenization of one message."""
+    tokens: list[str] = []
+    for piece in text.split():
+        if _URL_RE.match(piece):
+            tokens.append(piece)  # URLs verbatim, case preserved
+            continue
+        piece = piece.lower()
+        if _SIGIL_RE.match(piece):
+            # Keep the @/# sigil attached; peel only trailing punctuation.
+            j = len(piece) - 1
+            trailing: list[str] = []
+            while j > 1 and _is_punct(piece[j]):
+                trailing.append(piece[j])
+                j -= 1
+            tokens.append(piece[: j + 1])
+            tokens.extend(reversed(trailing))
+            continue
+        tokens.extend(_split_piece(piece))
+    return tokens
+
+
+def _open_class_tag(token: str) -> str:
+    # Heuristic fallback for open-class words; noun is the default.
+    if token in ADVERB_LEXICON:
+        return "R"
+    if token in VERB_LEXICON:
+        return "V"
+    if token in ADJECTIVE_LEXICON:
+        return "A"
+    if token.endswith("ly"):
+        return "R"
+    if token.endswith(("ing", "ed")):
+        return "V"
+    if token.endswith(_ADJ_SUFFIXES):
+        return "A"
+    return "N"
+
+
+def reference_fallback_ark_tags(tokens: list[str]) -> list[str]:
+    """Rule-based ARK-style tag per token; deterministic, list-driven."""
+    tags = []
+    for token in tokens:
+        if token.startswith("@") and len(token) > 1:
+            tags.append("@")
+        elif token.startswith("#") and len(token) > 1:
+            tags.append("#")
+        elif _URL_RE.match(token):
+            tags.append("U")
+        elif all(_is_punct(ch) for ch in token):
+            tags.append("!")
+        elif token in PREPOSITIONS:
+            tags.append("P")
+        elif token in DETERMINERS:
+            tags.append("D")
+        elif token in CONTRACTIONS:
+            tags.append("L")
+        elif _NUMERIC_RE.match(token):
+            tags.append("$")
+        else:
+            tags.append(_open_class_tag(token))
+    return tags

@@ -324,6 +324,33 @@ class TestTrainClassify:
         assert (summary["total"], summary["classified"], summary["skipped"]) == (3, 2, 1)
         assert summary["warnings"] == ["tweet 'a2': ark_tags has 1 tags for 5 tokens"]
 
+    def test_classify_missing_layers_are_counted_skips(self, workspace, tmp_path):
+        from crisislang.features import FeatureClass
+        from crisislang.model import save_model, train_naive_bayes
+
+        model = train_naive_bayes([({"UNIGRAM:a": 1}, "IR"), ({"UNIGRAM:b": 1}, "OR")])
+        model_path = tmp_path / "layered_model.json"
+        classes = [FeatureClass.UNIGRAM, FeatureClass.PTB_POS, FeatureClass.SHALLOW_PARSE]
+        save_model(model_path, model, feature_classes=classes)
+        at = "2013-04-15T20:00:00Z"
+        records = [
+            {"id": "b1", "text": "a b", "created_at": at,
+             "ptb_tags": ["NN", "NN"], "chunk_tags": ["B-NP", "I-NP"]},
+            {"id": "b2", "text": "a b", "created_at": at},
+            {"id": "b3", "text": "a b", "created_at": at, "ptb_tags": ["NN", "NN"]},
+        ]
+        source = tmp_path / "layers.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(source)) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "classified.jsonl")]
+        assert [r["id"] for r in rows] == ["b1"]
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (3, 1, 2)
+        assert summary["warnings"] == [
+            "tweet b2: missing layers for PTB_POS,SHALLOW_PARSE",
+            "tweet b3: missing layers for SHALLOW_PARSE",
+        ]
+
     def test_train_misaligned_record_is_counted_skip(self, workspace):
         run(workspace, "partition")
         ir_path = workspace["out"] / "partitions" / "ir.jsonl"
@@ -541,6 +568,23 @@ class TestTagAndVectors:
         summary = read_json(workspace["out"] / "vectors_summary.json")
         assert summary["class_coverage"]["UNIGRAM"] == summary["total"]
 
+
+    def test_vectors_misaligned_record_is_counted_skip(self, workspace, tmp_path):
+        at = "2013-04-15T20:00:00Z"
+        records = [
+            {"id": "a1", "text": "in boston now", "created_at": at},
+            {"id": "a2", "text": "safe at home", "created_at": at, "ark_tags": ["N"]},
+            {"id": "a3", "text": "stay safe", "created_at": at},
+        ]
+        source = tmp_path / "three.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(workspace, "vectors", "--input", str(source)) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "vectors.jsonl")]
+        assert [r["id"] for r in rows] == ["a1", "a3"]
+        summary = read_json(workspace["out"] / "vectors_summary.json")
+        assert (summary["total"], summary["skipped"]) == (3, 1)
+        assert summary["warnings"] == ["tweet 'a2': ark_tags has 1 tags for 3 tokens"]
+        assert summary["class_coverage"]["UNIGRAM"] == 2
 
 class TestEndToEndDeterminism:
     def _run_pipeline(self, config, out):

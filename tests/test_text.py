@@ -1,14 +1,25 @@
 import random
+import sys
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisislang.text import (
+    ADJECTIVE_LEXICON,
+    ADVERB_LEXICON,
+    CONTRACTIONS,
+    DETERMINERS,
+    PREPOSITIONS,
+    VERB_LEXICON,
     AlignmentError,
     attach_tags,
     fallback_ark_tags,
     tag_raw_tweet,
     tokenize,
 )
+from oracles import reference_fallback_ark_tags, reference_tokenize
 
 
 class TestTokenize:
@@ -144,3 +155,95 @@ class TestTagRawTweet:
     def test_misaligned_layer_names_tweet_and_layer(self):
         with pytest.raises(AlignmentError, match="r1.*ptb"):
             tag_raw_tweet(self._raw(ptb_tags=("IN",)))
+
+
+LEXICON_WORDS = sorted(
+    PREPOSITIONS | DETERMINERS | CONTRACTIONS | ADVERB_LEXICON | VERB_LEXICON
+    | ADJECTIVE_LEXICON
+)
+
+
+def _cased(words):
+    return st.tuples(words, st.sampled_from([str.lower, str.upper, str.title])).map(
+        lambda pair: pair[1](pair[0])
+    )
+
+
+_PUNCT = st.text(st.characters(categories=["P"]), max_size=3)
+_WORD = st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=8)
+
+# Whitespace pieces that reach every rule of the tokenizer and the tagger.
+_PIECES = st.one_of(
+    st.text(max_size=12),
+    _cased(st.sampled_from(LEXICON_WORDS)),
+    _WORD,
+    st.tuples(_PUNCT, st.one_of(_WORD, _cased(st.sampled_from(LEXICON_WORDS))), _PUNCT).map(
+        "".join
+    ),
+    st.tuples(
+        st.sampled_from(["http://", "https://", "HTTP://", "Https://", "www.", "WWW."]),
+        st.text(max_size=8),
+    ).map("".join),
+    st.tuples(st.sampled_from("@#"), st.text(max_size=6), _PUNCT).map("".join),
+    st.from_regex(r"[0-9]{1,4}([.,:/-][0-9]{1,3}){0,2}%?", fullmatch=True),
+    _cased(st.sampled_from(["don't", "can't", "y'all", "rock'n'roll", *CONTRACTIONS])),
+)
+_TEXTS = st.lists(_PIECES, max_size=10).map(" ".join)
+
+
+class TestReferenceEquality:
+    """The fast paths of tokenize and fallback_ark_tags give exactly what the
+    plain rule chains in oracles.py give."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_TEXTS)
+    def test_tokenize_and_tags_match_reference(self, text):
+        tokens = tokenize(text)
+        assert tokens == reference_tokenize(text)
+        assert fallback_ark_tags(tokens) == reference_fallback_ark_tags(tokens)
+        # The tagger also takes tokens that no tokenizer produced.
+        pieces = text.split()
+        assert fallback_ark_tags(pieces) == reference_fallback_ark_tags(pieces)
+
+    @pytest.mark.parametrize(
+        "text, tokens, tags",
+        [
+            ("www.Example.com", ["www.Example.com"], ["U"]),
+            ("HTTP://A.b", ["HTTP://A.b"], ["U"]),
+            ("\u00b2", ["\u00b2"], ["N"]),
+            ("\u00df", ["\u00df"], ["N"]),
+            ("@Bo!", ["@bo", "!"], ["@", "!"]),
+            ("There's", ["there's"], ["L"]),
+            ("Running.", ["running", "."], ["V", "!"]),
+            ("quickly", ["quickly"], ["R"]),
+            ("1990", ["1990"], ["$"]),
+            ("In, THE", ["in", ",", "the"], ["P", "!", "D"]),
+            ("safe!", ["safe", "!"], ["A", "!"]),
+        ],
+    )
+    def test_fast_path_boundaries(self, text, tokens, tags):
+        assert tokenize(text) == tokens == reference_tokenize(text)
+        assert fallback_ark_tags(tokens) == tags == reference_fallback_ark_tags(tokens)
+
+    def test_alphanumeric_piece_may_lowercase_to_non_alphanumeric(self):
+        # U+0130 lowercases to "i" plus a combining dot, which is not
+        # alphanumeric; the piece is still one token.
+        assert "\u0130stanbul".isalnum()
+        tokens = tokenize("\u0130stanbul")
+        assert tokens == ["i\u0307stanbul"] == reference_tokenize("\u0130stanbul")
+        assert not tokens[0].isalnum()
+
+    def test_every_lexicon_word_matches_reference(self):
+        assert fallback_ark_tags(LEXICON_WORDS) == reference_fallback_ark_tags(LEXICON_WORDS)
+
+    def test_no_alphanumeric_character_is_split_or_sigil(self):
+        # The fast paths rest on this fact of the Unicode database: an
+        # alphanumeric character, and every character it lowercases to, is
+        # neither punctuation nor a sigil.
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            if not ch.isalnum():
+                continue
+            for c in ch + ch.lower():
+                assert not unicodedata.category(c).startswith("P"), hex(cp)
+                assert c not in "@#", hex(cp)

@@ -57,6 +57,7 @@ PARTITION_FILES = {
     PartitionLabel.PC_OR: "pc_or.jsonl",
     PartitionLabel.UNASSIGNED: "unassigned.jsonl",
 }
+UNLABELED_FILE = "unlabeled.jsonl"
 
 
 class ConfigError(ValueError):
@@ -280,27 +281,33 @@ def _tag_all(
     return [t for t in tagged if t is not None]
 
 
-def _read_partition(config: RunConfig, label: PartitionLabel) -> list[RawTweet]:
-    path = config.partitions_dir() / PARTITION_FILES[label]
+def _partition_path(config: RunConfig, filename: str) -> Path:
+    path = config.partitions_dir() / filename
     if not path.exists():
         raise ConfigError(f"partition file {path} not found; run the partition command first")
-    tweets, _, _ = _read_tweets(path)
+    return path
+
+
+def _read_partition(config: RunConfig, filename: str) -> list[RawTweet]:
+    tweets, _, _ = _read_tweets(_partition_path(config, filename))
     return tweets
 
 
-def _read_unlabeled(config: RunConfig) -> list[RawTweet]:
-    path = config.partitions_dir() / "unlabeled.jsonl"
-    if not path.exists():
-        raise ConfigError(f"{path} not found; run the partition command first")
-    tweets, _, _ = _read_tweets(path)
-    return tweets
+def _tagged_pools(
+    config: RunConfig, skipped: list[str]
+) -> tuple[list[TaggedTweet], list[TaggedTweet]]:
+    """The tagged IR and OR partitions."""
+    ir, or_pool = (
+        _tag_all(config, _read_partition(config, PARTITION_FILES[label]), skipped)
+        for label in (PartitionLabel.IR, PartitionLabel.OR)
+    )
+    return ir, or_pool
 
 
 def _labeled_data(
     config: RunConfig, balance: bool, skipped: list[str]
 ) -> list[ev.LabeledTweet]:
-    ir = _tag_all(config, _read_partition(config, PartitionLabel.IR), skipped)
-    or_pool = _tag_all(config, _read_partition(config, PartitionLabel.OR), skipped)
+    ir, or_pool = _tagged_pools(config, skipped)
     if not ir:
         raise ConfigError("IR partition is empty; cannot build a labeled set")
     if balance:
@@ -318,8 +325,8 @@ def cmd_partition(config: RunConfig) -> dict:
     for label, filename in PARTITION_FILES.items():
         write_jsonl(outdir / filename, corpus.groups[label])
         files[label.value] = str(outdir / filename)
-    write_jsonl(outdir / "unlabeled.jsonl", corpus.unlabeled)
-    files["unlabeled"] = str(outdir / "unlabeled.jsonl")
+    write_jsonl(outdir / UNLABELED_FILE, corpus.unlabeled)
+    files["unlabeled"] = str(outdir / UNLABELED_FILE)
     summary = _summary(
         "partition",
         warnings=list(corpus.skip_reasons),
@@ -455,8 +462,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             "excluded_classes": [c.value for c in combo.excluded_classes],
         }
     elif mode == "imbalance":
-        ir = _tag_all(config, _read_partition(config, PartitionLabel.IR), skipped)
-        or_pool = _tag_all(config, _read_partition(config, PartitionLabel.OR), skipped)
+        ir, or_pool = _tagged_pools(config, skipped)
         sweep = ev.imbalance_sweep(
             ir,
             or_pool,
@@ -488,11 +494,14 @@ def _classify_tweets(
     skipped: list[str],
 ) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction]]:
     """Tag, vectorize and label each tweet, lazily, so callers keep only what
-    they need; a tweet whose tag layers are misaligned or lack one the model
-    needs is reported in skipped."""
+    they need; a tweet with no tokens, or whose tag layers are misaligned or
+    lack one the model needs, is reported in skipped."""
     for tweet in tweets:
         tagged = _tag(config, tweet, skipped)
         if tagged is None:
+            continue
+        if not tagged.words:
+            skipped.append(f"tweet {tweet.id}: no tokens")
             continue
         try:
             vector = vectorize(tagged, classes)
@@ -508,7 +517,7 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
     if classes is None:
         logger.warning("model file lacks feature_classes; falling back to config")
         classes = config.feature_classes
-    source = input_path if input_path is not None else config.partitions_dir() / "unlabeled.jsonl"
+    source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
     tweets, skipped_parse, reasons = _read_tweets(source)
     skipped_layers: list[str] = []
     labelled = _classify_tweets(config, model, classes, tweets, skipped_layers)
@@ -574,13 +583,15 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
     skipped: list[str] = []
-    ir_tagged = _tag_all(config, _read_partition(config, PartitionLabel.IR), skipped)
+    ir_tagged = _tag_all(
+        config, _read_partition(config, PARTITION_FILES[PartitionLabel.IR]), skipped
+    )
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
     model, classes = mdl.load_model(model_path)
     if classes is None:
         classes = config.feature_classes
-    unlabeled = _read_unlabeled(config)
+    unlabeled = _read_partition(config, UNLABELED_FILE)
     additions = [
         tagged
         for _, tagged, prediction in _classify_tweets(config, model, classes, unlabeled, skipped)
@@ -645,11 +656,14 @@ def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
             tagged = _tag(config, tweet, skipped_layers)
             if tagged is None:
                 continue
-            absent = set(missing_classes(tagged, config.feature_classes))
-            for cls in config.feature_classes:
-                if cls not in absent:
-                    coverage[cls.value] += 1
-            vector = vectorize(tagged, config.feature_classes, on_missing="skip")
+            if not tagged.words:
+                skipped_layers.append(f"tweet {tweet.id}: no tokens")
+                continue
+            absent = missing_classes(tagged, config.feature_classes)
+            present = [cls for cls in config.feature_classes if cls not in absent]
+            for cls in present:
+                coverage[cls.value] += 1
+            vector = vectorize(tagged, present) if present else {}
             doc = {"id": tweet.id, "features": vector_to_json(vector)}
             handle.write(json.dumps(doc, sort_keys=True) + "\n")
     summary = _summary(

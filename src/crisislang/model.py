@@ -3,6 +3,10 @@
 Multinomial Naive Bayes with Laplace smoothing is the primary model.
 Logistic regression (batch gradient descent, L2 on the weights) exists for
 feature-importance ranking, and the select-all baseline labels everything IR.
+It trains on a sparse design matrix, the (row, col, value) triples of the
+non-zero counts, so its memory grows with the non-zeros rather than with
+rows x vocabulary. X @ w and X.T @ r are np.bincount sums in triple order,
+so the weights do not depend on the BLAS build or its thread count.
 All models serialize to a versioned JSON document. numpy is imported only
 inside the logistic-regression functions, so the NB path never loads it.
 """
@@ -153,35 +157,52 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class SparseDesign:
+    """The non-zero cells of a count matrix as (row, col, value) triples,
+    row by row with columns ascending."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.values.nbytes
+
+
 def logistic_loss_and_gradient(
-    x: np.ndarray, y: np.ndarray, weights: np.ndarray, bias: float, l2: float
+    x: SparseDesign, y: np.ndarray, weights: np.ndarray, bias: float, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean negative log-likelihood plus (l2/2)||w||^2; bias unregularized."""
     import numpy as np
 
     with np.errstate(over="ignore"):  # inf loss is caught by the trainer
-        z = x @ weights + bias
+        z = np.bincount(x.rows, weights=x.values * weights[x.cols], minlength=len(y)) + bias
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(weights @ weights))
         residual = _sigmoid(z) - y
-        grad_w = x.T @ residual / len(y) + l2 * weights
+        xt_r = np.bincount(x.cols, weights=x.values * residual[x.rows], minlength=len(weights))
+        grad_w = xt_r / len(y) + l2 * weights
         grad_b = float(np.mean(residual))
     return loss, grad_w, grad_b
 
 
 def design_matrix(
     data: Sequence[LabeledVector],
-) -> tuple[np.ndarray, np.ndarray, list[FeatureId]]:
-    """Dense design matrix with a deterministic feature ordering."""
+) -> tuple[SparseDesign, np.ndarray, list[FeatureId]]:
+    """Sparse design matrix, labels (IR = 1) and the sorted feature ids that
+    number its columns."""
     import numpy as np
 
     vocab = sorted({fid for vector, _ in data for fid in vector})
     index = {fid: i for i, fid in enumerate(vocab)}
-    x = np.zeros((len(data), len(vocab)))
-    y = np.zeros(len(data))
-    for row, (vector, label) in enumerate(data):
-        y[row] = 1.0 if label == IR else 0.0
-        for fid, count in vector.items():
-            x[row, index[fid]] = float(count)
+    nnz = sum(len(vector) for vector, _ in data)
+    rows = np.repeat(np.arange(len(data), dtype=np.intp), [len(vector) for vector, _ in data])
+    cols = np.fromiter((index[fid] for vector, _ in data for fid in vector), np.intp, nnz)
+    values = np.fromiter((c for vector, _ in data for c in vector.values()), float, nnz)
+    order = np.lexsort((cols, rows))
+    x = SparseDesign(rows[order], cols[order], values[order])
+    y = np.fromiter((1.0 if label == IR else 0.0 for _, label in data), float, len(data))
     return x, y, vocab
 
 

@@ -11,7 +11,18 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from typing import TYPE_CHECKING, Sequence
 
+from crisislang.features import FeatureId
+from crisislang.model import (
+    IR,
+    LabeledVector,
+    LogisticRegressionModel,
+    LogRegParams,
+    TrainingDiverged,
+    _check_labels,
+    _sigmoid,
+)
 from crisislang.text import (
     ADJECTIVE_LEXICON,
     ADVERB_LEXICON,
@@ -20,6 +31,9 @@ from crisislang.text import (
     PREPOSITIONS,
     VERB_LEXICON,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def spherical_law_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -351,3 +365,69 @@ def reference_fallback_ark_tags(tokens: list[str]) -> list[str]:
         else:
             tags.append(_open_class_tag(token))
     return tags
+
+
+# Reference logistic regression: the dense design matrix the package's sparse
+# (row, col, value) form replaced, with X @ w and X.T @ r computed by BLAS over
+# every cell, zeros included, and a copy of the package's training loop.
+
+def reference_logistic_loss_and_gradient(
+    x: np.ndarray, y: np.ndarray, weights: np.ndarray, bias: float, l2: float
+) -> tuple[float, np.ndarray, float]:
+    """Mean negative log-likelihood plus (l2/2)||w||^2; bias unregularized."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):  # inf loss is caught by the trainer
+        z = x @ weights + bias
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(weights @ weights))
+        residual = _sigmoid(z) - y
+        grad_w = x.T @ residual / len(y) + l2 * weights
+        grad_b = float(np.mean(residual))
+    return loss, grad_w, grad_b
+
+
+def reference_design_matrix(
+    data: Sequence[LabeledVector],
+) -> tuple[np.ndarray, np.ndarray, list[FeatureId]]:
+    """Dense design matrix with a deterministic feature ordering."""
+    import numpy as np
+
+    vocab = sorted({fid for vector, _ in data for fid in vector})
+    index = {fid: i for i, fid in enumerate(vocab)}
+    x = np.zeros((len(data), len(vocab)))
+    y = np.zeros(len(data))
+    for row, (vector, label) in enumerate(data):
+        y[row] = 1.0 if label == IR else 0.0
+        for fid, count in vector.items():
+            x[row, index[fid]] = float(count)
+    return x, y, vocab
+
+
+def reference_train_logreg(
+    data: Sequence[LabeledVector], params: LogRegParams = LogRegParams()
+) -> LogisticRegressionModel:
+    """Batch gradient descent from zero init until the update stalls."""
+    import numpy as np
+
+    _check_labels(label for _, label in data)
+    x, y, vocab = reference_design_matrix(data)
+    weights = np.zeros(len(vocab))
+    bias = 0.0
+    for epoch in range(params.max_epochs):
+        loss, grad_w, grad_b = reference_logistic_loss_and_gradient(x, y, weights, bias, params.l2)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(epoch)
+        step_w = params.learning_rate * grad_w
+        step_b = params.learning_rate * grad_b
+        weights -= step_w
+        bias -= step_b
+        largest = max(float(np.max(np.abs(step_w))) if len(vocab) else 0.0, abs(step_b))
+        if largest < params.tolerance:
+            break
+    if not (np.all(np.isfinite(weights)) and math.isfinite(bias)):
+        raise TrainingDiverged(params.max_epochs)
+    return LogisticRegressionModel(
+        weights={fid: float(w) for fid, w in zip(vocab, weights)},
+        bias=float(bias),
+        params=params,
+    )

@@ -127,6 +127,21 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
 
 
+class TestPartitionFirst:
+    @pytest.mark.parametrize("command", ["classify", "cloud"])
+    def test_stage_before_partition_is_one_error_line(self, workspace, capsys, command):
+        from crisislang.features import FeatureClass
+        from crisislang.model import save_model, train_naive_bayes
+
+        model = train_naive_bayes([({"UNIGRAM:a": 1}, "IR"), ({"UNIGRAM:b": 1}, "OR")])
+        model_path = workspace["root"] / "model.json"
+        save_model(model_path, model, feature_classes=[FeatureClass.UNIGRAM])
+        assert run(workspace, command, "--model", str(model_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: partition file ")
+        assert err[0].endswith("not found; run the partition command first")
+
+
 class TestPartition:
     def test_files_and_counts(self, workspace):
         assert run(workspace, "partition") == 0
@@ -351,6 +366,33 @@ class TestTrainClassify:
             "tweet b3: missing layers for SHALLOW_PARSE",
         ]
 
+    @pytest.mark.parametrize(
+        "classes",
+        [["UNIGRAM"], ["UNIGRAM", "BIGRAM"], ["CRISIS_SENSITIVE"]],
+        ids=["unigram", "unigram-bigram", "crisis-sensitive"],
+    )
+    def test_classify_zero_token_message_is_counted_skip(self, workspace, tmp_path, classes):
+        from crisislang.features import FeatureClass
+        from crisislang.model import save_model, train_naive_bayes
+
+        model = train_naive_bayes([({"UNIGRAM:a": 1}, "IR"), ({"UNIGRAM:b": 1}, "OR")])
+        model_path = tmp_path / "model.json"
+        save_model(model_path, model, feature_classes=[FeatureClass(c) for c in classes])
+        at = "2013-04-15T20:00:00Z"
+        records = [
+            {"id": "z1", "text": "a b", "created_at": at},
+            {"id": "z2", "text": " \t ", "created_at": at},
+            {"id": "z3", "text": "b a", "created_at": at},
+        ]
+        source = tmp_path / "blank.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(source)) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "classified.jsonl")]
+        assert [r["id"] for r in rows] == ["z1", "z3"]
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (3, 2, 1)
+        assert summary["warnings"] == ["tweet z2: no tokens"]
+
     def test_train_misaligned_record_is_counted_skip(self, workspace):
         run(workspace, "partition")
         ir_path = workspace["out"] / "partitions" / "ir.jsonl"
@@ -540,6 +582,21 @@ class TestCloud:
         assert "hoboken flooding" in b_bigrams
 
 
+    def test_zero_token_unlabeled_message_is_counted_skip(self, workspace):
+        run(workspace, "partition")
+        run(workspace, "train")
+        blank = {"id": "blank1", "text": "   ", "created_at": "2013-04-15T19:30:00Z"}
+        unlabeled = workspace["out"] / "partitions" / "unlabeled.jsonl"
+        lines = read_lines(unlabeled)
+        unlabeled.write_text(
+            "".join(line + "\n" for line in [json.dumps(blank)] + lines), encoding="utf-8"
+        )
+        assert run(workspace, "cloud", "--model", str(workspace["out"] / "model.json")) == 0
+        summary = read_json(workspace["out"] / "cloud_summary.json")
+        assert summary["warnings"] == ["tweet blank1: no tokens"]
+        assert summary["model_additions"] == 30
+
+
 class TestTagAndVectors:
     def test_tag_fills_missing_ark(self, workspace):
         assert run(workspace, "tag") == 0
@@ -585,6 +642,43 @@ class TestTagAndVectors:
         assert (summary["total"], summary["skipped"]) == (3, 1)
         assert summary["warnings"] == ["tweet 'a2': ark_tags has 1 tags for 3 tokens"]
         assert summary["class_coverage"]["UNIGRAM"] == 2
+
+    def test_vectors_zero_token_message_is_counted_skip(self, workspace, tmp_path):
+        at = "2013-04-15T20:00:00Z"
+        records = [
+            {"id": "a1", "text": "in boston now", "created_at": at},
+            {"id": "a2", "text": "  ", "created_at": at},
+        ]
+        source = tmp_path / "two.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(workspace, "vectors", "--input", str(source)) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "vectors.jsonl")]
+        assert [r["id"] for r in rows] == ["a1"]
+        summary = read_json(workspace["out"] / "vectors_summary.json")
+        assert (summary["total"], summary["skipped"]) == (2, 1)
+        assert summary["warnings"] == ["tweet a2: no tokens"]
+        assert summary["class_coverage"] == {"UNIGRAM": 1, "BIGRAM": 1}
+
+    def test_vectors_every_class_absent_writes_empty_features(self, workspace, tmp_path):
+        doc = read_json(workspace["config"])
+        doc["feature_classes"] = ["PTB_POS", "SHALLOW_PARSE"]
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        at = "2013-04-15T20:00:00Z"
+        records = [
+            {"id": "p1", "text": "in boston", "created_at": at, "ptb_tags": ["IN", "NNP"]},
+            {"id": "p2", "text": "stay safe", "created_at": at},
+        ]
+        source = tmp_path / "two.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(workspace, "vectors", "--input", str(source)) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "vectors.jsonl")]
+        assert rows[0]["id"] == "p1" and set(rows[0]["features"]) == {
+            "PTB_POS:IN", "PTB_POS:NNP", "PTB_POS:IN NNP"
+        }
+        assert rows[1] == {"id": "p2", "features": {}}
+        summary = read_json(workspace["out"] / "vectors_summary.json")
+        assert summary["skipped"] == 0
+        assert summary["class_coverage"] == {"PTB_POS": 1, "SHALLOW_PARSE": 0}
 
 class TestEndToEndDeterminism:
     def _run_pipeline(self, config, out):

@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crisislang.features import FeatureClass, split_feature
 from crisislang.model import (
@@ -23,7 +26,13 @@ from crisislang.model import (
     train_logreg,
     train_naive_bayes,
 )
-from oracles import fd_gradient, nb_posterior_margin
+from oracles import (
+    fd_gradient,
+    nb_posterior_margin,
+    reference_design_matrix,
+    reference_logistic_loss_and_gradient,
+    reference_train_logreg,
+)
 
 U = FeatureClass.UNIGRAM
 
@@ -203,6 +212,106 @@ class TestLogisticRegression:
         assert predict_lr(model, uvec(a=1)).label == IR
         assert predict_lr(model, uvec(b=1)).label == OR
         assert 0.0 <= predict_lr(model, uvec(a=1)).score <= 1.0
+
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# A small pool of ids over three classes, so a feature can sit in one row or
+# many and every class gets a ranking. Counts up to 3 keep plain gradient
+# descent at lr 0.1 stable, so rounding is not amplified into divergence.
+_POOL = [f"UNIGRAM:u{i}" for i in range(5)] + [f"BIGRAM:b {i}" for i in range(3)] + [
+    f"CRISIS_SENSITIVE:PAT:{t}" for t in ("N", "A", "N R")
+]
+_vectors = st.dictionaries(st.sampled_from(_POOL), st.integers(1, 3), max_size=6)
+_corpora = st.lists(
+    st.tuples(_vectors, st.sampled_from([IR, OR])), min_size=2, max_size=14
+).filter(lambda data: {label for _, label in data} == {IR, OR})
+
+
+class TestSparseMatchesDenseReference:
+    """The sparse design matrix against the dense one it replaced
+    (oracles.reference_*): same loss and gradient, same trained model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_corpora, st.data())
+    def test_loss_and_gradient(self, data, draw):
+        x, y, vocab = design_matrix(data)
+        rx, ry, rvocab = reference_design_matrix(data)
+        assert vocab == rvocab and list(y) == list(ry)
+        for _ in range(3):
+            point = draw.draw(
+                st.lists(st.floats(-3, 3), min_size=len(vocab) + 1, max_size=len(vocab) + 1)
+            )
+            w, b = np.array(point[:-1]), point[-1]
+            loss, grad_w, grad_b = logistic_loss_and_gradient(x, y, w, b, 1e-4)
+            r_loss, r_grad_w, r_grad_b = reference_logistic_loss_and_gradient(rx, ry, w, b, 1e-4)
+            assert _close(loss, r_loss)
+            assert _close(grad_b, r_grad_b)
+            assert all(_close(g, r) for g, r in zip(grad_w, r_grad_w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_corpora)
+    @example(  # empty vectors, repeated counts, features in one row only
+        [({}, IR), ({uf("u0"): 3, uf("u1"): 1}, IR), ({uf("u1"): 2}, OR), ({}, OR),
+         ({"BIGRAM:b 0": 1}, OR)]
+    )
+    def test_trained_model_and_ranking(self, data):
+        model = train_logreg(data)
+        ref = reference_train_logreg(data)
+        assert list(model.weights) == list(ref.weights)
+        assert all(_close(model.weights[f], w) for f, w in ref.weights.items())
+        assert _close(model.bias, ref.bias)
+        for cls in (U, FeatureClass.BIGRAM, FeatureClass.CRISIS_SENSITIVE):
+            ranked = [f for f, _ in top_features(model, len(_POOL), cls)]
+            ref_ranked = top_features(ref, len(_POOL), cls)
+            assert len(ranked) == len(ref_ranked)
+            # Where adjacent reference weights are farther apart than the
+            # tolerance, both rankings must hold the same ids above the cut.
+            for cut in range(1, len(ref_ranked)):
+                above, below = ref_ranked[cut - 1][1], ref_ranked[cut][1]
+                if not _close(below, above):
+                    assert set(ranked[:cut]) == {f for f, _ in ref_ranked[:cut]}
+
+    def test_divergence_at_same_epoch(self):
+        data = [(uvec(a=1000), IR)] * 5 + [(uvec(b=1000), OR)] * 5
+        params = LogRegParams(learning_rate=1e9, max_epochs=50)
+        with pytest.raises(TrainingDiverged) as got:
+            train_logreg(data, params)
+        with pytest.raises(TrainingDiverged) as want:
+            reference_train_logreg(data, params)
+        assert got.value.epoch == want.value.epoch
+
+    def test_design_matrix_holds_only_nonzeros(self):
+        data = [({uf("b"): 2, uf("a"): 1}, IR), ({}, OR), ({uf("c"): 4}, OR)]
+        x, y, vocab = design_matrix(data)
+        assert vocab == [uf("a"), uf("b"), uf("c")]
+        assert list(x.rows) == [0, 0, 2] and list(x.cols) == [0, 1, 2]
+        assert list(x.values) == [1.0, 2.0, 4.0] and list(y) == [1.0, 0.0, 0.0]
+        assert x.nbytes == x.rows.nbytes + x.cols.nbytes + x.values.nbytes
+
+
+class TestLogRegMemory:
+    def test_peak_far_below_dense_matrix(self):
+        # 500 tweets x 20 ids drawn from 20,000: a dense matrix would hold
+        # rows x distinct ids float64 cells, nearly all zero.
+        rng = random.Random(20)
+        data = [
+            ({uf(f"w{rng.randrange(20_000)}"): 1 for _ in range(20)}, IR if i % 2 else OR)
+            for i in range(500)
+        ]
+        n_cols = len({f for vector, _ in data for f in vector})
+        dense_bytes = len(data) * n_cols * 8
+        train_logreg(data[:2], LogRegParams(max_epochs=5))  # numpy's one-off set-up
+        tracemalloc.start()
+        try:
+            train_logreg(data, LogRegParams(max_epochs=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4, (peak, dense_bytes)
 
 
 class TestTopFeatures:

@@ -214,7 +214,6 @@ class TestLogisticRegression:
         assert 0.0 <= predict_lr(model, uvec(a=1)).score <= 1.0
 
 
-
 def _close(got: float, want: float) -> bool:
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 

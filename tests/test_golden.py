@@ -31,8 +31,17 @@ GOLDEN_FILES = (
     "vectors.jsonl",
     "classified.jsonl",
     "cv_report.json",
+    "cv_report.csv",
     "combinations.json",
+    "combinations.csv",
     "imbalance.json",
+    "imbalance.csv",
+    "divergence_hourly.csv",
+    "divergence_hourly.json",
+    "divergence_regional.csv",
+    "divergence_regional.json",
+    "cloud_geotagged.json",
+    "cloud_combined.json",
 )
 
 ALL_CLASSES = [c.value for c in FeatureClass]
@@ -78,7 +87,8 @@ def _write_inputs(root: Path) -> tuple[Path, Path, Path]:
 
 
 def produce_outputs(root: Path) -> dict[str, bytes]:
-    """Run the NB pipeline stages under root and return the golden files."""
+    """Run the NB pipeline stages, both divergences and the clouds under root
+    and return the golden files."""
     config, all_classes, tagged = _write_inputs(root)
     out = root / "out"
     for cfg, argv in (
@@ -88,6 +98,9 @@ def produce_outputs(root: Path) -> dict[str, bytes]:
         (config, ["evaluate", "--mode", "single"]),
         (config, ["evaluate", "--mode", "combos"]),
         (config, ["evaluate", "--mode", "imbalance"]),
+        (config, ["divergence", "--mode", "hourly"]),
+        (config, ["divergence", "--mode", "regional"]),
+        (config, ["cloud", "--model", str(out / "model.json"), "--k", "10"]),
         (all_classes, ["vectors", "--input", str(tagged)]),
     ):
         assert main(["--config", str(cfg), *argv]) == 0, argv

@@ -126,6 +126,15 @@ def _list(doc: dict, key: str, default: list) -> list:
     return value
 
 
+def _typed(convert, value, name: str):
+    """convert(value), or a ConfigError naming the key when the value has the
+    wrong type or form."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def load_config(
     path: str | Path,
     seed: int | None = None,
@@ -148,7 +157,7 @@ def load_config(
         raise ConfigError("regions must be an object mapping names to regions")
     regions = {name: _parse_region(raw, name) for name, raw in doc["regions"].items()}
     primary = doc["primary_region"]
-    if primary not in regions:
+    if not isinstance(primary, str) or primary not in regions:
         raise ConfigError(f"primary_region {primary!r} is not a configured region")
 
     crisis = _parse_window(doc["crisis_window"], "crisis_window")
@@ -171,23 +180,22 @@ def load_config(
 
     lr_doc = _section(doc, "logreg")
     logreg = mdl.LogRegParams(
-        learning_rate=float(lr_doc.get("learning_rate", 0.1)),
-        l2=float(lr_doc.get("l2", 1e-4)),
-        max_epochs=int(lr_doc.get("max_epochs", 500)),
-        tolerance=float(lr_doc.get("tolerance", 1e-6)),
+        learning_rate=_typed(float, lr_doc.get("learning_rate", 0.1), "logreg.learning_rate"),
+        l2=_typed(float, lr_doc.get("l2", 1e-4), "logreg.l2"),
+        max_epochs=_typed(int, lr_doc.get("max_epochs", 500), "logreg.max_epochs"),
+        tolerance=_typed(float, lr_doc.get("tolerance", 1e-6), "logreg.tolerance"),
     )
 
     raw_ratios = _list(doc, "imbalance_ratios", list(ev.DEFAULT_IMBALANCE_RATIOS))
-    try:
-        ratios = [float(r) for r in raw_ratios]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"imbalance_ratios must hold numbers: {exc}") from None
+    ratios = [_typed(float, r, "imbalance_ratios") for r in raw_ratios]
     for r in ratios:
         if not 0.0 < r < 1.0:
             raise ConfigError(f"imbalance ratio must be in (0, 1), got {r}")
 
     div_doc = _section(doc, "divergence")
-    div_day = date.fromisoformat(div_doc["day"]) if "day" in div_doc else None
+    div_day = None
+    if "day" in div_doc:
+        div_day = _typed(date.fromisoformat, div_doc["day"], "divergence.day")
     div_hours: list[int] = []
     if "hours" in div_doc:
         hours = div_doc["hours"]
@@ -203,27 +211,34 @@ def load_config(
         raise ConfigError(f"divergence window must be crisis or pre_crisis, got {div_window!r}")
 
     cv_doc = _section(doc, "cv")
-    cv_repeats, cv_folds = int(cv_doc.get("repeats", 3)), int(cv_doc.get("folds", 5))
+    cv_repeats = _typed(int, cv_doc.get("repeats", 3), "cv.repeats")
+    cv_folds = _typed(int, cv_doc.get("folds", 5), "cv.folds")
     if cv_repeats < 1 or cv_folds < 2:
         raise ConfigError(f"cv needs repeats >= 1 and folds >= 2, got {cv_repeats} and {cv_folds}")
     config = RunConfig(
-        input=Path(doc["input"]),
-        output_dir=Path(output_dir if output_dir is not None else doc.get("output_dir", "out")),
+        input=_typed(Path, doc["input"], "input"),
+        output_dir=_typed(
+            Path,
+            output_dir if output_dir is not None else doc.get("output_dir", "out"),
+            "output_dir",
+        ),
         regions=regions,
         primary_region=primary,
         crisis_window=crisis,
         pre_crisis_window=pre,
-        timezone_offset_minutes=int(doc.get("timezone_offset_minutes", 0)),
+        timezone_offset_minutes=_typed(
+            int, doc.get("timezone_offset_minutes", 0), "timezone_offset_minutes"
+        ),
         feature_classes=classes,
         model_kind=kind,
-        alpha=float(model_doc.get("alpha", 1.0)),
+        alpha=_typed(float, model_doc.get("alpha", 1.0), "model.alpha"),
         logreg=logreg,
         cv_repeats=cv_repeats,
         cv_folds=cv_folds,
         imbalance_ratios=ratios,
         balance=bool(doc.get("balance", True)),
         fallback_tags=bool(doc.get("fallback_tags", True)),
-        seed=int(seed if seed is not None else doc.get("seed", 0)),
+        seed=_typed(int, seed if seed is not None else doc.get("seed", 0), "seed"),
         divergence_day=div_day,
         divergence_hours=div_hours,
         divergence_window=div_window,
@@ -241,6 +256,16 @@ def _write_json(path: Path, obj: dict) -> None:
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
+
+
+def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
+    """Write a report's to_csv() and to_dict() as stem.csv and stem.json in
+    the output dir; returns their paths."""
+    csv_path = config.output_dir / f"{stem}.csv"
+    json_path = config.output_dir / f"{stem}.json"
+    _write_text(csv_path, report.to_csv())
+    _write_json(json_path, report.to_dict())
+    return {"csv": str(csv_path), "json": str(json_path)}
 
 
 def _summary(command: str, warnings: list[str], **payload) -> dict:
@@ -373,18 +398,13 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
 
-    warnings = list(warnings) + reasons + skipped_layers
-    csv_path = config.output_dir / f"divergence_{mode}.csv"
-    json_path = config.output_dir / f"divergence_{mode}.json"
-    _write_text(csv_path, matrix.to_csv())
-    _write_json(json_path, matrix.to_dict())
     summary = _summary(
         "divergence",
-        warnings=warnings,
+        warnings=list(warnings) + reasons + skipped_layers,
         mode=mode,
         labels=matrix.labels,
         skipped_records=skipped,
-        files={"csv": str(csv_path), "json": str(json_path)},
+        files=_write_tables(config, f"divergence_{mode}", matrix),
     )
     _write_json(config.output_dir / "divergence_summary.json", summary)
     return summary
@@ -423,7 +443,6 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
 
 
 def cmd_evaluate(config: RunConfig, mode: str) -> dict:
-    files: dict[str, str] = {}
     skipped: list[str] = []
     if mode == "single":
         data = _labeled_data(config, True, skipped)
@@ -435,12 +454,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             seed=config.seed,
             alpha=config.alpha,
         )
-        _write_text(config.output_dir / "cv_report.csv", report.to_csv())
-        _write_json(config.output_dir / "cv_report.json", report.to_dict())
-        files = {
-            "csv": str(config.output_dir / "cv_report.csv"),
-            "json": str(config.output_dir / "cv_report.json"),
-        }
+        files = _write_tables(config, "cv_report", report)
         payload: dict = {"readings": len(report.readings), "mean_f1": report.mean.f1}
     elif mode == "combos":
         data = _labeled_data(config, True, skipped)
@@ -451,12 +465,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             folds=config.cv_folds,
             alpha=config.alpha,
         )
-        _write_text(config.output_dir / "combinations.csv", combo.to_csv())
-        _write_json(config.output_dir / "combinations.json", combo.to_dict())
-        files = {
-            "csv": str(config.output_dir / "combinations.csv"),
-            "json": str(config.output_dir / "combinations.json"),
-        }
+        files = _write_tables(config, "combinations", combo)
         payload = {
             "entries": len(combo.entries),
             "excluded_classes": [c.value for c in combo.excluded_classes],
@@ -471,12 +480,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             seed=config.seed,
             alpha=config.alpha,
         )
-        _write_text(config.output_dir / "imbalance.csv", sweep.to_csv())
-        _write_json(config.output_dir / "imbalance.json", sweep.to_dict())
-        files = {
-            "csv": str(config.output_dir / "imbalance.csv"),
-            "json": str(config.output_dir / "imbalance.json"),
-        }
+        files = _write_tables(config, "imbalance", sweep)
         payload = {"summary_auc": sweep.summary_auc}
     else:
         raise ConfigError(f"unknown evaluate mode: {mode!r}")
@@ -492,10 +496,11 @@ def _classify_tweets(
     classes: list[FeatureClass],
     tweets: Sequence[RawTweet],
     skipped: list[str],
-) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction]]:
+) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction | None]]:
     """Tag, vectorize and label each tweet, lazily, so callers keep only what
-    they need; a tweet with no tokens, or whose tag layers are misaligned or
-    lack one the model needs, is reported in skipped."""
+    they need. A tweet with no tokens, or whose tag layers are misaligned, is
+    reported in skipped. So is a tweet that lacks a layer the model needs,
+    which is also yielded with no prediction."""
     for tweet in tweets:
         tagged = _tag(config, tweet, skipped)
         if tagged is None:
@@ -508,6 +513,7 @@ def _classify_tweets(
         except MissingLayerError as exc:
             names = ",".join(c.value for c in exc.classes)
             skipped.append(f"tweet {tweet.id}: missing layers for {names}")
+            yield tweet, tagged, None
             continue
         yield tweet, tagged, mdl.predict(model, vector)
 
@@ -520,9 +526,14 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
     source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
     tweets, skipped_parse, reasons = _read_tweets(source)
     skipped_layers: list[str] = []
-    labelled = _classify_tweets(config, model, classes, tweets, skipped_layers)
-    results = [(tweet, prediction) for tweet, _, prediction in labelled]
-    if tweets and not results:
+    results: list[tuple[RawTweet, mdl.Prediction]] = []
+    lacking_layers = False
+    for tweet, _, prediction in _classify_tweets(config, model, classes, tweets, skipped_layers):
+        if prediction is None:
+            lacking_layers = True
+        else:
+            results.append((tweet, prediction))
+    if lacking_layers and not results:
         names = ", ".join(c.value for c in classes)
         raise ConfigError(
             f"no input tweet carries the tag layers the model needs ({names})"
@@ -595,7 +606,7 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     additions = [
         tagged
         for _, tagged, prediction in _classify_tweets(config, model, classes, unlabeled, skipped)
-        if prediction.label == mdl.IR
+        if prediction is not None and prediction.label == mdl.IR
     ]
     combined_cloud = ev.bigram_cloud(list(ir_tagged) + additions, k)
 

@@ -2,8 +2,9 @@
 
 Jensen-Shannon divergence with base-2 logarithms, so values live in [0, 1].
 The mixture distribution covers the union support, so no smoothing is needed.
-Matrices come in two flavors: hour-by-hour within a region on one local day,
-and group-by-group across named regions.
+A word distribution is a plain dict of token to relative frequency, counted
+with features.count_ngrams. Matrices come in two flavors: hour-by-hour within
+a region on one local day, and group-by-group across named regions.
 """
 
 from __future__ import annotations
@@ -13,14 +14,9 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
 
+from crisislang.features import count_ngrams
 from crisislang.ingest import RawTweet, Region
 from crisislang.text import TaggedTweet, attach_tags, tokenize
-
-
-@dataclass(frozen=True)
-class TokenDistribution:
-    probs: dict[str, float]
-    support_size: int
 
 
 @dataclass
@@ -43,31 +39,27 @@ class DivergenceMatrix:
         return "\n".join(lines) + "\n"
 
 
-def word_distribution(tweets: Iterable[TaggedTweet]) -> TokenDistribution:
+def word_distribution(tweets: Iterable[TaggedTweet]) -> dict[str, float]:
     """Unigram relative frequencies over all tokens of all tweets."""
     counts: dict[str, int] = {}
-    total = 0
     for tweet in tweets:
-        for token in tweet.words:
-            counts[token] = counts.get(token, 0) + 1
-            total += 1
+        count_ngrams(counts, "", tweet.words, 1)
+    total = sum(counts.values())
     if total == 0:
         raise ValueError("cannot build a distribution from zero tokens")
-    probs = {token: count / total for token, count in counts.items()}
-    return TokenDistribution(probs=probs, support_size=len(counts))
+    return {token: count / total for token, count in counts.items()}
 
 
-def js_divergence(p: TokenDistribution, q: TokenDistribution) -> float:
+def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
     """JSD(p, q) = KL(p||m)/2 + KL(q||m)/2 with m the even mixture, base 2.
 
     Tokens are visited in sorted order and each token's two half-terms are
     added together, so swapping the arguments gives the bit-identical result.
     """
-    pp, qp = p.probs, q.probs
     total = 0.0
-    for token in sorted(set(pp) | set(qp)):
-        pi = pp.get(token, 0.0)
-        qi = qp.get(token, 0.0)
+    for token in sorted(p.keys() | q.keys()):
+        pi = p.get(token, 0.0)
+        qi = q.get(token, 0.0)
         m = 0.5 * (pi + qi)
         term_p = 0.5 * pi * math.log2(pi / m) if pi > 0.0 else 0.0
         term_q = 0.5 * qi * math.log2(qi / m) if qi > 0.0 else 0.0
@@ -84,7 +76,7 @@ def _min_max_normalize(values: list[list[float]]) -> list[list[float]]:
 
 
 def pairwise_matrix(
-    labels: Sequence[str], distributions: Sequence[TokenDistribution]
+    labels: Sequence[str], distributions: Sequence[dict[str, float]]
 ) -> DivergenceMatrix:
     """Symmetric JSD matrix with zero diagonal; entries clamped into [0, 1]."""
     n = len(labels)
@@ -130,7 +122,7 @@ def hourly_divergence_matrix(
         buckets[local.hour].append(_tokens_only(tweet))
 
     labels: list[str] = []
-    distributions: list[TokenDistribution] = []
+    distributions: list[dict[str, float]] = []
     warnings: list[str] = []
     for hour in hours:
         label = f"{hour:02d}:00"
@@ -151,7 +143,7 @@ def regional_divergence_matrix(
 ) -> tuple[DivergenceMatrix, list[str]]:
     """Pairwise JSD between named tweet groups (for example, cities)."""
     labels: list[str] = []
-    distributions: list[TokenDistribution] = []
+    distributions: list[dict[str, float]] = []
     warnings: list[str] = []
     for name, tweets in groups.items():
         try:

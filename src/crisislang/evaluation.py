@@ -22,6 +22,7 @@ from crisislang.features import (
     FeatureId,
     FeatureVector,
     MissingLayerError,
+    count_ngrams,
     missing_classes,
     vectorize,
 )
@@ -388,8 +389,8 @@ def imbalance_sweep(
     For each ratio the largest dataset the two pools can support is drawn,
     split 80/20 stratified, and scored with NB log-posterior margins.
     """
-    ir_vectors = [vectorize(t, classes, on_missing="error") for t in ir]
-    or_vectors = [vectorize(t, classes, on_missing="error") for t in or_pool]
+    ir_vectors = [vectorize(t, classes) for t in ir]
+    or_vectors = [vectorize(t, classes) for t in or_pool]
     aucs: list[float] = []
     for step, ratio in enumerate(ratios):
         if not 0.0 < ratio < 1.0:
@@ -501,10 +502,8 @@ def bigram_cloud(tweets: Iterable[TaggedTweet], k: int) -> list[tuple[str, int]]
     """Top-k word bigrams by count, ties broken lexicographically."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    counts: Counter[str] = Counter()
+    counts: dict[str, int] = {}
     for tweet in tweets:
-        words = tweet.words
-        for i in range(len(words) - 1):
-            counts[f"{words[i]} {words[i + 1]}"] += 1
+        count_ngrams(counts, "", tweet.words, 2)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ordered[:k]

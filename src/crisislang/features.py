@@ -8,7 +8,9 @@ word/tag form, the "in ... <noun>" prepositional pattern, and existential
 
 A feature id is the class-qualified string ``CLASS:key``, the same form the
 model file and vector dumps use, so textually identical keys from different
-classes never collide. Counts are raw frequencies.
+classes never collide. Counts are raw frequencies. Every n-gram, of words,
+tags or chunk labels, is counted by count_ngrams, which the bigram clouds and
+the word distributions of the divergence module use too.
 """
 
 from __future__ import annotations
@@ -47,11 +49,18 @@ ARK_CRISIS_PATTERNS: tuple[tuple[str, ...], ...] = (
     ("A", "N", "P"),
 )
 
-# Id prefixes, computed once: naming or hashing an Enum member runs Python
-# code, which the per-tweet extractors would otherwise pay on every call.
-_WORD_NGRAM_PREFIX = {1: f"{FeatureClass.UNIGRAM.value}:", 2: f"{FeatureClass.BIGRAM.value}:"}
-_POS_CLASS = {"ark": FeatureClass.ARK_POS, "ptb": FeatureClass.PTB_POS}
-_POS_PREFIX = {tagset: f"{cls.value}:" for tagset, cls in _POS_CLASS.items()}
+# Id prefixes, computed once: naming an Enum member runs Python code, which
+# the per-tweet extractors would otherwise pay on every call. The classes
+# that are plain n-grams of one column map to (prefix, column, orders).
+_NGRAM_CLASSES = {
+    cls: (f"{cls.value}:", column, orders)
+    for cls, column, orders in (
+        (FeatureClass.UNIGRAM, "words", (1,)),
+        (FeatureClass.BIGRAM, "words", (2,)),
+        (FeatureClass.ARK_POS, "ark", (1, 2, 3)),
+        (FeatureClass.PTB_POS, "ptb", (1, 2, 3)),
+    )
+}
 _SHALLOW_PREFIX = f"{FeatureClass.SHALLOW_PARSE.value}:"
 _CRISIS_PREFIX = f"{FeatureClass.CRISIS_SENSITIVE.value}:"
 
@@ -100,35 +109,13 @@ def missing_classes(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> list
     return [c for c in classes if not _has_layer(tweet, _REQUIRED_LAYER[c])]
 
 
-def _add_ngrams(counts: FeatureVector, prefix: str, seq: Sequence[str], n: int) -> None:
+def count_ngrams(counts: dict[str, int], prefix: str, seq: Sequence[str], n: int) -> None:
     """Count the contiguous n-grams of seq into counts, as prefix + the
     space-joined n-gram, each id inserted where it first occurs."""
     grams = seq if n == 1 else map(" ".join, zip(*(seq[k:] for k in range(n))))
     for gram in grams:
         fid = prefix + gram
         counts[fid] = counts.get(fid, 0) + 1
-
-
-def extract_word_ngrams(tweet: TaggedTweet, n: int) -> FeatureVector:
-    """Contiguous word n-grams (n = 1 or 2), no boundary padding."""
-    if n not in _WORD_NGRAM_PREFIX:
-        raise ValueError(f"word n-grams support n in {{1, 2}}, got {n}")
-    counts: FeatureVector = {}
-    _add_ngrams(counts, _WORD_NGRAM_PREFIX[n], tweet.words, n)
-    return counts
-
-
-def extract_pos_ngrams(tweet: TaggedTweet, tagset: str, n: int) -> FeatureVector:
-    """Contiguous POS-tag n-grams (n = 1..3) over the ARK or PTB layer."""
-    if tagset not in _POS_CLASS:
-        raise ValueError(f"tagset must be 'ark' or 'ptb', got {tagset!r}")
-    if n not in (1, 2, 3):
-        raise ValueError(f"POS n-grams support n in {{1, 2, 3}}, got {n}")
-    if not _has_layer(tweet, tagset):
-        raise MissingLayerError(tweet.tweet_id, [_POS_CLASS[tagset]])
-    counts: FeatureVector = {}
-    _add_ngrams(counts, _POS_PREFIX[tagset], getattr(tweet, tagset), n)
-    return counts
 
 
 def chunk_spans(tweet: TaggedTweet) -> list[tuple[str, int, int]]:
@@ -169,7 +156,7 @@ def extract_shallow_parse(tweet: TaggedTweet) -> FeatureVector:
     labels = [label for label, _, _ in spans]
     counts: FeatureVector = {}
     for n in (1, 2, 3):
-        _add_ngrams(counts, _SHALLOW_PREFIX, labels, n)
+        count_ngrams(counts, _SHALLOW_PREFIX, labels, n)
     words = tweet.words
     for label, _, end in spans:
         fid = f"{_SHALLOW_PREFIX}{label}:{words[end - 1]}"
@@ -265,43 +252,33 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
 
 
 def _extract_class(tweet: TaggedTweet, cls: FeatureClass) -> FeatureVector:
-    if cls is FeatureClass.UNIGRAM:
-        return extract_word_ngrams(tweet, 1)
-    if cls is FeatureClass.BIGRAM:
-        return extract_word_ngrams(tweet, 2)
-    if cls in (FeatureClass.ARK_POS, FeatureClass.PTB_POS):
-        tagset = "ark" if cls is FeatureClass.ARK_POS else "ptb"
-        merged: FeatureVector = {}
-        for n in (1, 2, 3):
-            _add_ngrams(merged, _POS_PREFIX[tagset], getattr(tweet, tagset), n)
-        return merged
+    ngrams = _NGRAM_CLASSES.get(cls)
+    if ngrams is not None:
+        prefix, column, orders = ngrams
+        seq = getattr(tweet, column)
+        counts: FeatureVector = {}
+        for n in orders:
+            count_ngrams(counts, prefix, seq, n)
+        return counts
     if cls is FeatureClass.SHALLOW_PARSE:
         return extract_shallow_parse(tweet)
     return extract_crisis_sensitive(tweet)
 
 
-def vectorize(
-    tweet: TaggedTweet,
-    classes: Iterable[FeatureClass],
-    on_missing: str = "error",
-) -> FeatureVector:
+def vectorize(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> FeatureVector:
     """Disjoint union of the requested per-class vectors.
 
-    on_missing="error" raises when a class needs an absent tag layer;
-    "skip" drops such classes for this tweet (callers report coverage).
+    Raises MissingLayerError when a class needs a tag layer the tweet lacks;
+    callers that want only the present classes ask missing_classes first.
     """
     classes = list(classes)
     if not classes:
         raise ValueError("at least one feature class is required")
-    if on_missing not in ("error", "skip"):
-        raise ValueError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
     absent = missing_classes(tweet, classes)
-    if absent and on_missing == "error":
+    if absent:
         raise MissingLayerError(tweet.tweet_id, absent)
     vector: FeatureVector = {}
     for cls in classes:
-        if cls in absent:
-            continue
         vector.update(_extract_class(tweet, cls))
     return vector
 

@@ -233,7 +233,6 @@ def load_corpus(
     region: Region,
     crisis: TimeWindow,
     pre_crisis: TimeWindow | None = None,
-    max_reported_errors: int = MAX_REPORTED_ERRORS,
 ) -> Corpus:
     """Load and partition a JSON Lines corpus.
 
@@ -259,7 +258,7 @@ def load_corpus(
                 corpus.groups[label].append(tweet)
             continue
         corpus.skipped += 1
-        if len(corpus.skip_reasons) < max_reported_errors:
+        if len(corpus.skip_reasons) < MAX_REPORTED_ERRORS:
             corpus.skip_reasons.append(f"line {lineno}: {reason}")
     return corpus
 

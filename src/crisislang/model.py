@@ -13,6 +13,7 @@ inside the logistic-regression functions, so the NB path never loads it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -110,26 +111,12 @@ def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> Naiv
             for fid in vocabulary
         }
 
-    model = NaiveBayesModel(
+    return NaiveBayesModel(
         class_log_prior=class_log_prior,
         feature_log_likelihood=loglik,
         vocabulary=frozenset(vocabulary),
         alpha=alpha,
     )
-    _assert_nb_normalized(model)
-    return model
-
-
-def _assert_nb_normalized(model: NaiveBayesModel) -> None:
-    prior_mass = sum(math.exp(p) for p in model.class_log_prior.values())
-    if abs(prior_mass - 1.0) > 1e-9:
-        raise AssertionError(f"class priors sum to {prior_mass}, not 1")
-    if not model.vocabulary:
-        return
-    for label in LABELS:
-        mass = sum(math.exp(ll) for ll in model.feature_log_likelihood[label].values())
-        if abs(mass - 1.0) > 1e-9:
-            raise AssertionError(f"{label} likelihoods sum to {mass}, not 1")
 
 
 def predict_nb(model: NaiveBayesModel, vector: FeatureVector) -> Prediction:
@@ -282,52 +269,84 @@ def model_to_dict(
         doc["kind"] = "logreg"
         doc["bias"] = model.bias
         doc["weights"] = dict(sorted(model.weights.items()))
-        doc["hyperparameters"] = {
-            "learning_rate": model.params.learning_rate,
-            "l2": model.params.l2,
-            "max_epochs": model.params.max_epochs,
-            "tolerance": model.params.tolerance,
-        }
+        doc["hyperparameters"] = dataclasses.asdict(model.params)
     return doc
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; ValueError for any other value, or for an
+    integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"model field {name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"model field {name} is too large for a float") from None
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"model field {name} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _per_label(value, name: str, convert) -> dict:
+    """An object keyed by exactly IR and OR, each value passed through convert."""
+    if set(_object(value, name)) != set(LABELS):
+        raise ValueError(f"model field {name} must have exactly the keys IR and OR")
+    return {label: convert(value[label], f"{name}.{label}") for label in LABELS}
+
+
+def _weight_table(value, name: str) -> dict[FeatureId, float]:
+    """Feature id to number; ValueError on an id of no feature class."""
+    table = {}
+    for fid, weight in _object(value, name).items():
+        split_feature(fid)
+        # A float is taken as is, which is what _number would return.
+        table[fid] = weight if type(weight) is float else _number(weight, f"{name}[{fid!r}]")
+    return table
+
+
 def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:
-    """Rebuild a model; ValueError on a bad version, kind, field or feature class."""
+    """Rebuild a model; ValueError on a bad version, kind, feature class, or a
+    field that is missing or of the wrong shape."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model version: {doc.get('version')}")
+        raise ValueError(f"unsupported model version: {doc.get('version')!r}")
     raw_classes = doc.get("feature_classes")
-    classes = [FeatureClass(c) for c in raw_classes] if raw_classes is not None else None
+    classes = None
+    if raw_classes is not None:
+        if not isinstance(raw_classes, list) or not raw_classes:
+            raise ValueError("model field feature_classes must be a non-empty list")
+        classes = [FeatureClass(c) for c in raw_classes]
     try:
         if doc["kind"] == "nb":
-            loglik = {label: dict(table) for label, table in doc["feature_log_likelihood"].items()}
-            ids = [fid for table in loglik.values() for fid in table]
+            name = "feature_log_likelihood"
+            loglik = _per_label(doc[name], name, _weight_table)
+            if loglik[IR].keys() != loglik[OR].keys():
+                raise ValueError(f"model tables {name}.IR and {name}.OR hold different ids")
+            _number(doc["alpha"], "alpha")
             model: NaiveBayesModel | LogisticRegressionModel = NaiveBayesModel(
-                class_log_prior=dict(doc["class_log_prior"]),
+                class_log_prior=_per_label(doc["class_log_prior"], "class_log_prior", _number),
                 feature_log_likelihood=loglik,
                 vocabulary=frozenset(loglik[IR]),
                 alpha=doc["alpha"],
             )
         elif doc["kind"] == "logreg":
-            hp = doc["hyperparameters"]
+            hp = _object(doc["hyperparameters"], "hyperparameters")
+            params = {f.name: hp[f.name] for f in dataclasses.fields(LogRegParams)}
+            for name, value in params.items():
+                _number(value, f"hyperparameters.{name}")
             model = LogisticRegressionModel(
-                weights=dict(doc["weights"]),
-                bias=doc["bias"],
-                params=LogRegParams(
-                    learning_rate=hp["learning_rate"],
-                    l2=hp["l2"],
-                    max_epochs=hp["max_epochs"],
-                    tolerance=hp["tolerance"],
-                ),
+                weights=_weight_table(doc["weights"], "weights"),
+                bias=_number(doc["bias"], "bias"),
+                params=LogRegParams(**params),
             )
-            ids = list(model.weights)
         else:
             raise ValueError(f"unknown model kind: {doc.get('kind')!r}")
     except KeyError as exc:
         raise ValueError(f"model document lacks field {exc}") from None
-    for fid in ids:
-        split_feature(fid)
     return model, classes
 
 

@@ -74,6 +74,14 @@ class TestConfig:
             ("cv", {"repeats": 0}, ["evaluate", "--mode", "single"]),
             ("cv", {"folds": 0}, ["evaluate", "--mode", "single"]),
             ("divergence", {"day": "2013-04-15", "hours": 5}, ["divergence", "--mode", "hourly"]),
+            ("cv", {"repeats": [1]}, ["partition"]),
+            ("model", {"alpha": None}, ["partition"]),
+            ("logreg", {"learning_rate": [0.1]}, ["partition"]),
+            ("timezone_offset_minutes", [1], ["partition"]),
+            ("divergence", {"day": 5}, ["partition"]),
+            ("input", 5, ["partition"]),
+            ("primary_region", [1], ["partition"]),
+            ("cv", {"repeats": float("inf")}, ["partition"]),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
@@ -253,6 +261,21 @@ class TestDivergence:
         assert doc["values"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
+def _first_id(model_doc):
+    return next(iter(model_doc["feature_log_likelihood"]["IR"]))
+
+
+def _as_logreg(model_doc, **fields):
+    """Turn an NB model document into a valid logreg one, then set fields."""
+    model_doc.update(
+        kind="logreg",
+        bias=0.0,
+        weights={_first_id(model_doc): 1.0},
+        hyperparameters={"learning_rate": 0.1, "l2": 0.0, "max_epochs": 1, "tolerance": 0.0},
+    )
+    model_doc.update(fields)
+
+
 class TestTrainClassify:
     def test_train_writes_model_and_summary(self, workspace):
         run(workspace, "partition")
@@ -393,6 +416,34 @@ class TestTrainClassify:
         assert (summary["total"], summary["classified"], summary["skipped"]) == (3, 2, 1)
         assert summary["warnings"] == ["tweet z2: no tokens"]
 
+    @pytest.mark.parametrize(
+        "record, warning",
+        [
+            ({"text": "  "}, "tweet only: no tokens"),
+            ({"text": "a b", "ark_tags": ["N"]}, "tweet 'only': ark_tags has 1 tags for 2 tokens"),
+        ],
+        ids=["whitespace-only", "misaligned"],
+    )
+    def test_classify_all_skipped_for_other_causes_exits_zero(
+        self, workspace, tmp_path, record, warning
+    ):
+        # The "no input tweet carries the tag layers" error is for missing
+        # layers only; a UNIGRAM model needs none.
+        from crisislang.features import FeatureClass
+        from crisislang.model import save_model, train_naive_bayes
+
+        model = train_naive_bayes([({"UNIGRAM:a": 1}, "IR"), ({"UNIGRAM:b": 1}, "OR")])
+        model_path = tmp_path / "model.json"
+        save_model(model_path, model, feature_classes=[FeatureClass.UNIGRAM])
+        source = tmp_path / "one.jsonl"
+        doc = {"id": "only", "created_at": "2013-04-15T20:00:00Z", **record}
+        source.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(source)) == 0
+        assert read_lines(workspace["out"] / "classified.jsonl") == []
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (1, 0, 1)
+        assert summary["warnings"] == [warning]
+
     def test_train_misaligned_record_is_counted_skip(self, workspace):
         run(workspace, "partition")
         ir_path = workspace["out"] / "partitions" / "ir.jsonl"
@@ -447,6 +498,38 @@ class TestTrainClassify:
         [
             (lambda doc: doc.pop("feature_log_likelihood"), "feature_log_likelihood"),
             (lambda doc: doc["feature_log_likelihood"]["OR"].update({"NOPE:x": -1.0}), "NOPE"),
+            pytest.param(
+                lambda doc: doc.update(feature_classes=5), "feature_classes", id="classes-number"
+            ),
+            pytest.param(
+                lambda doc: doc.update(feature_log_likelihood=[]),
+                "feature_log_likelihood must be an object",
+                id="likelihood-list",
+            ),
+            pytest.param(
+                lambda doc: doc.update(class_log_prior=5), "class_log_prior", id="prior-number"
+            ),
+            pytest.param(
+                lambda doc: doc["class_log_prior"].pop("OR"), "class_log_prior", id="prior-no-or"
+            ),
+            pytest.param(
+                lambda doc: doc["feature_log_likelihood"]["OR"].pop(_first_id(doc)),
+                "different ids",
+                id="or-lacks-id",
+            ),
+            pytest.param(
+                lambda doc: doc["feature_log_likelihood"]["IR"].update({_first_id(doc): "x"}),
+                "must be a number",
+                id="likelihood-string",
+            ),
+            pytest.param(
+                lambda doc: _as_logreg(doc, weights=[1.0]), "weights", id="weights-list"
+            ),
+            pytest.param(
+                lambda doc: _as_logreg(doc, hyperparameters=[0.1]),
+                "hyperparameters",
+                id="hyperparameters-list",
+            ),
         ],
     )
     def test_corrupt_model_is_one_error_line(self, workspace, capsys, corrupt, message):

@@ -5,7 +5,6 @@ import pytest
 
 from crisislang.divergence import (
     DivergenceMatrix,
-    TokenDistribution,
     hourly_divergence_matrix,
     js_divergence,
     pairwise_matrix,
@@ -20,19 +19,19 @@ BOSTON_REGION = Region(GeoPoint(42.35, -71.08), 19.0)
 
 
 def dist(**probs):
-    return TokenDistribution(probs=dict(probs), support_size=len(probs))
+    return dict(probs)
 
 
 class TestWordDistribution:
     def test_relative_frequencies(self):
         tweets = [tweet_from_text("1", "a b"), tweet_from_text("2", "a")]
         d = word_distribution(tweets)
-        assert d.probs == {"a": 2 / 3, "b": 1 / 3}
-        assert d.support_size == 2
+        assert d == {"a": 2 / 3, "b": 1 / 3}
+        assert len(d) == 2
 
     def test_single_token(self):
         d = word_distribution([tweet_from_text("1", "x")])
-        assert d.probs == {"x": 1.0}
+        assert d == {"x": 1.0}
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -45,8 +44,8 @@ class TestWordDistribution:
             for i in range(20)
         ]
         d = word_distribution(tweets)
-        assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(p > 0 for p in d.probs.values())
+        assert sum(d.values()) == pytest.approx(1.0, abs=1e-9)
+        assert all(p > 0 for p in d.values())
 
 
 class TestJsDivergence:
@@ -82,7 +81,7 @@ class TestJsDivergence:
             p = _random_dist(rng)
             q = _random_dist(rng)
             assert js_divergence(p, q) == pytest.approx(
-                jsd_brute(p.probs, q.probs), abs=1e-9
+                jsd_brute(p, q), abs=1e-9
             )
 
     def test_zero_only_for_equal_distributions(self):
@@ -91,8 +90,8 @@ class TestJsDivergence:
             p = _random_dist(rng)
             q = _random_dist(rng)
             gap = max(
-                abs(p.probs.get(t, 0.0) - q.probs.get(t, 0.0))
-                for t in set(p.probs) | set(q.probs)
+                abs(p.get(t, 0.0) - q.get(t, 0.0))
+                for t in set(p) | set(q)
             )
             if gap > 1e-6:
                 assert js_divergence(p, q) > 0.0
@@ -102,9 +101,7 @@ def _random_dist(rng, tokens=("a", "b", "c")):
     chosen = [t for t in tokens if rng.random() < 0.8] or [tokens[0]]
     raw = [rng.random() + 1e-9 for _ in chosen]
     total = sum(raw)
-    return TokenDistribution(
-        probs={t: v / total for t, v in zip(chosen, raw)}, support_size=len(chosen)
-    )
+    return {t: v / total for t, v in zip(chosen, raw)}
 
 
 class TestPairwiseMatrix:

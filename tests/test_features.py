@@ -9,10 +9,9 @@ from crisislang.features import (
     ARK_CRISIS_PATTERNS,
     FeatureClass,
     MissingLayerError,
+    count_ngrams,
     extract_crisis_sensitive,
-    extract_pos_ngrams,
     extract_shallow_parse,
-    extract_word_ngrams,
     missing_classes,
     split_feature,
     vectorize,
@@ -30,47 +29,51 @@ def keys(vector):
     return {split_feature(fid)[1]: count for fid, count in vector.items()}
 
 
+def present_only(tweet, classes):
+    """The classes whose tag layers the tweet carries."""
+    absent = missing_classes(tweet, classes)
+    return [cls for cls in classes if cls not in absent]
+
+
 class TestWordNgrams:
     def test_bigrams(self):
-        v = extract_word_ngrams(tweet_of(["i'm", "safe", "in", "boston"]), 2)
+        v = vectorize(tweet_of(["i'm", "safe", "in", "boston"]), [FeatureClass.BIGRAM])
         assert keys(v) == {"i'm safe": 1, "safe in": 1, "in boston": 1}
         assert all(split_feature(fid)[0] is FeatureClass.BIGRAM for fid in v)
 
     def test_short_tweet_empty(self):
-        assert extract_word_ngrams(tweet_of(["boston"]), 2) == {}
+        assert vectorize(tweet_of(["boston"]), [FeatureClass.BIGRAM]) == {}
 
     def test_count_accumulation(self):
-        assert keys(extract_word_ngrams(tweet_of(["a", "a", "a"]), 1)) == {"a": 3}
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            extract_word_ngrams(tweet_of(["a"]), 3)
+        assert keys(vectorize(tweet_of(["a", "a", "a"]), [FeatureClass.UNIGRAM])) == {"a": 3}
 
     def test_total_count_matches_length_arithmetic(self):
         rng = random.Random(2)
         for _ in range(50):
             tokens = [rng.choice("abc") for _ in range(rng.randrange(0, 10))]
-            for n in (1, 2):
-                total = sum(extract_word_ngrams(tweet_of(tokens), n).values())
+            for n, cls in ((1, FeatureClass.UNIGRAM), (2, FeatureClass.BIGRAM)):
+                total = sum(vectorize(tweet_of(tokens), [cls]).values())
                 assert total == max(0, len(tokens) - n + 1)
 
 
 class TestPosNgrams:
     def test_ark_trigram(self):
-        v = extract_pos_ngrams(tweet_of(["@a", "@b", "#c"], ark=["@", "@", "#"]), "ark", 3)
-        assert keys(v) == {"@ @ #": 1}
+        counts = {}
+        count_ngrams(counts, "", tweet_of(["@a", "@b", "#c"], ark=["@", "@", "#"]).ark, 3)
+        assert counts == {"@ @ #": 1}
 
     def test_ark_bigrams(self):
-        v = extract_pos_ngrams(tweet_of(["in", "the", "city"], ark=["P", "D", "N"]), "ark", 2)
-        assert keys(v) == {"P D": 1, "D N": 1}
+        counts = {}
+        count_ngrams(counts, "", tweet_of(["in", "the", "city"], ark=["P", "D", "N"]).ark, 2)
+        assert counts == {"P D": 1, "D N": 1}
 
     def test_missing_layer(self):
         with pytest.raises(MissingLayerError):
-            extract_pos_ngrams(tweet_of(["a"]), "ptb", 1)
+            vectorize(tweet_of(["a"]), [FeatureClass.PTB_POS])
 
     def test_class_qualification(self):
-        ark = extract_pos_ngrams(tweet_of(["x"], ark=["N"]), "ark", 1)
-        ptb = extract_pos_ngrams(tweet_of(["x"], ptb=["N"]), "ptb", 1)
+        ark = vectorize(tweet_of(["x"], ark=["N"]), [FeatureClass.ARK_POS])
+        ptb = vectorize(tweet_of(["x"], ptb=["N"]), [FeatureClass.PTB_POS])
         assert set(ark) != set(ptb)
         assert keys(ark) == keys(ptb) == {"N": 1}
 
@@ -213,8 +216,8 @@ class TestVectorize:
         tweet = tweet_of(["in", "boston"])
         both = vectorize(tweet, [FeatureClass.UNIGRAM, FeatureClass.BIGRAM])
         separate = {}
-        separate.update(extract_word_ngrams(tweet, 1))
-        separate.update(extract_word_ngrams(tweet, 2))
+        separate.update(vectorize(tweet, [FeatureClass.UNIGRAM]))
+        separate.update(vectorize(tweet, [FeatureClass.BIGRAM]))
         assert both == separate
 
     def test_empty_class_set_rejected(self):
@@ -229,7 +232,7 @@ class TestVectorize:
 
     def test_skip_mode_drops_missing(self):
         tweet = tweet_of(["a", "b"])
-        v = vectorize(tweet, [FeatureClass.UNIGRAM, FeatureClass.ARK_POS], on_missing="skip")
+        v = vectorize(tweet, present_only(tweet, [FeatureClass.UNIGRAM, FeatureClass.ARK_POS]))
         assert all(split_feature(fid)[0] is FeatureClass.UNIGRAM for fid in v)
 
     def test_restriction_equals_single_extractor(self):
@@ -319,7 +322,7 @@ class TestReferenceEquality:
         for cls in classes:
             if not missing_classes(tweet, [cls]):
                 expected.update(reference_vector(tweet, cls.value))
-        got = vectorize(tweet, classes, on_missing="skip")
+        got = vectorize(tweet, present_only(tweet, classes))
         assert list(got.items()) == list(expected.items())
 
     def test_crisis_ids_keep_pattern_order(self):

@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 import random
 import tracemalloc
@@ -18,6 +20,7 @@ from crisislang.model import (
     logistic_loss_and_gradient,
     model_from_dict,
     model_to_dict,
+    predict,
     predict_lr,
     predict_nb,
     save_model,
@@ -412,3 +415,57 @@ class TestSerialization:
     def test_non_object_document_rejected(self, doc):
         with pytest.raises(ValueError, match="must be a JSON object"):
             model_from_dict(doc)
+
+
+def _valid_documents():
+    nb = train_naive_bayes([({**uvec(x=1, y=2), "BIGRAM:x y": 1}, IR), (uvec(y=1), OR)])
+    lr = train_logreg([(uvec(a=1), IR)] * 3 + [(uvec(b=1), OR)] * 3, LogRegParams(max_epochs=5))
+    return [
+        json.loads(json.dumps(model_to_dict(model, feature_classes=[U, FeatureClass.BIGRAM])))
+        for model in (nb, lr)
+    ]
+
+
+def _paths(node, prefix=()):
+    """The key path of every value in a JSON document, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+
+
+_DOCUMENTS = _valid_documents()
+_FIELDS = [(k, path) for k, doc in enumerate(_DOCUMENTS) for path in _paths(doc)]
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["IR", "OR", "nb", "logreg", "UNIGRAM", "UNIGRAM:x", 10**400])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["IR", "OR", "UNIGRAM:x"]) | st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestCorruptDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+    def test_any_field_replaced_raises_value_error_or_predicts(self, field, value):
+        k, path = field
+        doc = copy.deepcopy(_DOCUMENTS[k])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            model, _ = model_from_dict(doc)
+        except ValueError:
+            return
+        ids = model.vocabulary if hasattr(model, "vocabulary") else model.weights
+        predict(model, {fid: 1 for fid in ids})
+        predict(model, {})

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -31,12 +31,12 @@ from crisislang.features import (
     vectorize,
 )
 from crisislang.ingest import (
-    MAX_REPORTED_ERRORS,
     GeoPoint,
     PartitionLabel,
     RawTweet,
     RecordError,
     Region,
+    Skips,
     TimeWindow,
     iter_jsonl,
     load_corpus,
@@ -71,25 +71,21 @@ class RunConfig:
     regions: dict[str, Region]
     primary_region: str
     crisis_window: TimeWindow
-    pre_crisis_window: TimeWindow | None = None
-    timezone_offset_minutes: int = 0
-    feature_classes: list[FeatureClass] = field(
-        default_factory=lambda: [FeatureClass.UNIGRAM, FeatureClass.BIGRAM]
-    )
-    model_kind: str = "nb"
-    alpha: float = 1.0
-    logreg: mdl.LogRegParams = field(default_factory=mdl.LogRegParams)
-    cv_repeats: int = 3
-    cv_folds: int = 5
-    imbalance_ratios: list[float] = field(
-        default_factory=lambda: list(ev.DEFAULT_IMBALANCE_RATIOS)
-    )
-    balance: bool = True
-    fallback_tags: bool = True
-    seed: int = 0
-    divergence_day: date | None = None
-    divergence_hours: list[int] = field(default_factory=list)
-    divergence_window: str = "crisis"
+    pre_crisis_window: TimeWindow | None
+    timezone_offset_minutes: int
+    feature_classes: list[FeatureClass]
+    model_kind: str
+    alpha: float
+    logreg: mdl.LogRegParams
+    cv_repeats: int
+    cv_folds: int
+    imbalance_ratios: list[float]
+    balance: bool
+    fallback_tags: bool
+    seed: int
+    divergence_day: date | None
+    divergence_hours: list[int]
+    divergence_window: str
 
     @property
     def region(self) -> Region:
@@ -102,7 +98,13 @@ class RunConfig:
 def _parse_window(raw: dict, name: str) -> TimeWindow:
     if not isinstance(raw, dict) or "start" not in raw or "end" not in raw:
         raise ConfigError(f"{name} must be an object with start and end")
-    return TimeWindow(parse_timestamp(raw["start"]), parse_timestamp(raw["end"]))
+    for key in ("start", "end"):
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"{name}.{key} must be a string, got {raw[key]!r}")
+    try:
+        return TimeWindow(parse_timestamp(raw["start"]), parse_timestamp(raw["end"]))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _parse_region(raw: dict, name: str) -> Region:
@@ -128,7 +130,15 @@ def _list(doc: dict, key: str, default: list) -> list:
 
 def _typed(convert, value, name: str):
     """convert(value), or a ConfigError naming the key when the value has the
-    wrong type or form."""
+    wrong type or form. Nothing is coerced into a bool, int or float: those
+    take only JSON booleans and numbers, and an int only a whole number."""
+    if convert is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if convert in (int, float) and not number:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -179,12 +189,10 @@ def load_config(
         raise ConfigError(f"model kind must be nb or logreg, got {kind!r}")
 
     lr_doc = _section(doc, "logreg")
-    logreg = mdl.LogRegParams(
-        learning_rate=_typed(float, lr_doc.get("learning_rate", 0.1), "logreg.learning_rate"),
-        l2=_typed(float, lr_doc.get("l2", 1e-4), "logreg.l2"),
-        max_epochs=_typed(int, lr_doc.get("max_epochs", 500), "logreg.max_epochs"),
-        tolerance=_typed(float, lr_doc.get("tolerance", 1e-6), "logreg.tolerance"),
-    )
+    logreg = mdl.LogRegParams(**{
+        key: _typed(type(default), lr_doc.get(key, default), f"logreg.{key}")
+        for key, default in dataclasses.asdict(mdl.LogRegParams()).items()
+    })
 
     raw_ratios = _list(doc, "imbalance_ratios", list(ev.DEFAULT_IMBALANCE_RATIOS))
     ratios = [_typed(float, r, "imbalance_ratios") for r in raw_ratios]
@@ -199,13 +207,12 @@ def load_config(
     div_hours: list[int] = []
     if "hours" in div_doc:
         hours = div_doc["hours"]
-        pair = isinstance(hours, list) and len(hours) == 2
-        if not (pair and all(isinstance(h, (int, float)) for h in hours)):
+        if not (isinstance(hours, list) and len(hours) == 2):
             raise ConfigError(f"divergence hours must be a [first, last] pair, got {hours!r}")
-        first, last = hours
+        first, last = (_typed(int, h, "divergence.hours") for h in hours)
         if not 0 <= first <= last <= 23:
             raise ConfigError("divergence hours must satisfy 0 <= first <= last <= 23")
-        div_hours = list(range(int(first), int(last) + 1))
+        div_hours = list(range(first, last + 1))
     div_window = div_doc.get("window", "crisis")
     if div_window not in ("crisis", "pre_crisis"):
         raise ConfigError(f"divergence window must be crisis or pre_crisis, got {div_window!r}")
@@ -236,8 +243,8 @@ def load_config(
         cv_repeats=cv_repeats,
         cv_folds=cv_folds,
         imbalance_ratios=ratios,
-        balance=bool(doc.get("balance", True)),
-        fallback_tags=bool(doc.get("fallback_tags", True)),
+        balance=_typed(bool, doc.get("balance", True), "balance"),
+        fallback_tags=_typed(bool, doc.get("fallback_tags", True), "fallback_tags"),
         seed=_typed(int, seed if seed is not None else doc.get("seed", 0), "seed"),
         divergence_day=div_day,
         divergence_hours=div_hours,
@@ -268,42 +275,38 @@ def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
-def _summary(command: str, warnings: list[str], **payload) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, "warnings": warnings}
-    doc.update(payload)
-    return doc
+def _read_tweets(path: Path, skips: Skips) -> list[RawTweet]:
+    return [tweet for _, tweet in iter_jsonl(path, skips)]
 
 
-def _read_tweets(path: Path) -> tuple[list[RawTweet], int, list[str]]:
-    """Parsed tweets, the skip count and the first skip reasons of a file."""
-    tweets: list[RawTweet] = []
-    skipped = 0
-    reasons: list[str] = []
-    for lineno, tweet in iter_jsonl(path):
-        if isinstance(tweet, RecordError):
-            skipped += 1
-            if len(reasons) < MAX_REPORTED_ERRORS:
-                reasons.append(f"line {lineno}: {tweet}")
-        else:
-            tweets.append(tweet)
-    return tweets, skipped, reasons
-
-
-def _tag(config: RunConfig, tweet: RawTweet, skipped: list[str]) -> TaggedTweet | None:
-    """The tagged tweet, or None with the reason in skipped when its tag
-    layers are misaligned."""
+def _tag(config: RunConfig, tweet: RawTweet, skips: Skips) -> TaggedTweet | None:
+    """The tagged tweet, or None with the reason in skips when its tag layers
+    are misaligned."""
     try:
         return tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
     except AlignmentError as exc:
-        skipped.append(str(exc))
+        skips.add(str(exc))
         return None
 
 
-def _tag_all(
-    config: RunConfig, tweets: Sequence[RawTweet], skipped: list[str]
-) -> list[TaggedTweet]:
-    tagged = (_tag(config, t, skipped) for t in tweets)
+def _tag_all(config: RunConfig, tweets: Sequence[RawTweet], skips: Skips) -> list[TaggedTweet]:
+    tagged = (_tag(config, t, skips) for t in tweets)
     return [t for t in tagged if t is not None]
+
+
+def _tagged_nonempty(
+    config: RunConfig, tweets: Sequence[RawTweet], skips: Skips
+) -> Iterator[tuple[RawTweet, TaggedTweet]]:
+    """Each tweet with its tags, lazily. A tweet whose tag layers are
+    misaligned, or that has no tokens, goes into skips instead."""
+    for tweet in tweets:
+        tagged = _tag(config, tweet, skips)
+        if tagged is None:
+            continue
+        if not tagged.words:
+            skips.add(f"tweet {tweet.id}: no tokens")
+            continue
+        yield tweet, tagged
 
 
 def _partition_path(config: RunConfig, filename: str) -> Path:
@@ -313,26 +316,23 @@ def _partition_path(config: RunConfig, filename: str) -> Path:
     return path
 
 
-def _read_partition(config: RunConfig, filename: str) -> list[RawTweet]:
-    tweets, _, _ = _read_tweets(_partition_path(config, filename))
-    return tweets
+def _read_partition(config: RunConfig, filename: str, skips: Skips) -> list[RawTweet]:
+    return _read_tweets(_partition_path(config, filename), skips)
 
 
 def _tagged_pools(
-    config: RunConfig, skipped: list[str]
+    config: RunConfig, skips: Skips
 ) -> tuple[list[TaggedTweet], list[TaggedTweet]]:
     """The tagged IR and OR partitions."""
     ir, or_pool = (
-        _tag_all(config, _read_partition(config, PARTITION_FILES[label]), skipped)
+        _tag_all(config, _read_partition(config, PARTITION_FILES[label], skips), skips)
         for label in (PartitionLabel.IR, PartitionLabel.OR)
     )
     return ir, or_pool
 
 
-def _labeled_data(
-    config: RunConfig, balance: bool, skipped: list[str]
-) -> list[ev.LabeledTweet]:
-    ir, or_pool = _tagged_pools(config, skipped)
+def _labeled_data(config: RunConfig, balance: bool, skips: Skips) -> list[ev.LabeledTweet]:
+    ir, or_pool = _tagged_pools(config, skips)
     if not ir:
         raise ConfigError("IR partition is empty; cannot build a labeled set")
     if balance:
@@ -340,32 +340,61 @@ def _labeled_data(
     return [(t, mdl.IR) for t in ir] + [(t, mdl.OR) for t in or_pool]
 
 
+def _load_model(
+    config: RunConfig, path: Path
+) -> tuple[mdl.NaiveBayesModel | mdl.LogisticRegressionModel, list[FeatureClass]]:
+    """The model at path and its feature classes, or the config's when the
+    model file does not name them."""
+    model, classes = mdl.load_model(path)
+    if classes is None:
+        logger.warning("model file lacks feature_classes; falling back to config")
+        classes = config.feature_classes
+    return model, classes
+
+
+def _predictions(
+    config: RunConfig,
+    model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel,
+    classes: list[FeatureClass],
+    tweets: Sequence[RawTweet],
+    skips: Skips,
+) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction | None]]:
+    """Vectorize and label each tokened tweet, lazily, so callers keep only
+    what they need. A tweet that lacks a layer the model needs goes into
+    skips and is yielded with no prediction."""
+    for tweet, tagged in _tagged_nonempty(config, tweets, skips):
+        try:
+            vector = vectorize(tagged, classes)
+        except MissingLayerError as exc:
+            names = ",".join(c.value for c in exc.classes)
+            skips.add(f"tweet {tweet.id}: missing layers for {names}")
+            yield tweet, tagged, None
+            continue
+        yield tweet, tagged, mdl.predict(model, vector)
+
+
 def cmd_partition(config: RunConfig) -> dict:
     corpus = load_corpus(
         config.input, config.region, config.crisis_window, config.pre_crisis_window
     )
     outdir = config.partitions_dir()
-    outdir.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
     for label, filename in PARTITION_FILES.items():
-        write_jsonl(outdir / filename, corpus.groups[label])
+        write_jsonl(outdir / filename, map(tweet_to_record, corpus.groups[label]))
         files[label.value] = str(outdir / filename)
-    write_jsonl(outdir / UNLABELED_FILE, corpus.unlabeled)
+    write_jsonl(outdir / UNLABELED_FILE, map(tweet_to_record, corpus.unlabeled))
     files["unlabeled"] = str(outdir / UNLABELED_FILE)
-    summary = _summary(
-        "partition",
-        warnings=list(corpus.skip_reasons),
-        counts=corpus.counts(),
-        imbalance_ratio=corpus.imbalance_ratio(),
-        files=files,
-    )
-    _write_json(config.output_dir / "partition_summary.json", summary)
-    return summary
+    return {
+        "warnings": corpus.skips.reasons,
+        "counts": corpus.counts(),
+        "imbalance_ratio": corpus.imbalance_ratio(),
+        "files": files,
+    }
 
 
 def cmd_divergence(config: RunConfig, mode: str) -> dict:
-    tweets, skipped, reasons = _read_tweets(config.input)
-    skipped_layers: list[str] = []
+    skips = Skips()
+    tweets = _read_tweets(config.input, skips)
     if mode == "hourly":
         if config.divergence_day is None or not config.divergence_hours:
             raise ConfigError("hourly mode needs divergence.day and divergence.hours in the config")
@@ -393,27 +422,23 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
                 and window.contains(t.created_at)
                 and region.contains(t.geo)
             ]
-            groups[name] = _tag_all(config, members, skipped_layers)
+            groups[name] = _tag_all(config, members, skips)
         matrix, warnings = div.regional_divergence_matrix(groups)
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
-
-    summary = _summary(
-        "divergence",
-        warnings=list(warnings) + reasons + skipped_layers,
-        mode=mode,
-        labels=matrix.labels,
-        skipped_records=skipped,
-        files=_write_tables(config, f"divergence_{mode}", matrix),
-    )
-    _write_json(config.output_dir / "divergence_summary.json", summary)
-    return summary
+    return {
+        "warnings": list(warnings) + skips.reasons,
+        "mode": mode,
+        "labels": matrix.labels,
+        "skipped_records": skips.count,
+        "files": _write_tables(config, f"divergence_{mode}", matrix),
+    }
 
 
 def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
     do_balance = config.balance if balance is None else balance
-    skipped: list[str] = []
-    data = _labeled_data(config, do_balance, skipped)
+    skips = Skips()
+    data = _labeled_data(config, do_balance, skips)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     if config.model_kind == "nb":
         model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel = mdl.train_naive_bayes(
@@ -427,25 +452,22 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     mdl.save_model(model_path, model, feature_classes=config.feature_classes)
     labels = [label for _, label in data]
-    summary = _summary(
-        "train",
-        warnings=skipped,
-        model=str(model_path),
-        kind=config.model_kind,
-        seed=config.seed,
-        balanced=do_balance,
-        class_counts={mdl.IR: labels.count(mdl.IR), mdl.OR: labels.count(mdl.OR)},
-        vocabulary_size=vocab_size,
-        feature_classes=[c.value for c in config.feature_classes],
-    )
-    _write_json(config.output_dir / "train_summary.json", summary)
-    return summary
+    return {
+        "warnings": skips.reasons,
+        "model": str(model_path),
+        "kind": config.model_kind,
+        "seed": config.seed,
+        "balanced": do_balance,
+        "class_counts": {mdl.IR: labels.count(mdl.IR), mdl.OR: labels.count(mdl.OR)},
+        "vocabulary_size": vocab_size,
+        "feature_classes": [c.value for c in config.feature_classes],
+    }
 
 
 def cmd_evaluate(config: RunConfig, mode: str) -> dict:
-    skipped: list[str] = []
+    skips = Skips()
     if mode == "single":
-        data = _labeled_data(config, True, skipped)
+        data = _labeled_data(config, True, skips)
         report = ev.cross_validate(
             data,
             config.feature_classes,
@@ -457,7 +479,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
         files = _write_tables(config, "cv_report", report)
         payload: dict = {"readings": len(report.readings), "mean_f1": report.mean.f1}
     elif mode == "combos":
-        data = _labeled_data(config, True, skipped)
+        data = _labeled_data(config, True, skips)
         combo = ev.enumerate_combinations(
             data,
             seed=config.seed,
@@ -471,7 +493,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             "excluded_classes": [c.value for c in combo.excluded_classes],
         }
     elif mode == "imbalance":
-        ir, or_pool = _tagged_pools(config, skipped)
+        ir, or_pool = _tagged_pools(config, skips)
         sweep = ev.imbalance_sweep(
             ir,
             or_pool,
@@ -484,51 +506,17 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
         payload = {"summary_auc": sweep.summary_auc}
     else:
         raise ConfigError(f"unknown evaluate mode: {mode!r}")
-
-    summary = _summary("evaluate", warnings=skipped, mode=mode, files=files, **payload)
-    _write_json(config.output_dir / "evaluate_summary.json", summary)
-    return summary
-
-
-def _classify_tweets(
-    config: RunConfig,
-    model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel,
-    classes: list[FeatureClass],
-    tweets: Sequence[RawTweet],
-    skipped: list[str],
-) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction | None]]:
-    """Tag, vectorize and label each tweet, lazily, so callers keep only what
-    they need. A tweet with no tokens, or whose tag layers are misaligned, is
-    reported in skipped. So is a tweet that lacks a layer the model needs,
-    which is also yielded with no prediction."""
-    for tweet in tweets:
-        tagged = _tag(config, tweet, skipped)
-        if tagged is None:
-            continue
-        if not tagged.words:
-            skipped.append(f"tweet {tweet.id}: no tokens")
-            continue
-        try:
-            vector = vectorize(tagged, classes)
-        except MissingLayerError as exc:
-            names = ",".join(c.value for c in exc.classes)
-            skipped.append(f"tweet {tweet.id}: missing layers for {names}")
-            yield tweet, tagged, None
-            continue
-        yield tweet, tagged, mdl.predict(model, vector)
+    return {"warnings": skips.reasons, "mode": mode, "files": files, **payload}
 
 
 def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -> dict:
-    model, classes = mdl.load_model(model_path)
-    if classes is None:
-        logger.warning("model file lacks feature_classes; falling back to config")
-        classes = config.feature_classes
+    model, classes = _load_model(config, model_path)
     source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
-    tweets, skipped_parse, reasons = _read_tweets(source)
-    skipped_layers: list[str] = []
+    skips = Skips()
+    tweets = _read_tweets(source, skips)
     results: list[tuple[RawTweet, mdl.Prediction]] = []
     lacking_layers = False
-    for tweet, _, prediction in _classify_tweets(config, model, classes, tweets, skipped_layers):
+    for tweet, _, prediction in _predictions(config, model, classes, tweets, skips):
         if prediction is None:
             lacking_layers = True
         else:
@@ -540,35 +528,27 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
         )
 
     out_path = config.output_dir / "classified.jsonl"
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for tweet, prediction in results:
-            record = tweet_to_record(tweet)
-            record["label"] = prediction.label
-            record["score"] = prediction.score
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    classified_ir = sum(1 for _, p in results if p.label == mdl.IR)
-    summary = _summary(
-        "classify",
-        warnings=reasons + skipped_layers,
-        model=str(model_path),
-        input=str(source),
-        output=str(out_path),
-        total=len(tweets),
-        classified=len(results),
-        classified_ir=classified_ir,
-        skipped=skipped_parse + len(skipped_layers),
+    write_jsonl(
+        out_path,
+        (dict(tweet_to_record(t), label=p.label, score=p.score) for t, p in results),
     )
-    _write_json(config.output_dir / "classify_summary.json", summary)
-    return summary
+    return {
+        "warnings": skips.reasons,
+        "model": str(model_path),
+        "input": str(source),
+        "output": str(out_path),
+        "total": len(tweets),
+        "classified": len(results),
+        "classified_ir": sum(1 for _, p in results if p.label == mdl.IR),
+        "skipped": skips.count,
+    }
 
 
 def cmd_top_features(config: RunConfig, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
-    skipped: list[str] = []
-    data = _labeled_data(config, config.balance, skipped)
+    skips = Skips()
+    data = _labeled_data(config, config.balance, skips)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     model = mdl.train_logreg(vectors, config.logreg)
     lines = ["class,rank,feature,weight"]
@@ -579,118 +559,97 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
             lines.append(f'{cls.value},{rank},"{key}",{weight!r}')
     csv_path = config.output_dir / "top_features.csv"
     _write_text(csv_path, "\n".join(lines) + "\n")
-    summary = _summary(
-        "top-features",
-        warnings=skipped,
-        k=k,
-        classes=[c.value for c in config.feature_classes],
-        files={"csv": str(csv_path)},
-    )
-    _write_json(config.output_dir / "top_features_summary.json", summary)
-    return summary
+    return {
+        "warnings": skips.reasons,
+        "k": k,
+        "classes": [c.value for c in config.feature_classes],
+        "files": {"csv": str(csv_path)},
+    }
 
 
 def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
-    skipped: list[str] = []
+    skips = Skips()
     ir_tagged = _tag_all(
-        config, _read_partition(config, PARTITION_FILES[PartitionLabel.IR]), skipped
+        config, _read_partition(config, PARTITION_FILES[PartitionLabel.IR], skips), skips
     )
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
-    model, classes = mdl.load_model(model_path)
-    if classes is None:
-        classes = config.feature_classes
-    unlabeled = _read_partition(config, UNLABELED_FILE)
+    model, classes = _load_model(config, model_path)
+    unlabeled = _read_partition(config, UNLABELED_FILE, skips)
     additions = [
         tagged
-        for _, tagged, prediction in _classify_tweets(config, model, classes, unlabeled, skipped)
+        for _, tagged, prediction in _predictions(config, model, classes, unlabeled, skips)
         if prediction is not None and prediction.label == mdl.IR
     ]
     combined_cloud = ev.bigram_cloud(list(ir_tagged) + additions, k)
-
-    def cloud_doc(cloud: list[tuple[str, int]]) -> list[dict]:
-        return [{"bigram": bigram, "count": count} for bigram, count in cloud]
-
-    path_a = config.output_dir / "cloud_geotagged.json"
-    path_b = config.output_dir / "cloud_combined.json"
-    _write_json(path_a, {"schema_version": SCHEMA_VERSION, "bigrams": cloud_doc(geotagged_cloud)})
-    _write_json(path_b, {"schema_version": SCHEMA_VERSION, "bigrams": cloud_doc(combined_cloud)})
-    summary = _summary(
-        "cloud",
-        warnings=skipped,
-        k=k,
-        geotagged_ir=len(ir_tagged),
-        model_additions=len(additions),
-        files={"geotagged": str(path_a), "combined": str(path_b)},
-    )
-    _write_json(config.output_dir / "cloud_summary.json", summary)
-    return summary
+    files: dict[str, str] = {}
+    for name, cloud in (("geotagged", geotagged_cloud), ("combined", combined_cloud)):
+        path = config.output_dir / f"cloud_{name}.json"
+        bigrams = [{"bigram": bigram, "count": count} for bigram, count in cloud]
+        _write_json(path, {"schema_version": SCHEMA_VERSION, "bigrams": bigrams})
+        files[name] = str(path)
+    return {
+        "warnings": skips.reasons,
+        "k": k,
+        "geotagged_ir": len(ir_tagged),
+        "model_additions": len(additions),
+        "files": files,
+    }
 
 
 def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None) -> dict:
     source = input_path if input_path is not None else config.input
     target = output_path if output_path is not None else config.output_dir / "tagged.jsonl"
-    tweets, skipped, reasons = _read_tweets(source)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    newly_tagged = 0
-    with open(target, "w", encoding="utf-8") as handle:
-        for tweet in tweets:
-            if tweet.ark_tags is None:
-                tags = tuple(fallback_ark_tags(tokenize(tweet.text)))
-                tweet = dataclasses.replace(tweet, ark_tags=tags)
-                newly_tagged += 1
-            handle.write(json.dumps(tweet_to_record(tweet), sort_keys=True) + "\n")
-    summary = _summary(
-        "tag",
-        warnings=reasons,
-        input=str(source),
-        output=str(target),
-        total=len(tweets),
-        newly_tagged=newly_tagged,
-        skipped=skipped,
+    skips = Skips()
+    tweets = _read_tweets(source, skips)
+    filled = (
+        t if t.ark_tags is not None
+        else dataclasses.replace(t, ark_tags=tuple(fallback_ark_tags(tokenize(t.text))))
+        for t in tweets
     )
-    _write_json(config.output_dir / "tag_summary.json", summary)
-    return summary
+    write_jsonl(target, map(tweet_to_record, filled))
+    return {
+        "warnings": skips.reasons,
+        "input": str(source),
+        "output": str(target),
+        "total": len(tweets),
+        "newly_tagged": sum(1 for t in tweets if t.ark_tags is None),
+        "skipped": skips.count,
+    }
 
 
 def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
     source = input_path if input_path is not None else config.input
-    tweets, skipped, reasons = _read_tweets(source)
-    skipped_layers: list[str] = []
-    out_path = config.output_dir / "vectors.jsonl"
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    skips = Skips()
+    tweets = _read_tweets(source, skips)
     coverage = {cls.value: 0 for cls in config.feature_classes}
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for tweet in tweets:
-            tagged = _tag(config, tweet, skipped_layers)
-            if tagged is None:
-                continue
-            if not tagged.words:
-                skipped_layers.append(f"tweet {tweet.id}: no tokens")
-                continue
+
+    def docs() -> Iterator[dict]:
+        for tweet, tagged in _tagged_nonempty(config, tweets, skips):
             absent = missing_classes(tagged, config.feature_classes)
             present = [cls for cls in config.feature_classes if cls not in absent]
             for cls in present:
                 coverage[cls.value] += 1
             vector = vectorize(tagged, present) if present else {}
-            doc = {"id": tweet.id, "features": vector_to_json(vector)}
-            handle.write(json.dumps(doc, sort_keys=True) + "\n")
-    summary = _summary(
-        "vectors",
-        warnings=reasons + skipped_layers,
-        input=str(source),
-        output=str(out_path),
-        total=len(tweets),
-        skipped=skipped + len(skipped_layers),
-        class_coverage=coverage,
-    )
-    _write_json(config.output_dir / "vectors_summary.json", summary)
-    return summary
+            yield {"id": tweet.id, "features": vector_to_json(vector)}
+
+    out_path = config.output_dir / "vectors.jsonl"
+    write_jsonl(out_path, docs())
+    return {
+        "warnings": skips.reasons,
+        "input": str(source),
+        "output": str(out_path),
+        "total": len(tweets),
+        "skipped": skips.count,
+        "class_coverage": coverage,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser. Each subcommand sets run(config, args) to call its
+    cmd_* function, which returns the summary payload."""
     parser = argparse.ArgumentParser(
         prog="crisislang",
         description="Locate crisis-region tweets from their language alone.",
@@ -700,66 +659,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", default=None, help="override the config output dir")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("partition", help="split the corpus into IR/OR/PC-IR/PC-OR/unlabeled")
+    p = sub.add_parser("partition", help="split the corpus into IR/OR/PC-IR/PC-OR/unlabeled")
+    p.set_defaults(run=lambda config, args: cmd_partition(config))
 
     p = sub.add_parser("divergence", help="emit J-S divergence matrices")
     p.add_argument("--mode", choices=["hourly", "regional"], required=True)
+    p.set_defaults(run=lambda config, args: cmd_divergence(config, args.mode))
 
     p = sub.add_parser("train", help="train a classifier on the labeled partitions")
     p.add_argument("--no-balance", action="store_true", help="skip 50/50 balanced sampling")
+    p.set_defaults(
+        run=lambda config, args: cmd_train(config, balance=False if args.no_balance else None)
+    )
 
     p = sub.add_parser("evaluate", help="run the evaluation protocol")
     p.add_argument("--mode", choices=["single", "combos", "imbalance"], required=True)
+    p.set_defaults(run=lambda config, args: cmd_evaluate(config, args.mode))
 
     p = sub.add_parser("classify", help="label non-geotagged tweets with a trained model")
-    p.add_argument("--model", required=True, help="path to a model.json")
-    p.add_argument("--input", default=None, help="JSONL to classify (default: unlabeled partition)")
+    p.add_argument("--model", type=Path, required=True, help="path to a model.json")
+    p.add_argument(
+        "--input", type=Path, default=None, help="JSONL to classify (default: unlabeled partition)"
+    )
+    p.set_defaults(run=lambda config, args: cmd_classify(config, args.model, args.input))
 
     p = sub.add_parser("top-features", help="rank features per class by LR weight")
     p.add_argument("--k", type=int, default=3)
+    p.set_defaults(run=lambda config, args: cmd_top_features(config, args.k))
 
     p = sub.add_parser("cloud", help="bigram clouds before/after adding model-recovered tweets")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", type=Path, required=True)
     p.add_argument("--k", type=int, default=10)
+    p.set_defaults(run=lambda config, args: cmd_cloud(config, args.model, args.k))
 
     p = sub.add_parser("tag", help="fill missing ARK tags with the fallback tagger")
-    p.add_argument("--input", default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument("--input", type=Path, default=None)
+    p.add_argument("--output", type=Path, default=None)
+    p.set_defaults(run=lambda config, args: cmd_tag(config, args.input, args.output))
 
     p = sub.add_parser("vectors", help="emit per-tweet feature vectors as JSON lines")
-    p.add_argument("--input", default=None)
+    p.add_argument("--input", type=Path, default=None)
+    p.set_defaults(run=lambda config, args: cmd_vectors(config, args.input))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; its summary goes to {command}_summary.json in the
+    output dir and to stdout. Returns the exit code."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
-        if args.command == "partition":
-            summary = cmd_partition(config)
-        elif args.command == "divergence":
-            summary = cmd_divergence(config, args.mode)
-        elif args.command == "train":
-            summary = cmd_train(config, balance=False if args.no_balance else None)
-        elif args.command == "evaluate":
-            summary = cmd_evaluate(config, args.mode)
-        elif args.command == "classify":
-            summary = cmd_classify(
-                config, Path(args.model), Path(args.input) if args.input else None
-            )
-        elif args.command == "top-features":
-            summary = cmd_top_features(config, args.k)
-        elif args.command == "cloud":
-            summary = cmd_cloud(config, Path(args.model), args.k)
-        elif args.command == "tag":
-            summary = cmd_tag(
-                config,
-                Path(args.input) if args.input else None,
-                Path(args.output) if args.output else None,
-            )
-        else:
-            summary = cmd_vectors(config, Path(args.input) if args.input else None)
+        summary = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        summary.update(args.run(config, args))
+        stem = args.command.replace("-", "_")
+        _write_json(config.output_dir / f"{stem}_summary.json", summary)
     except (ConfigError, ValueError, OSError, mdl.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -182,6 +182,20 @@ def assign_partition(
 
 
 @dataclass
+class Skips:
+    """Skip ledger: counts every skip and keeps the first MAX_REPORTED_ERRORS
+    reasons, in order."""
+
+    count: int = 0
+    reasons: list[str] = field(default_factory=list)
+
+    def add(self, reason: str) -> None:
+        self.count += 1
+        if len(self.reasons) < MAX_REPORTED_ERRORS:
+            self.reasons.append(reason)
+
+
+@dataclass
 class Corpus:
     """A loaded, partitioned corpus. Immutable by convention after loading."""
 
@@ -189,15 +203,18 @@ class Corpus:
         default_factory=lambda: {label: [] for label in PartitionLabel}
     )
     unlabeled: list[RawTweet] = field(default_factory=list)
-    lines: int = 0
-    skipped: int = 0
     duplicates: int = 0
-    skip_reasons: list[str] = field(default_factory=list)
+    skips: Skips = field(default_factory=Skips)
+
+    @property
+    def lines(self) -> int:
+        """Non-blank input lines: each is partitioned, unlabeled or skipped."""
+        return sum(map(len, self.groups.values())) + len(self.unlabeled) + self.skips.count
 
     def counts(self) -> dict[str, int]:
         summary = {label.value: len(tweets) for label, tweets in self.groups.items()}
         summary["unlabeled"] = len(self.unlabeled)
-        summary["skipped"] = self.skipped
+        summary["skipped"] = self.skips.count
         summary["duplicates"] = self.duplicates
         summary["lines"] = self.lines
         return summary
@@ -211,21 +228,22 @@ class Corpus:
         return n_ir / (n_ir + n_or)
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, RawTweet | RecordError]]:
+def iter_jsonl(path: str | Path, skips: Skips) -> Iterator[tuple[int, RawTweet]]:
     """Parse a JSON Lines file one non-blank line at a time.
 
-    Yields (line number, tweet), or (line number, error) for a record that
-    fails parsing, so each caller decides how to count and report skips.
+    Yields (line number, tweet) for each parsed record; a record that fails
+    parsing goes into skips as "line N: reason".
     """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                record: RawTweet | RecordError = parse_tweet_record(line)
+                tweet = parse_tweet_record(line)
             except RecordError as exc:
-                record = exc
-            yield lineno, record
+                skips.add(f"line {lineno}: {exc}")
+                continue
+            yield lineno, tweet
 
 
 def load_corpus(
@@ -242,24 +260,16 @@ def load_corpus(
     """
     corpus = Corpus()
     seen: set[str] = set()
-    for lineno, tweet in iter_jsonl(path):
-        corpus.lines += 1
-        if isinstance(tweet, RecordError):
-            reason = str(tweet)
-        elif tweet.id in seen:
+    for lineno, tweet in iter_jsonl(path, corpus.skips):
+        if tweet.id in seen:
             corpus.duplicates += 1
-            reason = f"duplicate id {tweet.id}"
-        else:
-            seen.add(tweet.id)
-            if tweet.geo is None:
-                corpus.unlabeled.append(tweet)
-            else:
-                label = assign_partition(tweet, region, crisis, pre_crisis)
-                corpus.groups[label].append(tweet)
+            corpus.skips.add(f"line {lineno}: duplicate id {tweet.id}")
             continue
-        corpus.skipped += 1
-        if len(corpus.skip_reasons) < MAX_REPORTED_ERRORS:
-            corpus.skip_reasons.append(f"line {lineno}: {reason}")
+        seen.add(tweet.id)
+        if tweet.geo is None:
+            corpus.unlabeled.append(tweet)
+        else:
+            corpus.groups[assign_partition(tweet, region, crisis, pre_crisis)].append(tweet)
     return corpus
 
 
@@ -279,11 +289,13 @@ def tweet_to_record(tweet: RawTweet) -> dict:
     return record
 
 
-def write_jsonl(path: str | Path, tweets: Iterable[RawTweet]) -> int:
-    """Write tweets as canonical JSON Lines; returns the record count."""
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """Write JSON objects one per line, keys sorted, creating the parent
+    directory; returns the record count."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     written = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for tweet in tweets:
-            handle.write(json.dumps(tweet_to_record(tweet), sort_keys=True) + "\n")
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
             written += 1
     return written

@@ -82,6 +82,15 @@ class TestConfig:
             ("input", 5, ["partition"]),
             ("primary_region", [1], ["partition"]),
             ("cv", {"repeats": float("inf")}, ["partition"]),
+            ("balance", "false", ["partition"]),
+            ("fallback_tags", "no", ["partition"]),
+            ("cv", {"folds": 2.5}, ["partition"]),
+            ("cv", {"repeats": True}, ["partition"]),
+            ("seed", 1.9, ["partition"]),
+            ("model", {"alpha": True}, ["partition"]),
+            ("divergence", {"day": "2013-04-15", "hours": [True, 3]}, ["partition"]),
+            ("crisis_window", {"start": 5, "end": "2013-04-16T04:00:00Z"}, ["partition"]),
+            ("pre_crisis_window", {"start": "2013-04-09T14:00:00Z", "end": 7}, ["partition"]),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
@@ -243,6 +252,17 @@ class TestDivergence:
         assert [w for w in summary["warnings"] if "chunk_tags" in w] == [
             f"tweet {bad['id']!r}: chunk_tags has 1 tags for {len(tokenize(bad['text']))} tokens"
         ]
+
+    def test_regional_misaligned_record_counts_in_skipped_records(self, workspace):
+        lines = read_lines(workspace["corpus"])
+        bad = json.loads(lines[0])
+        bad["chunk_tags"] = ["O"]
+        workspace["corpus"].write_text(
+            "".join(line + "\n" for line in [json.dumps(bad), *lines[1:]]), encoding="utf-8"
+        )
+        assert run(workspace, "divergence", "--mode", "regional") == 0
+        summary = read_json(workspace["out"] / "divergence_summary.json")
+        assert summary["skipped_records"] == 1
 
     def test_identical_groups_zero_matrix(self, tmp_path):
         # One tweet duplicated at both epicenters: off-diagonal exactly zero.
@@ -443,6 +463,48 @@ class TestTrainClassify:
         summary = read_json(workspace["out"] / "classify_summary.json")
         assert (summary["total"], summary["classified"], summary["skipped"]) == (1, 0, 1)
         assert summary["warnings"] == [warning]
+
+    def test_classify_skip_reasons_are_capped_and_all_counted(self, workspace, tmp_path):
+        from crisislang.features import FeatureClass
+        from crisislang.model import save_model, train_naive_bayes
+
+        model = train_naive_bayes([({"UNIGRAM:a": 1}, "IR"), ({"UNIGRAM:b": 1}, "OR")])
+        model_path = tmp_path / "model.json"
+        save_model(model_path, model, feature_classes=[FeatureClass.UNIGRAM])
+        at = "2013-04-15T20:00:00Z"
+        records = [
+            {"id": f"m{i}", "text": "a b", "created_at": at, "ark_tags": ["N"]} for i in range(25)
+        ]
+        source = tmp_path / "misaligned.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(source)) == 0
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (25, 0, 25)
+        assert summary["warnings"] == [
+            f"tweet 'm{i}': ark_tags has 1 tags for 2 tokens" for i in range(20)
+        ]
+
+    def test_train_reports_unparseable_partition_line(self, workspace):
+        run(workspace, "partition")
+        ir_path = workspace["out"] / "partitions" / "ir.jsonl"
+        n_lines = len(read_lines(ir_path))
+        with open(ir_path, "a", encoding="utf-8") as handle:
+            handle.write("this is not json\n")
+        assert run(workspace, "train") == 0
+        summary = read_json(workspace["out"] / "train_summary.json")
+        assert summary["warnings"] == [f"line {n_lines + 1}: malformed JSON: Expecting value"]
+        assert summary["class_counts"]["IR"] == n_lines
+
+    @pytest.mark.parametrize("command", ["classify", "cloud"])
+    def test_model_without_feature_classes_logs_fallback(self, workspace, caplog, command):
+        from crisislang.model import save_model, train_naive_bayes
+
+        run(workspace, "partition")
+        model = train_naive_bayes([({"UNIGRAM:qz1": 1}, "IR"), ({"UNIGRAM:qz2": 1}, "OR")])
+        model_path = workspace["root"] / "bare_model.json"
+        save_model(model_path, model)
+        assert run(workspace, command, "--model", str(model_path)) == 0
+        assert "model file lacks feature_classes" in caplog.text
 
     def test_train_misaligned_record_is_counted_skip(self, workspace):
         run(workspace, "partition")
@@ -762,6 +824,32 @@ class TestTagAndVectors:
         summary = read_json(workspace["out"] / "vectors_summary.json")
         assert summary["skipped"] == 0
         assert summary["class_coverage"] == {"PTB_POS": 1, "SHALLOW_PARSE": 0}
+
+SUMMARY_COMMANDS = [
+    ["partition"],
+    ["divergence", "--mode", "regional"],
+    ["train"],
+    ["evaluate", "--mode", "single"],
+    ["classify", "--model", "MODEL"],
+    ["top-features", "--k", "2"],
+    ["cloud", "--model", "MODEL", "--k", "3"],
+    ["tag"],
+    ["vectors"],
+]
+
+
+@pytest.mark.parametrize("command", SUMMARY_COMMANDS, ids=[c[0] for c in SUMMARY_COMMANDS])
+def test_summary_file_equals_printed_summary(workspace, capsys, command):
+    run(workspace, "partition")
+    run(workspace, "train")
+    capsys.readouterr()
+    model = str(workspace["out"] / "model.json")
+    assert run(workspace, *[model if arg == "MODEL" else arg for arg in command]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    name = command[0].replace("-", "_")
+    assert read_json(workspace["out"] / f"{name}_summary.json") == printed
+    assert printed["schema_version"] == 1 and printed["command"] == command[0]
+
 
 class TestEndToEndDeterminism:
     def _run_pipeline(self, config, out):

@@ -9,12 +9,14 @@ from crisislang.ingest import (
     PartitionLabel,
     RecordError,
     Region,
+    Skips,
     TimeWindow,
     assign_partition,
     haversine_km,
     iter_jsonl,
     load_corpus,
     parse_tweet_record,
+    tweet_to_record,
     write_jsonl,
 )
 from oracles import spherical_law_km
@@ -202,7 +204,7 @@ class TestLoadCorpus:
         self._write(path, [record, record, record])
         corpus = load_corpus(path, BOSTON_REGION, CRISIS)
         assert corpus.duplicates == 2
-        assert corpus.skipped == 2
+        assert corpus.skips.count == 2
         assert len(corpus.unlabeled) == 1
 
     def test_malformed_records_skipped_not_fatal(self, tmp_path):
@@ -214,8 +216,8 @@ class TestLoadCorpus:
         path = tmp_path / "dirty.jsonl"
         self._write(path, lines)
         corpus = load_corpus(path, BOSTON_REGION, CRISIS)
-        assert corpus.skipped == 2
-        assert len(corpus.skip_reasons) == 2
+        assert corpus.skips.count == 2
+        assert len(corpus.skips.reasons) == 2
         assert corpus.lines == 3
 
     def test_counts_sum_to_line_count(self, tmp_path):
@@ -258,10 +260,10 @@ class TestLoadCorpus:
         ]
         src = tmp_path / "src.jsonl"
         self._write(src, lines)
-        tweets = [tweet for _, tweet in iter_jsonl(src)]
+        tweets = [tweet for _, tweet in iter_jsonl(src, Skips())]
         dst = tmp_path / "dst.jsonl"
-        write_jsonl(dst, tweets)
-        assert [tweet for _, tweet in iter_jsonl(dst)] == tweets
+        write_jsonl(dst, map(tweet_to_record, tweets))
+        assert [tweet for _, tweet in iter_jsonl(dst, Skips())] == tweets
 
 
 class TestTypeInvariants:

@@ -17,14 +17,13 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from crisislang import divergence as div
 from crisislang import evaluation as ev
 from crisislang import model as mdl
 from crisislang.features import (
     FeatureClass,
-    MissingLayerError,
     missing_classes,
     split_feature,
     vector_to_json,
@@ -34,7 +33,6 @@ from crisislang.ingest import (
     GeoPoint,
     PartitionLabel,
     RawTweet,
-    RecordError,
     Region,
     Skips,
     TimeWindow,
@@ -108,10 +106,15 @@ def _parse_window(raw: dict, name: str) -> TimeWindow:
 
 
 def _parse_region(raw: dict, name: str) -> Region:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"regions.{name} must be an object, got {raw!r}")
+    lat, lon, radius_km = (
+        _typed(float, raw.get(key), f"regions.{name}.{key}") for key in ("lat", "lon", "radius_km")
+    )
     try:
-        return Region(GeoPoint(float(raw["lat"]), float(raw["lon"])), float(raw["radius_km"]))
-    except (KeyError, TypeError, ValueError, RecordError) as exc:
-        raise ConfigError(f"region {name!r} is invalid: {exc}") from None
+        return Region(GeoPoint(lat, lon), radius_km)
+    except ValueError as exc:
+        raise ConfigError(f"regions.{name}: {exc}") from None
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -217,6 +220,10 @@ def load_config(
     if div_window not in ("crisis", "pre_crisis"):
         raise ConfigError(f"divergence window must be crisis or pre_crisis, got {div_window!r}")
 
+    offset = _typed(int, doc.get("timezone_offset_minutes", 0), "timezone_offset_minutes")
+    if not -1440 <= offset <= 1440:
+        raise ConfigError(f"timezone_offset_minutes must be within ±1440, got {offset}")
+
     cv_doc = _section(doc, "cv")
     cv_repeats = _typed(int, cv_doc.get("repeats", 3), "cv.repeats")
     cv_folds = _typed(int, cv_doc.get("folds", 5), "cv.folds")
@@ -233,9 +240,7 @@ def load_config(
         primary_region=primary,
         crisis_window=crisis,
         pre_crisis_window=pre,
-        timezone_offset_minutes=_typed(
-            int, doc.get("timezone_offset_minutes", 0), "timezone_offset_minutes"
-        ),
+        timezone_offset_minutes=offset,
         feature_classes=classes,
         model_kind=kind,
         alpha=_typed(float, model_doc.get("alpha", 1.0), "model.alpha"),
@@ -250,7 +255,11 @@ def load_config(
         divergence_hours=div_hours,
         divergence_window=div_window,
     )
-    if config.input.resolve() == config.output_dir.resolve():
+    try:
+        same = config.input.resolve() == config.output_dir.resolve()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"input or output_dir: {exc}") from None
+    if same:
         raise ConfigError("input path and output_dir must be distinct")
     return config
 
@@ -279,34 +288,34 @@ def _read_tweets(path: Path, skips: Skips) -> list[RawTweet]:
     return [tweet for _, tweet in iter_jsonl(path, skips)]
 
 
-def _tag(config: RunConfig, tweet: RawTweet, skips: Skips) -> TaggedTweet | None:
-    """The tagged tweet, or None with the reason in skips when its tag layers
-    are misaligned."""
-    try:
-        return tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
-    except AlignmentError as exc:
-        skips.add(str(exc))
-        return None
-
-
-def _tag_all(config: RunConfig, tweets: Sequence[RawTweet], skips: Skips) -> list[TaggedTweet]:
-    tagged = (_tag(config, t, skips) for t in tweets)
-    return [t for t in tagged if t is not None]
-
-
-def _tagged_nonempty(
-    config: RunConfig, tweets: Sequence[RawTweet], skips: Skips
+def _tagged(
+    config: RunConfig,
+    tweets: Iterable[RawTweet],
+    skips: Skips,
+    classes: Sequence[FeatureClass],
 ) -> Iterator[tuple[RawTweet, TaggedTweet]]:
     """Each tweet with its tags, lazily. A tweet whose tag layers are
-    misaligned, or that has no tokens, goes into skips instead."""
+    misaligned, that has no tokens, or that lacks a layer one of classes
+    needs goes into skips instead. Raises ConfigError at the end when some
+    tweets lacked layers and none was usable."""
+    lacking = usable = False
     for tweet in tweets:
-        tagged = _tag(config, tweet, skips)
-        if tagged is None:
+        try:
+            tagged = tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
+        except AlignmentError as exc:
+            skips.add(str(exc))
             continue
         if not tagged.words:
             skips.add(f"tweet {tweet.id}: no tokens")
-            continue
-        yield tweet, tagged
+        elif absent := missing_classes(tagged, classes):
+            lacking = True
+            skips.add(f"tweet {tweet.id}: missing layers for {','.join(c.value for c in absent)}")
+        else:
+            usable = True
+            yield tweet, tagged
+    if lacking and not usable:
+        names = ", ".join(c.value for c in classes)
+        raise ConfigError(f"no input tweet carries the tag layers the model needs ({names})")
 
 
 def _partition_path(config: RunConfig, filename: str) -> Path:
@@ -320,19 +329,18 @@ def _read_partition(config: RunConfig, filename: str, skips: Skips) -> list[RawT
     return _read_tweets(_partition_path(config, filename), skips)
 
 
-def _tagged_pools(
-    config: RunConfig, skips: Skips
-) -> tuple[list[TaggedTweet], list[TaggedTweet]]:
-    """The tagged IR and OR partitions."""
-    ir, or_pool = (
-        _tag_all(config, _read_partition(config, PARTITION_FILES[label], skips), skips)
-        for label in (PartitionLabel.IR, PartitionLabel.OR)
-    )
-    return ir, or_pool
+def _tagged_partition(
+    config: RunConfig, label: PartitionLabel, skips: Skips, classes: Sequence[FeatureClass]
+) -> list[TaggedTweet]:
+    tweets = _read_partition(config, PARTITION_FILES[label], skips)
+    return [tagged for _, tagged in _tagged(config, tweets, skips, classes)]
 
 
-def _labeled_data(config: RunConfig, balance: bool, skips: Skips) -> list[ev.LabeledTweet]:
-    ir, or_pool = _tagged_pools(config, skips)
+def _labeled_data(
+    config: RunConfig, balance: bool, skips: Skips, classes: Sequence[FeatureClass]
+) -> list[ev.LabeledTweet]:
+    ir = _tagged_partition(config, PartitionLabel.IR, skips, classes)
+    or_pool = _tagged_partition(config, PartitionLabel.OR, skips, classes)
     if not ir:
         raise ConfigError("IR partition is empty; cannot build a labeled set")
     if balance:
@@ -350,27 +358,6 @@ def _load_model(
         logger.warning("model file lacks feature_classes; falling back to config")
         classes = config.feature_classes
     return model, classes
-
-
-def _predictions(
-    config: RunConfig,
-    model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel,
-    classes: list[FeatureClass],
-    tweets: Sequence[RawTweet],
-    skips: Skips,
-) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction | None]]:
-    """Vectorize and label each tokened tweet, lazily, so callers keep only
-    what they need. A tweet that lacks a layer the model needs goes into
-    skips and is yielded with no prediction."""
-    for tweet, tagged in _tagged_nonempty(config, tweets, skips):
-        try:
-            vector = vectorize(tagged, classes)
-        except MissingLayerError as exc:
-            names = ",".join(c.value for c in exc.classes)
-            skips.add(f"tweet {tweet.id}: missing layers for {names}")
-            yield tweet, tagged, None
-            continue
-        yield tweet, tagged, mdl.predict(model, vector)
 
 
 def cmd_partition(config: RunConfig) -> dict:
@@ -422,7 +409,7 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
                 and window.contains(t.created_at)
                 and region.contains(t.geo)
             ]
-            groups[name] = _tag_all(config, members, skips)
+            groups[name] = [t for _, t in _tagged(config, members, skips, ())]
         matrix, warnings = div.regional_divergence_matrix(groups)
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
@@ -438,7 +425,7 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
 def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
     do_balance = config.balance if balance is None else balance
     skips = Skips()
-    data = _labeled_data(config, do_balance, skips)
+    data = _labeled_data(config, do_balance, skips, config.feature_classes)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     if config.model_kind == "nb":
         model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel = mdl.train_naive_bayes(
@@ -467,7 +454,7 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
 def cmd_evaluate(config: RunConfig, mode: str) -> dict:
     skips = Skips()
     if mode == "single":
-        data = _labeled_data(config, True, skips)
+        data = _labeled_data(config, True, skips, config.feature_classes)
         report = ev.cross_validate(
             data,
             config.feature_classes,
@@ -479,7 +466,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
         files = _write_tables(config, "cv_report", report)
         payload: dict = {"readings": len(report.readings), "mean_f1": report.mean.f1}
     elif mode == "combos":
-        data = _labeled_data(config, True, skips)
+        data = _labeled_data(config, True, skips, ())
         combo = ev.enumerate_combinations(
             data,
             seed=config.seed,
@@ -493,11 +480,11 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
             "excluded_classes": [c.value for c in combo.excluded_classes],
         }
     elif mode == "imbalance":
-        ir, or_pool = _tagged_pools(config, skips)
+        classes = config.feature_classes
         sweep = ev.imbalance_sweep(
-            ir,
-            or_pool,
-            config.feature_classes,
+            _tagged_partition(config, PartitionLabel.IR, skips, classes),
+            _tagged_partition(config, PartitionLabel.OR, skips, classes),
+            classes,
             ratios=config.imbalance_ratios,
             seed=config.seed,
             alpha=config.alpha,
@@ -514,19 +501,10 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
     source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
     skips = Skips()
     tweets = _read_tweets(source, skips)
-    results: list[tuple[RawTweet, mdl.Prediction]] = []
-    lacking_layers = False
-    for tweet, _, prediction in _predictions(config, model, classes, tweets, skips):
-        if prediction is None:
-            lacking_layers = True
-        else:
-            results.append((tweet, prediction))
-    if lacking_layers and not results:
-        names = ", ".join(c.value for c in classes)
-        raise ConfigError(
-            f"no input tweet carries the tag layers the model needs ({names})"
-        )
-
+    results = [
+        (tweet, mdl.predict(model, vectorize(tagged, classes)))
+        for tweet, tagged in _tagged(config, tweets, skips, classes)
+    ]
     out_path = config.output_dir / "classified.jsonl"
     write_jsonl(
         out_path,
@@ -548,7 +526,7 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
     skips = Skips()
-    data = _labeled_data(config, config.balance, skips)
+    data = _labeled_data(config, config.balance, skips, config.feature_classes)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     model = mdl.train_logreg(vectors, config.logreg)
     lines = ["class,rank,feature,weight"]
@@ -571,19 +549,17 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
     skips = Skips()
-    ir_tagged = _tag_all(
-        config, _read_partition(config, PARTITION_FILES[PartitionLabel.IR], skips), skips
-    )
+    ir_tagged = _tagged_partition(config, PartitionLabel.IR, skips, ())
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
     model, classes = _load_model(config, model_path)
     unlabeled = _read_partition(config, UNLABELED_FILE, skips)
     additions = [
         tagged
-        for _, tagged, prediction in _predictions(config, model, classes, unlabeled, skips)
-        if prediction is not None and prediction.label == mdl.IR
+        for _, tagged in _tagged(config, unlabeled, skips, classes)
+        if mdl.predict(model, vectorize(tagged, classes)).label == mdl.IR
     ]
-    combined_cloud = ev.bigram_cloud(list(ir_tagged) + additions, k)
+    combined_cloud = ev.bigram_cloud(ir_tagged + additions, k)
     files: dict[str, str] = {}
     for name, cloud in (("geotagged", geotagged_cloud), ("combined", combined_cloud)):
         path = config.output_dir / f"cloud_{name}.json"
@@ -627,7 +603,7 @@ def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
     coverage = {cls.value: 0 for cls in config.feature_classes}
 
     def docs() -> Iterator[dict]:
-        for tweet, tagged in _tagged_nonempty(config, tweets, skips):
+        for tweet, tagged in _tagged(config, tweets, skips, ()):
             absent = missing_classes(tagged, config.feature_classes)
             present = [cls for cls in config.feature_classes if cls not in absent]
             for cls in present:

@@ -10,7 +10,7 @@ a region on one local day, and group-by-group across named regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
 
@@ -26,11 +26,7 @@ class DivergenceMatrix:
     normalized_values: list[list[float]]
 
     def to_dict(self) -> dict:
-        return {
-            "labels": self.labels,
-            "values": self.values,
-            "normalized_values": self.normalized_values,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         lines = ["," + ",".join(self.labels)]
@@ -116,7 +112,10 @@ def hourly_divergence_matrix(
     for tweet in tweets:
         if tweet.geo is None or not region.contains(tweet.geo):
             continue
-        local = tweet.created_at + offset
+        try:
+            local = tweet.created_at + offset
+        except OverflowError:  # past an end of the calendar, so not on the day
+            continue
         if local.date() != day or local.hour not in buckets:
             continue
         buckets[local.hour].append(_tokens_only(tweet))

@@ -14,7 +14,7 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from crisislang.features import (
@@ -45,13 +45,8 @@ class Metrics:
     degenerate_flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "degenerate_flags": list(self.degenerate_flags),
-        }
+        # The flags as a list, so the dict equals the JSON read back.
+        return dict(asdict(self), degenerate_flags=list(self.degenerate_flags))
 
 
 def compute_metrics(predicted: Sequence[str], truth: Sequence[str]) -> Metrics:
@@ -156,13 +151,7 @@ class CvReport:
     folds: int
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "folds": self.folds,
-            "readings": [m.to_dict() for m in self.readings],
-            "mean": self.mean.to_dict(),
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         lines = ["reading,accuracy,precision,recall,f1,degenerate_flags"]
@@ -345,12 +334,7 @@ class ImbalanceSweep:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ratios": self.ratios,
-            "auc_per_ratio": self.auc_per_ratio,
-            "summary_auc": self.summary_auc,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         lines = ["ratio,auc"]

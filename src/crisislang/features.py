@@ -102,7 +102,9 @@ def split_feature(fid: FeatureId) -> tuple[FeatureClass, str]:
 
 
 def _has_layer(tweet: TaggedTweet, layer: str | None) -> bool:
-    return layer is None or (bool(tweet.words) and getattr(tweet, layer) is not None)
+    """Whether the tweet carries the layer (None: the tokens alone). This
+    is the one rule; a tokenless tweet carries each layer it was given."""
+    return layer is None or getattr(tweet, layer) is not None
 
 
 def missing_classes(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> list[FeatureClass]:
@@ -150,7 +152,7 @@ def extract_shallow_parse(tweet: TaggedTweet) -> FeatureVector:
     The n-grams run over the sequence of maximal chunks; the headword is
     approximated as the last token of the chunk.
     """
-    if not tweet.has_chunk:
+    if not _has_layer(tweet, "chunk"):
         raise MissingLayerError(tweet.tweet_id, [FeatureClass.SHALLOW_PARSE])
     spans = chunk_spans(tweet)
     labels = [label for label, _, _ in spans]
@@ -191,7 +193,7 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
     pattern by pattern, in ARK_CRISIS_PATTERNS order, so ids are inserted in
     the order one scan per pattern would insert them.
     """
-    if not tweet.has_ark:
+    if not _has_layer(tweet, "ark"):
         raise MissingLayerError(tweet.tweet_id, [FeatureClass.CRISIS_SENSITIVE])
     words, tags = tweet.words, tweet.ark
     n_tokens = len(words)
@@ -213,7 +215,7 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
             fid = wt_prefix + (word_tags[i] if width == 1 else " ".join(word_tags[i : i + width]))
             counts[fid] = counts.get(fid, 0) + 1
 
-    spans = chunk_spans(tweet) if tweet.has_chunk else None
+    spans = chunk_spans(tweet) if _has_layer(tweet, "chunk") else None
     for i, word in enumerate(words):
         if word != "in" or tags[i] != "P":
             continue
@@ -226,7 +228,7 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
             fid = f"{_CRISIS_PREFIX}PP:in:{words[j]}"
             counts[fid] = counts.get(fid, 0) + 1
 
-    if tweet.has_ptb:
+    if _has_layer(tweet, "ptb"):
         ptb = tweet.ptb
         for i, tag in enumerate(ptb):
             if tag != "EX":
@@ -269,7 +271,8 @@ def vectorize(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> FeatureVec
     """Disjoint union of the requested per-class vectors.
 
     Raises MissingLayerError when a class needs a tag layer the tweet lacks;
-    callers that want only the present classes ask missing_classes first.
+    callers that want only the present classes ask missing_classes first. A
+    tokenless tweet vectorizes to {} in every class whose layer it carries.
     """
     classes = list(classes)
     if not classes:

@@ -47,7 +47,7 @@ class Region:
     radius_km: float
 
     def __post_init__(self) -> None:
-        if self.radius_km <= 0:
+        if not self.radius_km > 0:  # NaN too
             raise ValueError(f"radius_km must be positive, got {self.radius_km}")
 
     def contains(self, point: GeoPoint) -> bool:
@@ -105,7 +105,10 @@ def parse_timestamp(value: str) -> datetime:
         raise RecordError(f"unparseable timestamp: {value!r}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise RecordError(f"timestamp out of range in UTC: {value!r}") from None
 
 
 def _parse_tag_layer(obj: dict, name: str) -> tuple[str, ...] | None:
@@ -125,15 +128,15 @@ def parse_tweet_record(line: str) -> RawTweet:
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"malformed JSON: {exc.msg}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise RecordError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object")
     for name in ("id", "text", "created_at"):
         if name not in obj or obj[name] is None:
             raise RecordError(f"missing required field: {name}")
     tweet_id = obj["id"]
-    if isinstance(tweet_id, int):
+    if type(tweet_id) is int:  # not a bool
         tweet_id = str(tweet_id)
     if not isinstance(tweet_id, str) or not tweet_id:
         raise RecordError("id must be a non-empty string")
@@ -148,9 +151,12 @@ def parse_tweet_record(line: str) -> RawTweet:
         if not isinstance(raw_geo, dict) or "lat" not in raw_geo or "lon" not in raw_geo:
             raise RecordError("geo must be an object with lat and lon")
         lat, lon = raw_geo["lat"], raw_geo["lon"]
-        if not isinstance(lat, (int, float)) or not isinstance(lon, (int, float)):
+        if type(lat) not in (int, float) or type(lon) not in (int, float):
             raise RecordError("geo lat/lon must be numbers")
-        geo = GeoPoint(float(lat), float(lon))
+        try:
+            geo = GeoPoint(float(lat), float(lon))
+        except OverflowError:
+            raise RecordError("geo lat/lon out of range") from None
 
     layers = {name: _parse_tag_layer(obj, name) for name in TAG_LAYER_FIELDS}
     return RawTweet(id=tweet_id, text=text, created_at=created_at, geo=geo, **layers)

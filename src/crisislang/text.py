@@ -109,18 +109,6 @@ class TaggedTweet:
     ptb: tuple[str, ...] | None = None
     chunk: tuple[str, ...] | None = None
 
-    @property
-    def has_ark(self) -> bool:
-        return bool(self.words) and self.ark is not None
-
-    @property
-    def has_ptb(self) -> bool:
-        return bool(self.words) and self.ptb is not None
-
-    @property
-    def has_chunk(self) -> bool:
-        return bool(self.words) and self.chunk is not None
-
 
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")

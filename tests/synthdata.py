@@ -7,6 +7,8 @@ import json
 import random
 from datetime import datetime, timedelta, timezone
 
+from hypothesis import strategies as st
+
 from crisislang.model import IR, OR
 from crisislang.text import TaggedTweet, attach_tags, tokenize
 
@@ -20,6 +22,16 @@ CRISIS_START = datetime(2013, 4, 15, 18, 48, tzinfo=timezone.utc)
 CRISIS_END = datetime(2013, 4, 16, 4, 0, tzinfo=timezone.utc)
 PRE_START = datetime(2013, 4, 9, 14, 0, tzinfo=timezone.utc)
 PRE_END = datetime(2013, 4, 9, 18, 48, tzinfo=timezone.utc)
+
+
+# Any JSON value, nested a little: what a field of an outside record or
+# config file may hold.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=8,
+)
 
 
 def tweet_from_text(tweet_id: str, text: str) -> TaggedTweet:

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crisislang.cli import ConfigError, load_config, main
 from crisislang.text import tokenize
-from synthdata import pipeline_corpus_lines, write_config
+from synthdata import JSON_VALUES, pipeline_corpus_lines, write_config
 
 
 @pytest.fixture()
@@ -91,6 +94,15 @@ class TestConfig:
             ("divergence", {"day": "2013-04-15", "hours": [True, 3]}, ["partition"]),
             ("crisis_window", {"start": 5, "end": "2013-04-16T04:00:00Z"}, ["partition"]),
             ("pre_crisis_window", {"start": "2013-04-09T14:00:00Z", "end": 7}, ["partition"]),
+            (
+                "crisis_window",
+                {"start": "0001-01-01T00:00:00+05:00", "end": "2013-04-16T04:00:00Z"},
+                ["partition"],
+            ),
+            ("regions", {"boston": {"lat": True, "lon": -71.08, "radius_km": 19.0}}, ["partition"]),
+            ("regions", {"boston": {"lat": 42.35, "lon": -71.08, "radius_km": "19"}}, ["partition"]),
+            ("regions", {"boston": {"lat": 10**400, "lon": -71.08, "radius_km": 19.0}}, ["partition"]),
+            ("timezone_offset_minutes", 10**12, ["divergence", "--mode", "hourly"]),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
@@ -142,6 +154,43 @@ class TestConfig:
         assert run(workspace, "partition") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
+
+
+CONFIG_FIELDS = [
+    "input", "output_dir", "seed", "timezone_offset_minutes", "primary_region", "regions",
+    "regions.boston", "regions.boston.lat", "regions.boston.radius_km", "crisis_window",
+    "crisis_window.start", "pre_crisis_window", "pre_crisis_window.end", "feature_classes",
+    "model", "model.kind", "model.alpha", "cv", "cv.repeats", "cv.folds", "balance",
+    "fallback_tags", "imbalance_ratios", "logreg", "logreg.learning_rate", "logreg.max_epochs",
+    "divergence", "divergence.day", "divergence.hours", "divergence.window",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+@example(field="crisis_window.start", value="0001-01-01T00:00:00+05:00")
+@example(field="regions.boston", value={"lat": True, "lon": -71.08, "radius_km": "19"})
+@example(field="regions.boston.lat", value=10**400)
+@example(field="timezone_offset_minutes", value=10**12)
+@example(field="input", value="corpus\x00.jsonl")
+@example(field="regions.boston.radius_km", value=float("nan"))
+def test_any_json_value_in_any_config_field_loads_or_is_config_error(field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        write_config(path, "corpus.jsonl", "out")
+        doc = read_json(path)
+        *parents, key = field.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            config = load_config(path)
+        except ConfigError:
+            return
+    assert -1440 <= config.timezone_offset_minutes <= 1440
+    assert config.region.radius_km > 0
 
 
 class TestPartitionFirst:
@@ -204,6 +253,27 @@ class TestPartition:
         assert summary["counts"]["OR"] == 1
         assert summary["counts"]["unlabeled"] == 1
         assert summary["counts"]["PC_IR"] == 0
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"created_at": "9999-12-31T23:59:59-05:00"}, "timestamp out of range"),
+            ({"geo": {"lat": 10**400, "lon": -71.08}}, "geo lat/lon out of range"),
+            ({"geo": {"lat": True, "lon": False}}, "geo lat/lon must be numbers"),
+            ({"id": True}, "id must be a non-empty string"),
+        ],
+        ids=["late-timestamp", "huge-lat", "boolean-geo", "boolean-id"],
+    )
+    def test_out_of_range_record_is_one_warning(self, workspace, fields, reason):
+        doc = {"id": "late", "text": "qz1 w1", "created_at": "2013-04-15T20:00:00Z", **fields}
+        n_lines = len(read_lines(workspace["corpus"]))
+        with open(workspace["corpus"], "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc) + "\n")
+        assert run(workspace, "partition") == 0
+        summary = read_json(workspace["out"] / "partition_summary.json")
+        assert summary["counts"]["skipped"] == 1
+        assert len(summary["warnings"]) == 1
+        assert summary["warnings"][0].startswith(f"line {n_lines + 1}: {reason}")
 
     def test_empty_input(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
@@ -740,6 +810,93 @@ class TestCloud:
         summary = read_json(workspace["out"] / "cloud_summary.json")
         assert summary["warnings"] == ["tweet blank1: no tokens"]
         assert summary["model_additions"] == 30
+
+
+GATED_STAGES = {
+    "train": ["train"],
+    "single": ["evaluate", "--mode", "single"],
+    "combos": ["evaluate", "--mode", "combos"],
+    "imbalance": ["evaluate", "--mode", "imbalance"],
+    "top-features": ["top-features", "--k", "2"],
+    "cloud": ["cloud", "--model", "MODEL", "--k", "3"],
+}
+# The stages that need the configured classes' layers.
+CONFIGURED_CLASS_STAGES = ["train", "single", "imbalance", "top-features"]
+
+
+def _set_classes(workspace, classes):
+    doc = read_json(workspace["config"])
+    doc["feature_classes"] = classes
+    workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _run_stage(workspace, stage):
+    model = str(workspace["out"] / "model.json")
+    return run(workspace, *[model if arg == "MODEL" else arg for arg in GATED_STAGES[stage]])
+
+
+def _stage_summary(workspace, stage):
+    name = GATED_STAGES[stage][0].replace("-", "_")
+    return read_json(workspace["out"] / f"{name}_summary.json")
+
+
+def _rewrite_partition(workspace, filename, edit):
+    path = workspace["out"] / "partitions" / filename
+    docs = [edit(i, json.loads(line)) for i, line in enumerate(read_lines(path))]
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+
+
+class TestTaggingGate:
+    """Every stage sends its tweets through one gate: a misaligned, tokenless
+    or layer-lacking tweet is a counted skip, and a stage fails only when no
+    tweet carries the layers it needs."""
+
+    @pytest.mark.parametrize("stage", GATED_STAGES)
+    def test_tokenless_partition_tweet_is_counted_skip(self, workspace, stage):
+        _set_classes(workspace, ["UNIGRAM", "BIGRAM", "CRISIS_SENSITIVE"])
+        blank = {"id": "blank", "text": " \t ", "created_at": "2013-04-15T20:00:00Z",
+                 "geo": {"lat": 42.35, "lon": -71.08}}
+        with open(workspace["corpus"], "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(blank) + "\n")
+        assert run(workspace, "partition") == 0
+        assert read_json(workspace["out"] / "partition_summary.json")["counts"]["IR"] == 81
+        if stage != "train":
+            assert run(workspace, "train") == 0
+        assert _run_stage(workspace, stage) == 0
+        assert "tweet blank: no tokens" in _stage_summary(workspace, stage)["warnings"]
+        if stage == "combos":
+            excluded = read_json(workspace["out"] / "combinations.json")["excluded_classes"]
+            assert set(excluded) == {"PTB_POS", "SHALLOW_PARSE"}
+
+    @pytest.mark.parametrize("stage", CONFIGURED_CLASS_STAGES)
+    def test_partition_tweet_lacking_configured_layer_is_counted_skip(self, workspace, stage):
+        _set_classes(workspace, ["UNIGRAM", "PTB_POS"])
+        assert run(workspace, "partition") == 0
+
+        def add_ptb(i, doc):
+            return {**doc, "ptb_tags": ["NN"] * len(tokenize(doc["text"]))}
+
+        _rewrite_partition(workspace, "or.jsonl", add_ptb)
+        _rewrite_partition(workspace, "ir.jsonl", lambda i, doc: doc if i == 0 else add_ptb(i, doc))
+        first_id = json.loads(read_lines(workspace["out"] / "partitions" / "ir.jsonl")[0])["id"]
+        assert _run_stage(workspace, stage) == 0
+        summary = _stage_summary(workspace, stage)
+        assert summary["warnings"] == [f"tweet {first_id}: missing layers for PTB_POS"]
+        if stage == "train":
+            assert summary["class_counts"] == {"IR": 79, "OR": 79}
+
+    @pytest.mark.parametrize("stage", CONFIGURED_CLASS_STAGES)
+    def test_no_partition_tweet_carrying_configured_layer_is_one_error_line(
+        self, workspace, capsys, stage
+    ):
+        _set_classes(workspace, ["UNIGRAM", "PTB_POS"])
+        assert run(workspace, "partition") == 0
+        capsys.readouterr()
+        assert _run_stage(workspace, stage) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: no input tweet carries the tag layers the model needs (UNIGRAM, PTB_POS)"
+        ]
 
 
 class TestTagAndVectors:

@@ -178,6 +178,16 @@ class TestHourlyMatrix:
         # Only the in-region, on-day tweet contributes.
         assert matrix.labels == ["10:00"]
 
+    def test_local_time_past_the_calendar_is_off_the_day(self):
+        tweets = [
+            _geo_tweet("1", "inside", self._utc(14)),
+            _geo_tweet("2", "too early", datetime(1, 1, 1, 1, 0, tzinfo=timezone.utc)),
+        ]
+        matrix, _ = hourly_divergence_matrix(
+            tweets, BOSTON_REGION, date(2013, 4, 15), [10], timezone_offset_minutes=-240
+        )
+        assert matrix.labels == ["10:00"]
+
     def test_empty_hour_range_rejected(self):
         with pytest.raises(ValueError):
             hourly_divergence_matrix([], BOSTON_REGION, date(2013, 4, 15), [])

@@ -82,6 +82,11 @@ class TestComputeMetrics:
         assert m.recall == 0.0
         assert "recall" in m.degenerate_flags
 
+    def test_to_dict_equals_its_json_read_back(self):
+        metrics = compute_metrics([OR, OR], [OR, OR])
+        assert metrics.degenerate_flags
+        assert json.loads(json.dumps(metrics.to_dict())) == metrics.to_dict()
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_metrics([IR], [IR, OR])

@@ -257,6 +257,13 @@ class TestVectorize:
         ptb_key = "PTB_POS:N"
         assert v[ark_key] == 1 and v[ptb_key] == 1
 
+    def test_tokenless_tweet_with_every_layer_vectorizes_to_empty(self):
+        tweet = tweet_of([], ark=[], ptb=[], chunks=[])
+        assert missing_classes(tweet, list(FeatureClass)) == []
+        for cls in FeatureClass:
+            assert vectorize(tweet, [cls]) == {}
+        assert vectorize(tweet, list(FeatureClass)) == {}
+
     def test_missing_classes_helper(self):
         tweet = tweet_of(["a"], ark=["N"])
         assert missing_classes(tweet, list(FeatureClass)) == [

@@ -3,6 +3,8 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crisislang.ingest import (
     GeoPoint,
@@ -20,6 +22,7 @@ from crisislang.ingest import (
     write_jsonl,
 )
 from oracles import spherical_law_km
+from synthdata import JSON_VALUES
 
 BOSTON = GeoPoint(42.35, -71.08)
 NYC = GeoPoint(40.75, -73.99)
@@ -32,6 +35,16 @@ PRE_CRISIS = TimeWindow(
     datetime(2013, 4, 9, 14, 0, tzinfo=timezone.utc),
     datetime(2013, 4, 9, 18, 48, tzinfo=timezone.utc),
 )
+
+VALID_RECORD = {
+    "id": "1",
+    "text": "in boston",
+    "created_at": "2013-04-15T19:30:00Z",
+    "geo": {"lat": 42.35, "lon": -71.08},
+    "ark_tags": ["P", "^"],
+    "ptb_tags": ["IN", "NNP"],
+    "chunk_tags": ["B-PP", "B-NP"],
+}
 
 
 class TestParseTweetRecord:
@@ -92,6 +105,51 @@ class TestParseTweetRecord:
             '{"id":"1","text":"x","created_at":"2013-04-15T15:30:00-04:00"}'
         )
         assert tweet.created_at == datetime(2013, 4, 15, 19, 30, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("created_at", "9999-12-31T23:59:59-05:00", "timestamp out of range"),
+            ("created_at", "0001-01-01T00:00:00+05:00", "timestamp out of range"),
+            ("geo", {"lat": 10**400, "lon": 0}, "geo lat/lon out of range"),
+            ("geo", {"lat": True, "lon": False}, "geo lat/lon must be numbers"),
+            ("id", True, "id must be"),
+        ],
+        ids=["late-timestamp", "early-timestamp", "huge-lat", "boolean-geo", "boolean-id"],
+    )
+    def test_out_of_range_or_boolean_value_is_record_error(self, field, value, message):
+        doc = dict(VALID_RECORD, **{field: value})
+        with pytest.raises(RecordError, match=message):
+            parse_tweet_record(json.dumps(doc))
+
+    def test_integer_too_long_to_convert_is_record_error(self):
+        line = '{"id": ' + "9" * 5000 + ', "text": "x", "created_at": "2013-04-15T19:30:00Z"}'
+        with pytest.raises(RecordError, match="malformed JSON"):
+            parse_tweet_record(line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from([*VALID_RECORD, "geo.lat", "geo.lon"]),
+    value=JSON_VALUES,
+)
+@example(field="created_at", value="9999-12-31T23:59:59-05:00")
+@example(field="created_at", value="0001-01-01T00:00:00+05:00")
+@example(field="geo.lat", value=10**400)
+@example(field="geo", value={"lat": True, "lon": False})
+@example(field="id", value=True)
+def test_any_json_value_in_any_field_parses_or_is_record_error(field, value):
+    doc = json.loads(json.dumps(VALID_RECORD))
+    if field.startswith("geo."):
+        doc["geo"][field[4:]] = value
+    else:
+        doc[field] = value
+    try:
+        tweet = parse_tweet_record(json.dumps(doc))
+    except RecordError:
+        return
+    assert isinstance(tweet.id, str) and tweet.id
+    assert tweet.created_at.tzinfo is not None
 
 
 class TestHaversine:

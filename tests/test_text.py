@@ -87,7 +87,7 @@ class TestTokenize:
 class TestAttachTags:
     def test_layers_attached(self):
         tweet = attach_tags(["a", "b", "c"], ark_tags=["N", "V", "N"], tweet_id="t1")
-        assert tweet.has_ark and not tweet.has_ptb
+        assert tweet.ark is not None and tweet.ptb is None
         assert list(tweet.ark) == ["N", "V", "N"]
 
     def test_length_mismatch(self):
@@ -96,7 +96,7 @@ class TestAttachTags:
 
     def test_no_layers(self):
         tweet = attach_tags(["a", "b", "c"], tweet_id="t1")
-        assert not tweet.has_ark and not tweet.has_ptb and not tweet.has_chunk
+        assert tweet.ark is None and tweet.ptb is None and tweet.chunk is None
         assert list(tweet.words) == ["a", "b", "c"]
 
     def test_round_trip_with_tokenize(self):
@@ -105,7 +105,7 @@ class TestAttachTags:
                             ptb_tags=["EX", "VBZ", "DT", "NN"],
                             chunk_tags=["B-NP", "B-VP", "B-NP", "I-NP"], tweet_id="t")
         assert len(tweet.words) == 4
-        assert tweet.has_ark and tweet.has_ptb and tweet.has_chunk
+        assert tweet.ark is not None and tweet.ptb is not None and tweet.chunk is not None
 
 
 class TestFallbackTagger:
@@ -150,7 +150,7 @@ class TestTagRawTweet:
 
     def test_no_fallback_leaves_untagged(self):
         tweet = tag_raw_tweet(self._raw())
-        assert not tweet.has_ark
+        assert tweet.ark is None
 
     def test_misaligned_layer_names_tweet_and_layer(self):
         with pytest.raises(AlignmentError, match="r1.*ptb"):

@@ -36,6 +36,7 @@ from crisislang.ingest import (
     Region,
     Skips,
     TimeWindow,
+    atomic_open,
     iter_jsonl,
     load_corpus,
     parse_timestamp,
@@ -265,13 +266,12 @@ def load_config(
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
@@ -436,7 +436,6 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
         model = mdl.train_logreg(vectors, config.logreg)
         vocab_size = len(model.weights)
     model_path = config.output_dir / "model.json"
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     mdl.save_model(model_path, model, feature_classes=config.feature_classes)
     labels = [label for _, label in data]
     return {

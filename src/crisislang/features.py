@@ -16,7 +16,7 @@ the word distributions of the divergence module use too.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from crisislang.text import TaggedTweet
 
@@ -28,6 +28,13 @@ class FeatureClass(Enum):
     PTB_POS = "PTB_POS"
     SHALLOW_PARSE = "SHALLOW_PARSE"
     CRISIS_SENSITIVE = "CRISIS_SENSITIVE"
+
+    # Set on every member at the end of this module: the tag layer the class
+    # needs beyond the tokens (None: the tokens alone) and its extractor.
+    # They are attributes rather than dicts keyed by member, because hashing
+    # an Enum member runs Python code, and vectorize reads them per tweet.
+    layer: str | None
+    extract: Callable[[TaggedTweet], FeatureVector]
 
 
 # "CLASS:key". No class name is a prefix of another, so sorting ids as plain
@@ -49,37 +56,26 @@ ARK_CRISIS_PATTERNS: tuple[tuple[str, ...], ...] = (
     ("A", "N", "P"),
 )
 
-# Id prefixes, computed once: naming an Enum member runs Python code, which
-# the per-tweet extractors would otherwise pay on every call. The classes
-# that are plain n-grams of one column map to (prefix, column, orders).
-_NGRAM_CLASSES = {
-    cls: (f"{cls.value}:", column, orders)
-    for cls, column, orders in (
-        (FeatureClass.UNIGRAM, "words", (1,)),
-        (FeatureClass.BIGRAM, "words", (2,)),
-        (FeatureClass.ARK_POS, "ark", (1, 2, 3)),
-        (FeatureClass.PTB_POS, "ptb", (1, 2, 3)),
-    )
-}
+# Looking a class up by name here runs no Python code, unlike FeatureClass(name).
+_CLASS_BY_NAME = {cls.value: cls for cls in FeatureClass}
 _SHALLOW_PREFIX = f"{FeatureClass.SHALLOW_PARSE.value}:"
 _CRISIS_PREFIX = f"{FeatureClass.CRISIS_SENSITIVE.value}:"
 
-# Index, pattern and width of every crisis pattern, keyed by its first tag,
-# and each pattern's PAT: id.
-_PATTERNS_BY_FIRST_TAG: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
+# The crisis patterns as a trie keyed by tag. A node is the indices of the
+# patterns that end at it and its children keyed by the next tag.
+_PatternNode = tuple[list[int], dict[str, "_PatternNode"]]
+_PATTERN_TRIE: dict[str, _PatternNode] = {}
 for _k, _pattern in enumerate(ARK_CRISIS_PATTERNS):
-    _PATTERNS_BY_FIRST_TAG.setdefault(_pattern[0], []).append((_k, _pattern, len(_pattern)))
+    _level = _PATTERN_TRIE
+    for _tag in _pattern[:-1]:
+        _level = _level.setdefault(_tag, ([], {}))[1]
+    _level.setdefault(_pattern[-1], ([], {}))[0].append(_k)
+# Each pattern's PAT: id, and its WT: id with a %s for each word.
 _PAT_IDS = tuple(f"{_CRISIS_PREFIX}PAT:{' '.join(p)}" for p in ARK_CRISIS_PATTERNS)
-
-# Layers each class needs beyond the tokens themselves.
-_REQUIRED_LAYER = {
-    FeatureClass.UNIGRAM: None,
-    FeatureClass.BIGRAM: None,
-    FeatureClass.ARK_POS: "ark",
-    FeatureClass.PTB_POS: "ptb",
-    FeatureClass.SHALLOW_PARSE: "chunk",
-    FeatureClass.CRISIS_SENSITIVE: "ark",
-}
+_WT_TEMPLATES = tuple(
+    _CRISIS_PREFIX + "WT:" + " ".join(f"%s/{tag.replace('%', '%%')}" for tag in p)
+    for p in ARK_CRISIS_PATTERNS
+)
 
 
 class MissingLayerError(ValueError):
@@ -98,7 +94,10 @@ def split_feature(fid: FeatureId) -> tuple[FeatureClass, str]:
     Raises ValueError when the prefix names no feature class.
     """
     cls_name, _, key = fid.partition(":")
-    return FeatureClass(cls_name), key
+    cls = _CLASS_BY_NAME.get(cls_name)
+    if cls is None:
+        raise ValueError(f"{cls_name!r} is not a valid FeatureClass")
+    return cls, key
 
 
 def _has_layer(tweet: TaggedTweet, layer: str | None) -> bool:
@@ -108,7 +107,7 @@ def _has_layer(tweet: TaggedTweet, layer: str | None) -> bool:
 
 
 def missing_classes(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> list[FeatureClass]:
-    return [c for c in classes if not _has_layer(tweet, _REQUIRED_LAYER[c])]
+    return [c for c in classes if not _has_layer(tweet, c.layer)]
 
 
 def count_ngrams(counts: dict[str, int], prefix: str, seq: Sequence[str], n: int) -> None:
@@ -188,37 +187,59 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
     noun (confined to a PP+NP chunk pair when a chunk layer is present); and
     EX:<verb> for existential "there" with its succeeding verb.
 
-    One pass over the positions finds every pattern match, trying only the
-    patterns that start with the tag found there. Matches are then emitted
-    pattern by pattern, in ARK_CRISIS_PATTERNS order, so ids are inserted in
-    the order one scan per pattern would insert them.
+    One pass over the positions finds every "in" and existential "there"
+    (an EX tag when a PTB layer is present) and every pattern match, walking
+    the pattern trie from each position. Word/tag strings are built only at
+    matched positions. Matches are then emitted pattern by pattern, in
+    ARK_CRISIS_PATTERNS order, then the PP:in and EX matches by position, so
+    ids are inserted in the order one scan per pattern would insert them.
     """
     if not _has_layer(tweet, "ark"):
         raise MissingLayerError(tweet.tweet_id, [FeatureClass.CRISIS_SENSITIVE])
     words, tags = tweet.words, tweet.ark
+    ptb = tweet.ptb if _has_layer(tweet, "ptb") else None
+    there_column, there_mark = (words, "there") if ptb is None else (ptb, "EX")
     n_tokens = len(words)
-    counts: FeatureVector = {}
 
     starts: list[list[int]] = [[] for _ in ARK_CRISIS_PATTERNS]
+    in_at: list[int] = []
+    there_at: list[int] = []
+    trie = _PATTERN_TRIE
     for i, tag in enumerate(tags):
-        for k, pattern, width in _PATTERNS_BY_FIRST_TAG.get(tag, ()):
-            if width == 1 or tags[i : i + width] == pattern:
+        node = trie.get(tag)
+        j = i
+        while node is not None:
+            ends, children = node
+            for k in ends:
                 starts[k].append(i)
-    word_tags = [f"{word}/{tag}" for word, tag in zip(words, tags)]
+            j += 1
+            if j == n_tokens or not children:
+                break
+            node = children.get(tags[j])
+        if tag == "P" and words[i] == "in":
+            in_at.append(i)
+        if there_column[i] == there_mark:
+            there_at.append(i)
+
+    counts: FeatureVector = {}
     wt_prefix = _CRISIS_PREFIX + "WT:"
     for k, pattern_starts in enumerate(starts):
         if not pattern_starts:
             continue
         counts[_PAT_IDS[k]] = len(pattern_starts)
         width = len(ARK_CRISIS_PATTERNS[k])
-        for i in pattern_starts:
-            fid = wt_prefix + (word_tags[i] if width == 1 else " ".join(word_tags[i : i + width]))
-            counts[fid] = counts.get(fid, 0) + 1
+        if width == 1:
+            for i in pattern_starts:
+                fid = f"{wt_prefix}{words[i]}/{tags[i]}"
+                counts[fid] = counts.get(fid, 0) + 1
+        else:
+            template = _WT_TEMPLATES[k]
+            for i in pattern_starts:
+                fid = template % words[i : i + width]
+                counts[fid] = counts.get(fid, 0) + 1
 
-    spans = chunk_spans(tweet) if _has_layer(tweet, "chunk") else None
-    for i, word in enumerate(words):
-        if word != "in" or tags[i] != "P":
-            continue
+    spans = chunk_spans(tweet) if in_at and _has_layer(tweet, "chunk") else None
+    for i in in_at:
         j = i + 1
         while j < n_tokens and tags[j] in ("D", "A"):
             j += 1
@@ -228,63 +249,69 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
             fid = f"{_CRISIS_PREFIX}PP:in:{words[j]}"
             counts[fid] = counts.get(fid, 0) + 1
 
-    if _has_layer(tweet, "ptb"):
-        ptb = tweet.ptb
-        for i, tag in enumerate(ptb):
-            if tag != "EX":
-                continue
-            for j in (i + 1, i + 2):
-                if j < n_tokens and (ptb[j] or "").startswith("V"):
-                    fid = f"{_CRISIS_PREFIX}EX:{words[j]}"
-                    counts[fid] = counts.get(fid, 0) + 1
-                    break
-    else:
-        for i, word in enumerate(words):
-            if word != "there":
-                continue
-            if i > 0 and tags[i - 1] == "P":
-                continue
-            for j in (i + 1, i + 2):
-                if j < n_tokens and tags[j] == "V":
-                    fid = f"{_CRISIS_PREFIX}EX:{words[j]}"
-                    counts[fid] = counts.get(fid, 0) + 1
-                    break
+    for i in there_at:
+        if ptb is None and i > 0 and tags[i - 1] == "P":
+            continue
+        for j in (i + 1, i + 2):
+            if j < n_tokens and (tags[j] == "V" if ptb is None else (ptb[j] or "").startswith("V")):
+                fid = f"{_CRISIS_PREFIX}EX:{words[j]}"
+                counts[fid] = counts.get(fid, 0) + 1
+                break
 
     return counts
 
 
-def _extract_class(tweet: TaggedTweet, cls: FeatureClass) -> FeatureVector:
-    ngrams = _NGRAM_CLASSES.get(cls)
-    if ngrams is not None:
-        prefix, column, orders = ngrams
+def _ngram_extractor(
+    cls: FeatureClass, layer: str | None, orders: tuple[int, ...]
+) -> Callable[[TaggedTweet], FeatureVector]:
+    """The extractor of a class that counts the n-grams of one column: the
+    words (layer None) or one tag layer."""
+    prefix, column = f"{cls.value}:", layer or "words"
+
+    def extract(tweet: TaggedTweet) -> FeatureVector:
+        if not _has_layer(tweet, layer):
+            raise MissingLayerError(tweet.tweet_id, [cls])
         seq = getattr(tweet, column)
         counts: FeatureVector = {}
         for n in orders:
             count_ngrams(counts, prefix, seq, n)
         return counts
-    if cls is FeatureClass.SHALLOW_PARSE:
-        return extract_shallow_parse(tweet)
-    return extract_crisis_sensitive(tweet)
+
+    return extract
 
 
 def vectorize(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> FeatureVector:
     """Disjoint union of the requested per-class vectors.
 
-    Raises MissingLayerError when a class needs a tag layer the tweet lacks;
-    callers that want only the present classes ask missing_classes first. A
-    tokenless tweet vectorizes to {} in every class whose layer it carries.
+    Raises MissingLayerError, naming every class whose tag layer the tweet
+    lacks, when there is one; callers that want only the present classes
+    ask missing_classes first. Each extractor checks its own layer as it
+    reads it, so a layer is checked once. A tokenless tweet vectorizes to {}
+    in every class whose layer it carries.
     """
     classes = list(classes)
     if not classes:
         raise ValueError("at least one feature class is required")
-    absent = missing_classes(tweet, classes)
-    if absent:
-        raise MissingLayerError(tweet.tweet_id, absent)
     vector: FeatureVector = {}
-    for cls in classes:
-        vector.update(_extract_class(tweet, cls))
+    try:
+        for cls in classes:
+            vector.update(cls.extract(tweet))
+    except MissingLayerError:
+        raise MissingLayerError(tweet.tweet_id, missing_classes(tweet, classes)) from None
     return vector
 
 
 def vector_to_json(vector: FeatureVector) -> dict[str, int]:
     return dict(sorted(vector.items()))
+
+
+# Each member's tag layer and extractor, read per tweet (see FeatureClass).
+for _cls, _layer, _extract in (
+    (FeatureClass.UNIGRAM, None, _ngram_extractor(FeatureClass.UNIGRAM, None, (1,))),
+    (FeatureClass.BIGRAM, None, _ngram_extractor(FeatureClass.BIGRAM, None, (2,))),
+    (FeatureClass.ARK_POS, "ark", _ngram_extractor(FeatureClass.ARK_POS, "ark", (1, 2, 3))),
+    (FeatureClass.PTB_POS, "ptb", _ngram_extractor(FeatureClass.PTB_POS, "ptb", (1, 2, 3))),
+    (FeatureClass.SHALLOW_PARSE, "chunk", extract_shallow_parse),
+    (FeatureClass.CRISIS_SENSITIVE, "ark", extract_crisis_sensitive),
+):
+    _cls.layer, _cls.extract = _layer, _extract

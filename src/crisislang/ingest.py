@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -81,7 +83,7 @@ class PartitionLabel(str, Enum):
     UNASSIGNED = "UNASSIGNED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawTweet:
     id: str
     text: str
@@ -158,8 +160,15 @@ def parse_tweet_record(line: str) -> RawTweet:
         except OverflowError:
             raise RecordError("geo lat/lon out of range") from None
 
-    layers = {name: _parse_tag_layer(obj, name) for name in TAG_LAYER_FIELDS}
-    return RawTweet(id=tweet_id, text=text, created_at=created_at, geo=geo, **layers)
+    return RawTweet(
+        tweet_id,
+        text,
+        created_at,
+        geo,
+        _parse_tag_layer(obj, "ark_tags"),
+        _parse_tag_layer(obj, "ptb_tags"),
+        _parse_tag_layer(obj, "chunk_tags"),
+    )
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -295,13 +304,33 @@ def tweet_to_record(tweet: RawTweet) -> dict:
     return record
 
 
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write path through, creating the parent directory.
+
+    The text goes to a temporary file in the same directory, which replaces
+    path only when the block completes. If the block raises, the temporary
+    file is removed and whatever path held before is left as it was.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Write JSON objects one per line, keys sorted, creating the parent
-    directory; returns the record count."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    """Write JSON objects one per line, keys sorted, through atomic_open;
+    returns the record count."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
     written = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(encode(record) + "\n")
             written += 1
     return written

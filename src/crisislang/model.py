@@ -17,10 +17,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from crisislang.features import FeatureClass, FeatureId, FeatureVector, split_feature
+from crisislang.ingest import atomic_open
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,7 +44,7 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite loss at epoch {epoch}; lower the learning rate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     label: str
     score: float
@@ -54,6 +56,17 @@ class NaiveBayesModel:
     feature_log_likelihood: dict[str, dict[FeatureId, float]]
     vocabulary: frozenset[FeatureId]
     alpha: float
+
+    @cached_property
+    def log_ratio(self) -> tuple[float, dict[FeatureId, float]]:
+        """The prior margin log P(IR) - log P(OR) and, per vocabulary
+        feature, ll_IR[f] - ll_OR[f]. Derived on the first prediction, so a
+        fit that never predicts pays nothing; each difference is the same
+        IEEE subtraction predict_nb would make per feature, done once."""
+        ll_ir = self.feature_log_likelihood[IR]
+        ll_or = self.feature_log_likelihood[OR]
+        margin = self.class_log_prior[IR] - self.class_log_prior[OR]
+        return margin, {fid: ll_ir[fid] - ll_or[fid] for fid in ll_ir}
 
 
 @dataclass(frozen=True)
@@ -122,14 +135,17 @@ def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> Naiv
 def predict_nb(model: NaiveBayesModel, vector: FeatureVector) -> Prediction:
     """Log-posterior margin for IR vs OR; unseen features are ignored.
 
-    Score 0 ties break toward IR (recall favors the in-region class).
+    Score 0 ties break toward IR (recall favors the in-region class). The
+    terms come from the model's log-ratio table and are summed in vector
+    order, so every score is bit-identical to summing
+    count * (ll_IR[f] - ll_OR[f]) feature by feature.
     """
-    score = model.class_log_prior[IR] - model.class_log_prior[OR]
-    ll_ir = model.feature_log_likelihood[IR]
-    ll_or = model.feature_log_likelihood[OR]
+    score, delta = model.log_ratio
+    lookup = delta.get
     for fid, count in vector.items():
-        if fid in model.vocabulary:
-            score += count * (ll_ir[fid] - ll_or[fid])
+        term = lookup(fid)
+        if term is not None:
+            score += count * term
     return Prediction(label=IR if score >= 0.0 else OR, score=score)
 
 
@@ -274,14 +290,17 @@ def model_to_dict(
 
 
 def _number(value, name: str) -> float:
-    """A JSON number as a float; ValueError for any other value, or for an
-    integer too large for a float."""
+    """A finite JSON number as a float; ValueError for any other value, for
+    NaN or an infinity, or for an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"model field {name} must be a number, got {type(value).__name__}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"model field {name} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"model field {name} must be finite, got {number}")
+    return number
 
 
 def _object(value, name: str) -> dict:
@@ -298,13 +317,20 @@ def _per_label(value, name: str, convert) -> dict:
 
 
 def _weight_table(value, name: str) -> dict[FeatureId, float]:
-    """Feature id to number; ValueError on an id of no feature class."""
+    """Feature id to finite number; the ids are checked by _check_ids."""
     table = {}
+    isfinite = math.isfinite
     for fid, weight in _object(value, name).items():
-        split_feature(fid)
-        # A float is taken as is, which is what _number would return.
-        table[fid] = weight if type(weight) is float else _number(weight, f"{name}[{fid!r}]")
+        # A finite float is taken as is, which is what _number would return.
+        ok = type(weight) is float and isfinite(weight)
+        table[fid] = weight if ok else _number(weight, f"{name}[{fid!r}]")
     return table
+
+
+def _check_ids(ids: Iterable[FeatureId]) -> None:
+    """ValueError on the first id of no feature class."""
+    for fid in ids:
+        split_feature(fid)
 
 
 def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:
@@ -324,13 +350,17 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
         if doc["kind"] == "nb":
             name = "feature_log_likelihood"
             loglik = _per_label(doc[name], name, _weight_table)
-            if loglik[IR].keys() != loglik[OR].keys():
+            ll_ir, ll_or = loglik[IR], loglik[OR]
+            # Each id is checked once: the IR table's, then any only OR holds.
+            _check_ids(ll_ir)
+            if ll_ir.keys() != ll_or.keys():
+                _check_ids(fid for fid in ll_or if fid not in ll_ir)
                 raise ValueError(f"model tables {name}.IR and {name}.OR hold different ids")
             _number(doc["alpha"], "alpha")
             model: NaiveBayesModel | LogisticRegressionModel = NaiveBayesModel(
                 class_log_prior=_per_label(doc["class_log_prior"], "class_log_prior", _number),
                 feature_log_likelihood=loglik,
-                vocabulary=frozenset(loglik[IR]),
+                vocabulary=frozenset(ll_ir),
                 alpha=doc["alpha"],
             )
         elif doc["kind"] == "logreg":
@@ -338,8 +368,10 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
             params = {f.name: hp[f.name] for f in dataclasses.fields(LogRegParams)}
             for name, value in params.items():
                 _number(value, f"hyperparameters.{name}")
+            weights = _weight_table(doc["weights"], "weights")
+            _check_ids(weights)
             model = LogisticRegressionModel(
-                weights=_weight_table(doc["weights"], "weights"),
+                weights=weights,
                 bias=_number(doc["bias"], "bias"),
                 params=LogRegParams(**params),
             )
@@ -356,7 +388,8 @@ def save_model(
     feature_classes: Sequence[FeatureClass] | None = None,
 ) -> None:
     doc = model_to_dict(model, feature_classes)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:

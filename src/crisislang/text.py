@@ -172,10 +172,13 @@ def attach_tags(
     Each provided layer must have exactly one tag per token; a layer is
     all-or-nothing for the whole tweet.
     """
-    layers = {"ark_tags": ark_tags, "ptb_tags": ptb_tags, "chunk_tags": chunk_tags}
-    for name, layer in layers.items():
-        if layer is not None and len(layer) != len(tokens):
-            raise AlignmentError(tweet_id, name, len(layer), len(tokens))
+    n_tokens = len(tokens)
+    if ark_tags is not None and len(ark_tags) != n_tokens:
+        raise AlignmentError(tweet_id, "ark_tags", len(ark_tags), n_tokens)
+    if ptb_tags is not None and len(ptb_tags) != n_tokens:
+        raise AlignmentError(tweet_id, "ptb_tags", len(ptb_tags), n_tokens)
+    if chunk_tags is not None and len(chunk_tags) != n_tokens:
+        raise AlignmentError(tweet_id, "chunk_tags", len(chunk_tags), n_tokens)
     return TaggedTweet(
         tweet_id,
         tuple(tokens),
@@ -243,11 +246,5 @@ def tag_raw_tweet(tweet: RawTweet, use_fallback: bool = False) -> TaggedTweet:
     tokens = tokenize(tweet.text)
     ark = tweet.ark_tags
     if ark is None and use_fallback:
-        ark = tuple(fallback_ark_tags(tokens))
-    return attach_tags(
-        tokens,
-        ark_tags=ark,
-        ptb_tags=tweet.ptb_tags,
-        chunk_tags=tweet.chunk_tags,
-        tweet_id=tweet.id,
-    )
+        ark = fallback_ark_tags(tokens)  # attach_tags makes it a tuple
+    return attach_tags(tokens, ark, tweet.ptb_tags, tweet.chunk_tags, tweet.id)

@@ -109,6 +109,19 @@ def nb_posterior_margin(
     return math.log(post["IR"]) - math.log(post["OR"])
 
 
+def reference_nb_score(model, vector: dict) -> float:
+    """predict_nb's score as it was summed before the log-ratio table: the
+    prior margin, then count * (ll_IR[f] - ll_OR[f]) for each in-vocabulary
+    feature in vector order, both likelihoods looked up per feature."""
+    score = model.class_log_prior["IR"] - model.class_log_prior["OR"]
+    ll_ir = model.feature_log_likelihood["IR"]
+    ll_or = model.feature_log_likelihood["OR"]
+    for fid, count in vector.items():
+        if fid in model.vocabulary:
+            score += count * (ll_ir[fid] - ll_or[fid])
+    return score
+
+
 def confusion_metrics(predicted: list[str], truth: list[str]) -> tuple[float, float, float, float]:
     """Accuracy/precision/recall/F1 from explicit confusion cells, IR positive."""
     tp = sum(1 for p, t in zip(predicted, truth) if p == "IR" and t == "IR")

@@ -662,6 +662,29 @@ class TestTrainClassify:
                 "hyperparameters",
                 id="hyperparameters-list",
             ),
+            pytest.param(
+                lambda doc: doc["class_log_prior"].update(IR=float("inf")),
+                "class_log_prior.IR must be finite",
+                id="prior-infinity",
+            ),
+            pytest.param(
+                lambda doc: doc["class_log_prior"].update(OR=float("-inf")),
+                "class_log_prior.OR must be finite",
+                id="prior-minus-infinity",
+            ),
+            pytest.param(
+                lambda doc: doc["feature_log_likelihood"]["OR"].update({_first_id(doc): float("nan")}),
+                "must be finite",
+                id="likelihood-nan",
+            ),
+            pytest.param(
+                lambda doc: _as_logreg(doc, weights={_first_id(doc): float("inf")}),
+                "weights",
+                id="weights-infinity",
+            ),
+            pytest.param(
+                lambda doc: _as_logreg(doc, bias=float("nan")), "bias must be finite", id="bias-nan"
+            ),
         ],
     )
     def test_corrupt_model_is_one_error_line(self, workspace, capsys, corrupt, message):
@@ -1065,3 +1088,24 @@ class TestNumpyOnlyForLogisticRegression:
             capture_output=True, text=True, env=env, cwd=workspace["root"],
         )
         assert result.returncode == 0, result.stderr
+
+    def test_classify_through_the_module_entry_point_never_imports_numpy(self, workspace):
+        # -X importtime lists every module the process imports, on stderr.
+        run(workspace, "partition")
+        run(workspace, "train")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "crisislang",
+             "--config", str(workspace["config"]),
+             "classify", "--model", str(workspace["out"] / "model.json")],
+            capture_output=True, text=True, env=env, cwd=workspace["root"],
+        )
+        assert result.returncode == 0, result.stderr
+        assert read_json(workspace["out"] / "classify_summary.json")["classified"] > 0
+        imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "crisislang.cli" in imported
+        assert not [name for name in imported if name.split(".")[0] == "numpy"]
+

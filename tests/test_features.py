@@ -306,6 +306,26 @@ def tagged_tweets(draw):
     return tweet_of(words, ark=ark, ptb=ptb, chunks=chunk)
 
 
+# Any strings as words and tags: pattern tags, tags of more than one
+# character, and characters that format strings and ids treat specially.
+_ANY_TEXT = st.text(alphabet="NAP!DLRV%s/ {}:-", min_size=0, max_size=3)
+
+
+@st.composite
+def randomly_layered_tweets(draw):
+    """Tweets with random ARK, PTB and chunk layers, each present or not."""
+    n = draw(st.integers(min_value=0, max_value=10))
+
+    def column(elements):
+        return st.lists(elements, min_size=n, max_size=n)
+
+    words = draw(column(st.sampled_from(["in", "there"]) | _ANY_TEXT))
+    ark = draw(column(st.sampled_from(_FREQUENT_ARK) | _ANY_TEXT))
+    ptb = draw(st.none() | column(st.sampled_from(["EX", "VB", "V"]) | _ANY_TEXT))
+    chunk = draw(st.none() | column(st.sampled_from(_CHUNK) | _ANY_TEXT))
+    return tweet_of(words, ark=ark, ptb=ptb, chunks=chunk)
+
+
 class TestReferenceEquality:
     """Every extractor yields the ids, counts and insertion order of the
     reference extractors in oracles.py; predict_nb sums in that order."""
@@ -331,6 +351,13 @@ class TestReferenceEquality:
                 expected.update(reference_vector(tweet, cls.value))
         got = vectorize(tweet, present_only(tweet, classes))
         assert list(got.items()) == list(expected.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(tweet=randomly_layered_tweets())
+    def test_crisis_matches_reference_in_order_on_random_layers(self, tweet):
+        assert list(extract_crisis_sensitive(tweet).items()) == list(
+            reference_vector(tweet, "CRISIS_SENSITIVE").items()
+        )
 
     def test_crisis_ids_keep_pattern_order(self):
         # "safe" matches A first, then A N P; pattern order puts N before A.

@@ -1,3 +1,4 @@
+import errno
 import json
 import random
 from datetime import datetime, timezone
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crisislang import ingest
+from crisislang.cli import _write_json, _write_text
 from crisislang.ingest import (
     GeoPoint,
     PartitionLabel,
@@ -21,6 +24,7 @@ from crisislang.ingest import (
     tweet_to_record,
     write_jsonl,
 )
+from crisislang.model import IR, OR, save_model, train_naive_bayes
 from oracles import spherical_law_km
 from synthdata import JSON_VALUES
 
@@ -337,3 +341,60 @@ class TestTypeInvariants:
     def test_longitude_range(self):
         with pytest.raises(RecordError):
             GeoPoint(0.0, 181.0)
+
+
+_WRITERS = {
+    "write_jsonl": lambda path: write_jsonl(path, [{"id": "new", "n": 1}] * 3),
+    "_write_json": lambda path: _write_json(path, {"new": [1, 2, 3]}),
+    "_write_text": lambda path: _write_text(path, "new text\n" * 3),
+    "save_model": lambda path: save_model(
+        path, train_naive_bayes([({"UNIGRAM:a": 1}, IR), ({"UNIGRAM:b": 1}, OR)])
+    ),
+}
+
+
+class TestAtomicWrites:
+    """Every output file is written to a temporary file beside it and moved
+    into place whole, so a failed write leaves the previous file as it was."""
+
+    def _previous(self, tmp_path):
+        path = tmp_path / "out" / "file"
+        path.parent.mkdir()
+        path.write_bytes(b"previous contents\n")
+        return path
+
+    def test_unencodable_record_mid_file(self, tmp_path):
+        path = self._previous(tmp_path)
+        records = [{"id": "a"}, {"id": "b"}, {"id": object()}]
+        with pytest.raises(TypeError):
+            write_jsonl(path, records)
+        assert path.read_bytes() == b"previous contents\n"
+        assert list(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_disk_full_mid_write(self, tmp_path, monkeypatch, writer):
+        def half_then_full(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+
+            def write_half(text):
+                write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = write_half
+            return handle
+
+        path = self._previous(tmp_path)
+        monkeypatch.setattr(ingest, "open", half_then_full, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            _WRITERS[writer](path)
+        assert path.read_bytes() == b"previous contents\n"
+        assert list(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_success_replaces_the_file_and_leaves_no_temp(self, tmp_path, writer):
+        path = self._previous(tmp_path)
+        _WRITERS[writer](path)
+        assert path.read_bytes() != b"previous contents\n"
+        assert list(path.parent.iterdir()) == [path]
+

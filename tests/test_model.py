@@ -2,7 +2,9 @@ import copy
 import json
 import math
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from crisislang.features import FeatureClass, split_feature
 from crisislang.model import (
     IR,
     OR,
+    LogisticRegressionModel,
     LogRegParams,
     TrainingDiverged,
     design_matrix,
@@ -22,6 +25,7 @@ from crisislang.model import (
     model_to_dict,
     predict,
     predict_lr,
+    Prediction,
     predict_nb,
     save_model,
     select_all_baseline,
@@ -32,6 +36,7 @@ from crisislang.model import (
 from oracles import (
     fd_gradient,
     nb_posterior_margin,
+    reference_nb_score,
     reference_design_matrix,
     reference_logistic_loss_and_gradient,
     reference_train_logreg,
@@ -46,6 +51,23 @@ def uf(key):
 
 def uvec(**counts):
     return {uf(k): v for k, v in counts.items()}
+
+
+# A small id space, so that training vectors share ids and queries mix
+# in-vocabulary ids with ids no training vector holds.
+_IDS = st.sampled_from([uf(k) for k in "abcdefgh"] + ["BIGRAM:a b", "CRISIS_SENSITIVE:PAT:N"])
+
+
+def _query_vectors():
+    return st.dictionaries(_IDS | st.sampled_from([uf("zz"), "BIGRAM:zz zz"]), st.integers(1, 50))
+
+
+@st.composite
+def _nb_training_data(draw):
+    """Labelled vectors holding both labels, empty vectors included."""
+    vectors = st.dictionaries(_IDS, st.integers(1, 9), max_size=6)
+    rows = draw(st.lists(st.tuples(vectors, st.sampled_from([IR, OR])), min_size=0, max_size=12))
+    return [(draw(vectors), IR), (draw(vectors), OR)] + rows
 
 
 class TestTrainNaiveBayes:
@@ -144,6 +166,14 @@ class TestPredictNb:
             got = predict_nb(model, query).score
             want = nb_posterior_margin(data, query, alpha)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_nb_training_data(), queries=st.lists(_query_vectors(), min_size=1, max_size=4))
+    def test_score_equals_per_feature_difference_formula(self, data, queries):
+        model = train_naive_bayes(data, alpha=1.0)
+        for query in queries:
+            want = reference_nb_score(model, query)
+            assert predict_nb(model, query) == Prediction(IR if want >= 0.0 else OR, want)
 
 
 class TestLogisticRegression:
@@ -390,6 +420,26 @@ class TestSerialization:
         assert classes == [U]
         assert restored.weights == model.weights
         assert restored.bias == model.bias
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=_nb_training_data(),
+        alpha=st.sampled_from([0.5, 1.0, 2.0]),
+        weights=st.dictionaries(_IDS, st.floats(-20.0, 20.0), min_size=1),
+        bias=st.floats(-20.0, 20.0),
+        queries=st.lists(_query_vectors(), min_size=1, max_size=4),
+    )
+    def test_saved_and_loaded_models_predict_equal(self, data, alpha, weights, bias, queries):
+        nb = train_naive_bayes(data, alpha=alpha)
+        lr = LogisticRegressionModel(weights, bias, LogRegParams())
+        with tempfile.TemporaryDirectory() as tmp:
+            restored = []
+            for name, model in (("nb.json", nb), ("lr.json", lr)):
+                save_model(Path(tmp) / name, model, feature_classes=[U])
+                restored.append(load_model(Path(tmp) / name)[0])
+        for query in [{}, *queries]:
+            assert predict_nb(restored[0], query) == predict_nb(nb, query)
+            assert predict_lr(restored[1], query) == predict_lr(lr, query)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

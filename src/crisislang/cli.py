@@ -16,6 +16,7 @@ import logging
 import sys
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -57,6 +58,10 @@ PARTITION_FILES = {
     PartitionLabel.UNASSIGNED: "unassigned.jsonl",
 }
 UNLABELED_FILE = "unlabeled.jsonl"
+
+# Tagged tweets that classify vectorizes and predicts at a time. Only one
+# batch is held, so classify's memory is bounded by the model, not the input.
+CLASSIFY_BATCH = 256
 
 
 class ConfigError(ValueError):
@@ -288,6 +293,14 @@ def _read_tweets(path: Path, skips: Skips) -> list[RawTweet]:
     return [tweet for _, tweet in iter_jsonl(path, skips)]
 
 
+def _counted_tweets(path: Path, skips: Skips, tally: dict[str, int]) -> Iterator[RawTweet]:
+    """The tweets at path, lazily, each counted in tally["total"] as it is
+    parsed."""
+    for _, tweet in iter_jsonl(path, skips):
+        tally["total"] += 1
+        yield tweet
+
+
 def _tagged(
     config: RunConfig,
     tweets: Iterable[RawTweet],
@@ -499,24 +512,25 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
     model, classes = _load_model(config, model_path)
     source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
     skips = Skips()
-    tweets = _read_tweets(source, skips)
-    results = [
-        (tweet, mdl.predict(model, vectorize(tagged, classes)))
-        for tweet, tagged in _tagged(config, tweets, skips, classes)
-    ]
+    tally = dict.fromkeys(("total", "classified", "classified_ir"), 0)
+    tagged = _tagged(config, _counted_tweets(source, skips, tally), skips, classes)
+
+    def records() -> Iterator[dict]:
+        while batch := list(islice(tagged, CLASSIFY_BATCH)):
+            predictions = [mdl.predict(model, vectorize(t, classes)) for _, t in batch]
+            tally["classified"] += len(batch)
+            tally["classified_ir"] += sum(p.label == mdl.IR for p in predictions)
+            for (tweet, _), p in zip(batch, predictions):
+                yield dict(tweet_to_record(tweet), label=p.label, score=p.score)
+
     out_path = config.output_dir / "classified.jsonl"
-    write_jsonl(
-        out_path,
-        (dict(tweet_to_record(t), label=p.label, score=p.score) for t, p in results),
-    )
+    write_jsonl(out_path, records())
     return {
         "warnings": skips.reasons,
         "model": str(model_path),
         "input": str(source),
         "output": str(out_path),
-        "total": len(tweets),
-        "classified": len(results),
-        "classified_ir": sum(1 for _, p in results if p.label == mdl.IR),
+        **tally,
         "skipped": skips.count,
     }
 
@@ -578,19 +592,23 @@ def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None
     source = input_path if input_path is not None else config.input
     target = output_path if output_path is not None else config.output_dir / "tagged.jsonl"
     skips = Skips()
-    tweets = _read_tweets(source, skips)
-    filled = (
-        t if t.ark_tags is not None
-        else dataclasses.replace(t, ark_tags=tuple(fallback_ark_tags(tokenize(t.text))))
-        for t in tweets
-    )
-    write_jsonl(target, map(tweet_to_record, filled))
+    tally = dict.fromkeys(("total", "newly_tagged"), 0)
+
+    def filled() -> Iterator[RawTweet]:
+        for tweet in _counted_tweets(source, skips, tally):
+            if tweet.ark_tags is None:
+                tally["newly_tagged"] += 1
+                tweet = dataclasses.replace(
+                    tweet, ark_tags=tuple(fallback_ark_tags(tokenize(tweet.text)))
+                )
+            yield tweet
+
+    write_jsonl(target, map(tweet_to_record, filled()))
     return {
         "warnings": skips.reasons,
         "input": str(source),
         "output": str(target),
-        "total": len(tweets),
-        "newly_tagged": sum(1 for t in tweets if t.ark_tags is None),
+        **tally,
         "skipped": skips.count,
     }
 
@@ -598,11 +616,11 @@ def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None
 def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
     source = input_path if input_path is not None else config.input
     skips = Skips()
-    tweets = _read_tweets(source, skips)
+    tally = {"total": 0}
     coverage = {cls.value: 0 for cls in config.feature_classes}
 
     def docs() -> Iterator[dict]:
-        for tweet, tagged in _tagged(config, tweets, skips, ()):
+        for tweet, tagged in _tagged(config, _counted_tweets(source, skips, tally), skips, ()):
             absent = missing_classes(tagged, config.feature_classes)
             present = [cls for cls in config.feature_classes if cls not in absent]
             for cls in present:
@@ -616,7 +634,7 @@ def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
         "warnings": skips.reasons,
         "input": str(source),
         "output": str(out_path),
-        "total": len(tweets),
+        **tally,
         "skipped": skips.count,
         "class_coverage": coverage,
     }

@@ -51,6 +51,8 @@ def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
 
     Tokens are visited in sorted order and each token's two half-terms are
     added together, so swapping the arguments gives the bit-identical result.
+    The sum is clamped to [0, 1], which rounding can leave by an ulp: disjoint
+    supports may otherwise sum to 1.0000000000000002.
     """
     total = 0.0
     for token in sorted(p.keys() | q.keys()):
@@ -60,7 +62,7 @@ def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
         term_p = 0.5 * pi * math.log2(pi / m) if pi > 0.0 else 0.0
         term_q = 0.5 * qi * math.log2(qi / m) if qi > 0.0 else 0.0
         total += term_p + term_q
-    return total
+    return min(max(total, 0.0), 1.0)
 
 
 def _min_max_normalize(values: list[list[float]]) -> list[list[float]]:

@@ -1,14 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crisislang import cli
 from crisislang.cli import ConfigError, load_config, main
 from crisislang.text import tokenize
 from synthdata import JSON_VALUES, pipeline_corpus_lines, write_config
@@ -728,6 +731,162 @@ class TestTrainClassify:
         assert run(workspace, "train") == 0
         model_doc = read_json(workspace["out"] / "model.json")
         assert model_doc["kind"] == "logreg"
+
+
+def _save_unigram_model(path, classes):
+    """A two-word NB model saved with the given feature classes."""
+    from crisislang.features import FeatureClass
+    from crisislang.model import save_model, train_naive_bayes
+
+    model = train_naive_bayes([({"UNIGRAM:a": 1}, "IR"), ({"UNIGRAM:b": 1}, "OR")])
+    save_model(path, model, feature_classes=[FeatureClass(c) for c in classes])
+    return path
+
+
+def _write_records(path, records):
+    """One line per record: a dict is written as JSON, a str as it is."""
+    lines = (r if isinstance(r, str) else json.dumps(r) for r in records)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+AT = "2013-04-15T20:00:00Z"
+
+
+class TestStreamingClassify:
+    """classify streams its input and predicts CLASSIFY_BATCH tagged tweets
+    at a time."""
+
+    def test_batch_size_changes_no_output_byte(self, workspace, tmp_path, monkeypatch):
+        run(workspace, "partition")
+        run(workspace, "train")
+        pool = read_lines(workspace["out"] / "partitions" / "unlabeled.jsonl")
+        misaligned = {"id": "m1", "text": "qz1 w1", "created_at": AT, "ark_tags": ["N"]}
+        source = _write_records(
+            tmp_path / "mixed.jsonl", [*pool[:7], "not json", misaligned, *pool[7:]]
+        )
+        outputs = []
+        for size in (1, 2, len(pool) + 10):
+            monkeypatch.setattr(cli, "CLASSIFY_BATCH", size)
+            assert run(
+                workspace, "classify", "--model", str(workspace["out"] / "model.json"),
+                "--input", str(source),
+            ) == 0
+            outputs.append(
+                tuple((workspace["out"] / name).read_bytes()
+                      for name in ("classified.jsonl", "classify_summary.json"))
+            )
+        assert outputs[0] == outputs[1] == outputs[2]
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (61, 60, 2)
+
+    def test_unusable_first_batch_then_usable_tweet_exits_zero(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "CLASSIFY_BATCH", 2)
+        model_path = _save_unigram_model(tmp_path / "model.json", ["UNIGRAM", "PTB_POS"])
+        records = [{"id": f"n{i}", "text": "a b", "created_at": AT} for i in range(4)]
+        records.append({"id": "y", "text": "a b", "created_at": AT, "ptb_tags": ["NN", "NN"]})
+        source = _write_records(tmp_path / "late.jsonl", records)
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(source)) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "classified.jsonl")]
+        assert [r["id"] for r in rows] == ["y"]
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (5, 1, 4)
+        assert summary["warnings"] == [f"tweet n{i}: missing layers for PTB_POS" for i in range(4)]
+
+    @pytest.mark.parametrize("older", [None, "an older run\n"], ids=["no-older", "older"])
+    @pytest.mark.parametrize("cause", ["no-usable-tweet", "missing-input"])
+    def test_failed_run_leaves_no_output(
+        self, workspace, tmp_path, monkeypatch, capsys, older, cause
+    ):
+        monkeypatch.setattr(cli, "CLASSIFY_BATCH", 2)
+        model_path = _save_unigram_model(tmp_path / "model.json", ["UNIGRAM", "PTB_POS"])
+        source = tmp_path / "input.jsonl"
+        if cause == "no-usable-tweet":
+            _write_records(
+                source, [{"id": f"n{i}", "text": "a b", "created_at": AT} for i in range(5)]
+            )
+        out = workspace["out"]
+        out.mkdir()
+        if older is not None:
+            (out / "classified.jsonl").write_text(older, encoding="utf-8")
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(source)) == 1
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1
+        assert ("PTB_POS" if cause == "no-usable-tweet" else str(source)) in errors[0]
+        assert not list(out.glob(".classified.jsonl.*.tmp"))
+        if older is None:
+            assert not (out / "classified.jsonl").exists()
+        else:
+            assert (out / "classified.jsonl").read_text(encoding="utf-8") == older
+
+    def test_parse_and_tag_skips_listed_in_input_order(self, workspace, tmp_path):
+        model_path = _save_unigram_model(tmp_path / "model.json", ["UNIGRAM"])
+        source = _write_records(tmp_path / "mixed.jsonl", [
+            {"id": "g1", "text": "a b", "created_at": AT},
+            {"id": "m1", "text": "a b", "created_at": AT, "ark_tags": ["N"]},
+            "not json",
+            {"id": "e1", "text": " ", "created_at": AT},
+            {"id": "late", "text": "a b", "created_at": "yesterday"},
+            {"id": "g2", "text": "b a", "created_at": AT},
+        ])
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(source)) == 0
+        summary = read_json(workspace["out"] / "classify_summary.json")
+        assert (summary["total"], summary["classified"], summary["skipped"]) == (4, 2, 4)
+        assert summary["warnings"] == [
+            "tweet 'm1': ark_tags has 1 tags for 2 tokens",
+            "line 3: malformed JSON: Expecting value",
+            "tweet e1: no tokens",
+            "line 5: unparseable timestamp: 'yesterday'",
+        ]
+
+
+def _synthetic_tweets(path, n, seed):
+    """n untagged tweets of 12 words drawn from a 3,000-word vocabulary."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(3000)]
+    _write_records(path, [
+        {"id": f"t{i}", "text": " ".join(rng.choices(vocab, k=12)), "created_at": AT}
+        for i in range(n)
+    ])
+    return path
+
+
+class TestClassifyMemory:
+    # A classify run holds one batch at a time, so 8x the input may add only
+    # this much to its tracemalloc peak: about 65 KB was measured here, while
+    # holding every tweet's RawTweet and Prediction added about 1.6 MB.
+    SLACK_BYTES = 256 * 1024
+
+    def test_peak_does_not_grow_with_the_input(self, workspace, tmp_path):
+        from crisislang.features import FeatureClass
+        from crisislang.model import save_model, train_naive_bayes
+
+        rng = random.Random(3)
+        data = [
+            ({f"UNIGRAM:w{rng.randrange(3000)}": 1 for _ in range(12)}, label)
+            for label in ("IR", "OR") for _ in range(200)
+        ]
+        model_path = tmp_path / "model.json"
+        classes = [FeatureClass.UNIGRAM, FeatureClass.BIGRAM, FeatureClass.CRISIS_SENSITIVE]
+        save_model(model_path, train_naive_bayes(data), feature_classes=classes)
+        config = load_config(workspace["config"])
+        n = 2 * cli.CLASSIFY_BATCH
+
+        def peak(source):
+            tracemalloc.start()
+            try:
+                cli.cmd_classify(config, model_path, source)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small_input = _synthetic_tweets(tmp_path / "small.jsonl", n, 1)
+        cli.cmd_classify(config, model_path, small_input)  # one-off allocations
+        small = peak(small_input)
+        large = peak(_synthetic_tweets(tmp_path / "large.jsonl", 8 * n, 2))
+        assert large <= small + self.SLACK_BYTES, (small, large)
 
 
 class TestEvaluate:

@@ -2,6 +2,8 @@ import random
 from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crisislang.divergence import (
     DivergenceMatrix,
@@ -48,6 +50,17 @@ class TestWordDistribution:
         assert all(p > 0 for p in d.values())
 
 
+def _normalized(weights: dict[str, float]) -> dict[str, float]:
+    total = sum(weights.values())
+    return {t: w / total for t, w in weights.items()}
+
+
+# Distributions over a few shared tokens, weights spanning six decades.
+_distributions = st.dictionaries(
+    st.sampled_from("abcdef"), st.floats(1e-6, 1.0), min_size=1
+).map(_normalized)
+
+
 class TestJsDivergence:
     def test_identity_is_zero(self):
         p = dist(a=0.5, b=0.5)
@@ -74,6 +87,14 @@ class TestJsDivergence:
         for _ in range(200):
             v = js_divergence(_random_dist(rng), _random_dist(rng))
             assert -1e-12 <= v <= 1.0 + 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=_distributions, q=_distributions)
+    @example(p=_normalized({"a": 1.0, "d": 0.5}), q=_normalized({"b": 0.65, "c": 0.5}))
+    def test_symmetric_and_in_unit_range(self, p, q):
+        value = js_divergence(p, q)
+        assert value == js_divergence(q, p)
+        assert 0.0 <= value <= 1.0
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(21)

@@ -168,6 +168,16 @@ class TestPredictNb:
             assert got == pytest.approx(want, abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
+    @given(
+        data=_nb_training_data(),
+        query=st.dictionaries(_IDS | st.just(uf("zz")), st.integers(1, 5), max_size=6),
+        alpha=st.floats(0.1, 5.0),
+    )
+    def test_score_equals_enumeration_oracle_on_random_training_sets(self, data, query, alpha):
+        got = predict_nb(train_naive_bayes(data, alpha=alpha), query).score
+        assert got == pytest.approx(nb_posterior_margin(data, query, alpha), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
     @given(data=_nb_training_data(), queries=st.lists(_query_vectors(), min_size=1, max_size=4))
     def test_score_equals_per_feature_difference_formula(self, data, queries):
         model = train_naive_bayes(data, alpha=1.0)

@@ -191,6 +191,9 @@ def load_config(
         raise ConfigError(f"unknown feature class: {exc}") from None
     if not classes:
         raise ConfigError("feature_classes must not be empty")
+    for i, cls in enumerate(classes):
+        if cls in classes[:i]:
+            raise ConfigError(f"feature_classes lists {cls.value} more than once")
 
     model_doc = _section(doc, "model")
     kind = model_doc.get("kind", "nb")
@@ -205,6 +208,8 @@ def load_config(
 
     raw_ratios = _list(doc, "imbalance_ratios", list(ev.DEFAULT_IMBALANCE_RATIOS))
     ratios = [_typed(float, r, "imbalance_ratios") for r in raw_ratios]
+    if not ratios:
+        raise ConfigError("imbalance_ratios must not be empty")
     for r in ratios:
         if not 0.0 < r < 1.0:
             raise ConfigError(f"imbalance ratio must be in (0, 1), got {r}")

@@ -76,13 +76,12 @@ def _min_max_normalize(values: list[list[float]]) -> list[list[float]]:
 def pairwise_matrix(
     labels: Sequence[str], distributions: Sequence[dict[str, float]]
 ) -> DivergenceMatrix:
-    """Symmetric JSD matrix with zero diagonal; entries clamped into [0, 1]."""
+    """Symmetric JSD matrix with zero diagonal; entries in [0, 1]."""
     n = len(labels)
     values = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             d = js_divergence(distributions[i], distributions[j])
-            d = min(1.0, max(0.0, d))
             values[i][j] = d
             values[j][i] = d
     return DivergenceMatrix(

@@ -8,9 +8,10 @@ word/tag form, the "in ... <noun>" prepositional pattern, and existential
 
 A feature id is the class-qualified string ``CLASS:key``, the same form the
 model file and vector dumps use, so textually identical keys from different
-classes never collide. Counts are raw frequencies. Every n-gram, of words,
-tags or chunk labels, is counted by count_ngrams, which the bigram clouds and
-the word distributions of the divergence module use too.
+classes never collide. Counts are raw frequencies. vectorize checks the tag
+layers, then every class's extractor counts into its one dict. Every n-gram,
+of words, tags or chunk labels, is counted by count_ngrams, which the bigram
+clouds and the word distributions of the divergence module use too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class FeatureClass(Enum):
     # They are attributes rather than dicts keyed by member, because hashing
     # an Enum member runs Python code, and vectorize reads them per tweet.
     layer: str | None
-    extract: Callable[[TaggedTweet], FeatureVector]
+    extract: Callable[[TaggedTweet, FeatureVector], None]
 
 
 # "CLASS:key". No class name is a prefix of another, so sorting ids as plain
@@ -145,24 +146,20 @@ def chunk_spans(tweet: TaggedTweet) -> list[tuple[str, int, int]]:
     return spans
 
 
-def extract_shallow_parse(tweet: TaggedTweet) -> FeatureVector:
+def _count_shallow_parse(tweet: TaggedTweet, counts: FeatureVector) -> None:
     """Chunk-label n-grams (n = 1..3) plus one LABEL:headword per chunk.
 
     The n-grams run over the sequence of maximal chunks; the headword is
     approximated as the last token of the chunk.
     """
-    if not _has_layer(tweet, "chunk"):
-        raise MissingLayerError(tweet.tweet_id, [FeatureClass.SHALLOW_PARSE])
     spans = chunk_spans(tweet)
     labels = [label for label, _, _ in spans]
-    counts: FeatureVector = {}
     for n in (1, 2, 3):
         count_ngrams(counts, _SHALLOW_PREFIX, labels, n)
     words = tweet.words
     for label, _, end in spans:
         fid = f"{_SHALLOW_PREFIX}{label}:{words[end - 1]}"
         counts[fid] = counts.get(fid, 0) + 1
-    return counts
 
 
 def _pp_match_in_chunks(spans: list[tuple[str, int, int]], i: int, j: int) -> bool:
@@ -179,7 +176,7 @@ def _pp_match_in_chunks(spans: list[tuple[str, int, int]], i: int, j: int) -> bo
     return False
 
 
-def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
+def _count_crisis_sensitive(tweet: TaggedTweet, counts: FeatureVector) -> None:
     """The mixed crisis-sensitive class (requires the ARK layer).
 
     Emits, per match: PAT:<tags> and WT:<word/tag ...> for each of the nine
@@ -194,8 +191,6 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
     ARK_CRISIS_PATTERNS order, then the PP:in and EX matches by position, so
     ids are inserted in the order one scan per pattern would insert them.
     """
-    if not _has_layer(tweet, "ark"):
-        raise MissingLayerError(tweet.tweet_id, [FeatureClass.CRISIS_SENSITIVE])
     words, tags = tweet.words, tweet.ark
     ptb = tweet.ptb if _has_layer(tweet, "ptb") else None
     there_column, there_mark = (words, "there") if ptb is None else (ptb, "EX")
@@ -221,7 +216,6 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
         if there_column[i] == there_mark:
             there_at.append(i)
 
-    counts: FeatureVector = {}
     wt_prefix = _CRISIS_PREFIX + "WT:"
     for k, pattern_starts in enumerate(starts):
         if not pattern_starts:
@@ -258,47 +252,50 @@ def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
                 counts[fid] = counts.get(fid, 0) + 1
                 break
 
-    return counts
-
 
 def _ngram_extractor(
     cls: FeatureClass, layer: str | None, orders: tuple[int, ...]
-) -> Callable[[TaggedTweet], FeatureVector]:
+) -> Callable[[TaggedTweet, FeatureVector], None]:
     """The extractor of a class that counts the n-grams of one column: the
     words (layer None) or one tag layer."""
     prefix, column = f"{cls.value}:", layer or "words"
 
-    def extract(tweet: TaggedTweet) -> FeatureVector:
-        if not _has_layer(tweet, layer):
-            raise MissingLayerError(tweet.tweet_id, [cls])
+    def extract(tweet: TaggedTweet, counts: FeatureVector) -> None:
         seq = getattr(tweet, column)
-        counts: FeatureVector = {}
         for n in orders:
             count_ngrams(counts, prefix, seq, n)
-        return counts
 
     return extract
 
 
 def vectorize(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> FeatureVector:
-    """Disjoint union of the requested per-class vectors.
+    """Disjoint union of the requested per-class vectors, counted into one
+    dict class by class. A class listed more than once counts once.
 
-    Raises MissingLayerError, naming every class whose tag layer the tweet
-    lacks, when there is one; callers that want only the present classes
-    ask missing_classes first. Each extractor checks its own layer as it
-    reads it, so a layer is checked once. A tokenless tweet vectorizes to {}
-    in every class whose layer it carries.
+    Raises MissingLayerError, naming once every class whose tag layer the
+    tweet lacks, when there is one; callers that want only the present
+    classes ask missing_classes first. A tokenless tweet vectorizes to {} in
+    every class whose layer it carries.
     """
-    classes = list(classes)
+    classes = list(dict.fromkeys(classes))
     if not classes:
         raise ValueError("at least one feature class is required")
+    if absent := missing_classes(tweet, classes):
+        raise MissingLayerError(tweet.tweet_id, absent)
     vector: FeatureVector = {}
-    try:
-        for cls in classes:
-            vector.update(cls.extract(tweet))
-    except MissingLayerError:
-        raise MissingLayerError(tweet.tweet_id, missing_classes(tweet, classes)) from None
+    for cls in classes:
+        cls.extract(tweet, vector)
     return vector
+
+
+def extract_shallow_parse(tweet: TaggedTweet) -> FeatureVector:
+    """The tweet's SHALLOW_PARSE vector (see _count_shallow_parse)."""
+    return vectorize(tweet, [FeatureClass.SHALLOW_PARSE])
+
+
+def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:
+    """The tweet's CRISIS_SENSITIVE vector (see _count_crisis_sensitive)."""
+    return vectorize(tweet, [FeatureClass.CRISIS_SENSITIVE])
 
 
 def vector_to_json(vector: FeatureVector) -> dict[str, int]:
@@ -311,7 +308,7 @@ for _cls, _layer, _extract in (
     (FeatureClass.BIGRAM, None, _ngram_extractor(FeatureClass.BIGRAM, None, (2,))),
     (FeatureClass.ARK_POS, "ark", _ngram_extractor(FeatureClass.ARK_POS, "ark", (1, 2, 3))),
     (FeatureClass.PTB_POS, "ptb", _ngram_extractor(FeatureClass.PTB_POS, "ptb", (1, 2, 3))),
-    (FeatureClass.SHALLOW_PARSE, "chunk", extract_shallow_parse),
-    (FeatureClass.CRISIS_SENSITIVE, "ark", extract_crisis_sensitive),
+    (FeatureClass.SHALLOW_PARSE, "chunk", _count_shallow_parse),
+    (FeatureClass.CRISIS_SENSITIVE, "ark", _count_crisis_sensitive),
 ):
     _cls.layer, _cls.extract = _layer, _extract

@@ -106,6 +106,8 @@ class TestConfig:
             ("regions", {"boston": {"lat": 42.35, "lon": -71.08, "radius_km": "19"}}, ["partition"]),
             ("regions", {"boston": {"lat": 10**400, "lon": -71.08, "radius_km": 19.0}}, ["partition"]),
             ("timezone_offset_minutes", 10**12, ["divergence", "--mode", "hourly"]),
+            ("feature_classes", ["UNIGRAM", "UNIGRAM"], ["partition"]),
+            ("imbalance_ratios", [], ["evaluate", "--mode", "imbalance"]),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):

@@ -230,6 +230,33 @@ class TestVectorize:
             vectorize(tweet, [FeatureClass.UNIGRAM, FeatureClass.PTB_POS, FeatureClass.SHALLOW_PARSE])
         assert set(err.value.classes) == {FeatureClass.PTB_POS, FeatureClass.SHALLOW_PARSE}
 
+    def test_repeated_class_counts_once(self):
+        tweet = tweet_of(["a", "a"])
+        assert vectorize(tweet, [FeatureClass.UNIGRAM, FeatureClass.UNIGRAM]) == {"UNIGRAM:a": 2}
+        with pytest.raises(MissingLayerError, match="layers for: ARK_POS$"):
+            vectorize(tweet, [FeatureClass.ARK_POS, FeatureClass.ARK_POS])
+
+    # tagged_tweets is defined further down, with the reference-equality tests.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tweet=st.deferred(lambda: tagged_tweets()),
+        classes=st.lists(st.sampled_from(list(FeatureClass)), min_size=1, max_size=10),
+    )
+    def test_repeated_classes_equal_their_first_occurrences(self, tweet, classes):
+        unique = list(dict.fromkeys(classes))
+        absent = missing_classes(tweet, unique)
+        if absent:
+            with pytest.raises(MissingLayerError) as err:
+                vectorize(tweet, classes)
+            assert err.value.classes == absent
+            return
+        got = list(vectorize(tweet, classes).items())
+        assert got == list(vectorize(tweet, unique).items())
+        expected: dict[str, int] = {}
+        for cls in unique:
+            expected.update(reference_vector(tweet, cls.value))
+        assert got == list(expected.items())
+
     def test_skip_mode_drops_missing(self):
         tweet = tweet_of(["a", "b"])
         v = vectorize(tweet, present_only(tweet, [FeatureClass.UNIGRAM, FeatureClass.ARK_POS]))

@@ -4,7 +4,9 @@ Subcommands: partition, divergence, train, evaluate, classify, top-features,
 cloud, tag, vectors. A single JSON config file carries the corpus paths,
 region/window constants, feature classes, model settings, and seed; a few
 global flags override it. Every command is deterministic given config, seed,
-and inputs, and writes a JSON summary next to its outputs.
+and inputs, and writes a JSON summary next to its outputs. The model,
+evaluation, divergence, text and logging modules are imported only inside the
+functions that use them, so a stage process loads only what its stage runs.
 """
 
 from __future__ import annotations
@@ -12,19 +14,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import sys
 from dataclasses import dataclass
 from datetime import date
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from crisislang import divergence as div
-from crisislang import evaluation as ev
-from crisislang import model as mdl
 from crisislang.features import (
+    DEFAULT_IMBALANCE_RATIOS,
     FeatureClass,
+    LogRegParams,
     missing_classes,
     split_feature,
     vector_to_json,
@@ -44,9 +44,10 @@ from crisislang.ingest import (
     tweet_to_record,
     write_jsonl,
 )
-from crisislang.text import AlignmentError, TaggedTweet, fallback_ark_tags, tag_raw_tweet, tokenize
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from crisislang import model as mdl
+    from crisislang.text import TaggedTweet
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +81,7 @@ class RunConfig:
     feature_classes: list[FeatureClass]
     model_kind: str
     alpha: float
-    logreg: mdl.LogRegParams
+    logreg: LogRegParams
     cv_repeats: int
     cv_folds: int
     imbalance_ratios: list[float]
@@ -201,12 +202,12 @@ def load_config(
         raise ConfigError(f"model kind must be nb or logreg, got {kind!r}")
 
     lr_doc = _section(doc, "logreg")
-    logreg = mdl.LogRegParams(**{
+    logreg = LogRegParams(**{
         key: _typed(type(default), lr_doc.get(key, default), f"logreg.{key}")
-        for key, default in dataclasses.asdict(mdl.LogRegParams()).items()
+        for key, default in dataclasses.asdict(LogRegParams()).items()
     })
 
-    raw_ratios = _list(doc, "imbalance_ratios", list(ev.DEFAULT_IMBALANCE_RATIOS))
+    raw_ratios = _list(doc, "imbalance_ratios", list(DEFAULT_IMBALANCE_RATIOS))
     ratios = [_typed(float, r, "imbalance_ratios") for r in raw_ratios]
     if not ratios:
         raise ConfigError("imbalance_ratios must not be empty")
@@ -316,11 +317,13 @@ def _tagged(
     misaligned, that has no tokens, or that lacks a layer one of classes
     needs goes into skips instead. Raises ConfigError at the end when some
     tweets lacked layers and none was usable."""
+    from crisislang import text as txt
+
     lacking = usable = False
     for tweet in tweets:
         try:
-            tagged = tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
-        except AlignmentError as exc:
+            tagged = txt.tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
+        except txt.AlignmentError as exc:
             skips.add(str(exc))
             continue
         if not tagged.words:
@@ -343,20 +346,19 @@ def _partition_path(config: RunConfig, filename: str) -> Path:
     return path
 
 
-def _read_partition(config: RunConfig, filename: str, skips: Skips) -> list[RawTweet]:
-    return _read_tweets(_partition_path(config, filename), skips)
-
-
 def _tagged_partition(
     config: RunConfig, label: PartitionLabel, skips: Skips, classes: Sequence[FeatureClass]
 ) -> list[TaggedTweet]:
-    tweets = _read_partition(config, PARTITION_FILES[label], skips)
+    tweets = _read_tweets(_partition_path(config, PARTITION_FILES[label]), skips)
     return [tagged for _, tagged in _tagged(config, tweets, skips, classes)]
 
 
 def _labeled_data(
     config: RunConfig, balance: bool, skips: Skips, classes: Sequence[FeatureClass]
-) -> list[ev.LabeledTweet]:
+) -> list[tuple[TaggedTweet, str]]:
+    from crisislang import evaluation as ev
+    from crisislang import model as mdl
+
     ir = _tagged_partition(config, PartitionLabel.IR, skips, classes)
     or_pool = _tagged_partition(config, PartitionLabel.OR, skips, classes)
     if not ir:
@@ -371,9 +373,13 @@ def _load_model(
 ) -> tuple[mdl.NaiveBayesModel | mdl.LogisticRegressionModel, list[FeatureClass]]:
     """The model at path and its feature classes, or the config's when the
     model file does not name them."""
+    from crisislang import model as mdl
+
     model, classes = mdl.load_model(path)
     if classes is None:
-        logger.warning("model file lacks feature_classes; falling back to config")
+        import logging
+
+        logging.getLogger(__name__).warning("model file lacks feature_classes; falling back to config")
         classes = config.feature_classes
     return model, classes
 
@@ -398,6 +404,8 @@ def cmd_partition(config: RunConfig) -> dict:
 
 
 def cmd_divergence(config: RunConfig, mode: str) -> dict:
+    from crisislang import divergence as div
+
     skips = Skips()
     tweets = _read_tweets(config.input, skips)
     if mode == "hourly":
@@ -441,6 +449,8 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
 
 
 def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
+    from crisislang import model as mdl
+
     do_balance = config.balance if balance is None else balance
     skips = Skips()
     data = _labeled_data(config, do_balance, skips, config.feature_classes)
@@ -469,6 +479,8 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
 
 
 def cmd_evaluate(config: RunConfig, mode: str) -> dict:
+    from crisislang import evaluation as ev
+
     skips = Skips()
     if mode == "single":
         data = _labeled_data(config, True, skips, config.feature_classes)
@@ -514,6 +526,8 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
 
 
 def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -> dict:
+    from crisislang import model as mdl
+
     model, classes = _load_model(config, model_path)
     source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
     skips = Skips()
@@ -543,6 +557,8 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
 def cmd_top_features(config: RunConfig, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
+    from crisislang import model as mdl
+
     skips = Skips()
     data = _labeled_data(config, config.balance, skips, config.feature_classes)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
@@ -566,12 +582,15 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
 def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     if k <= 0:
         raise ConfigError(f"k must be positive, got {k}")
+    from crisislang import evaluation as ev
+    from crisislang import model as mdl
+
     skips = Skips()
     ir_tagged = _tagged_partition(config, PartitionLabel.IR, skips, ())
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
     model, classes = _load_model(config, model_path)
-    unlabeled = _read_partition(config, UNLABELED_FILE, skips)
+    unlabeled = _read_tweets(_partition_path(config, UNLABELED_FILE), skips)
     additions = [
         tagged
         for _, tagged in _tagged(config, unlabeled, skips, classes)
@@ -594,6 +613,8 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
 
 
 def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None) -> dict:
+    from crisislang import text as txt
+
     source = input_path if input_path is not None else config.input
     target = output_path if output_path is not None else config.output_dir / "tagged.jsonl"
     skips = Skips()
@@ -604,7 +625,7 @@ def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None
             if tweet.ark_tags is None:
                 tally["newly_tagged"] += 1
                 tweet = dataclasses.replace(
-                    tweet, ark_tags=tuple(fallback_ark_tags(tokenize(tweet.text)))
+                    tweet, ark_tags=tuple(txt.fallback_ark_tags(txt.tokenize(tweet.text)))
                 )
             yield tweet
 
@@ -704,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; its summary goes to {command}_summary.json in the
     output dir and to stdout. Returns the exit code."""
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
@@ -712,7 +732,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary.update(args.run(config, args))
         stem = args.command.replace("-", "_")
         _write_json(config.output_dir / f"{stem}_summary.json", summary)
-    except (ConfigError, ValueError, OSError, mdl.TrainingDiverged) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and TrainingDiverged among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, sort_keys=True, indent=2))

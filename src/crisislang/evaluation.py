@@ -10,7 +10,6 @@ reproducible.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import random
 from collections import Counter
@@ -18,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from crisislang.features import (
+    DEFAULT_IMBALANCE_RATIOS,
     FeatureClass,
     FeatureId,
     FeatureVector,
@@ -29,11 +29,7 @@ from crisislang.features import (
 from crisislang.model import IR, OR, _check_labels, predict_nb, train_naive_bayes
 from crisislang.text import TaggedTweet
 
-logger = logging.getLogger(__name__)
-
 LabeledTweet = tuple[TaggedTweet, str]
-
-DEFAULT_IMBALANCE_RATIOS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95)
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,9 @@ def balanced_sample(
     if len(or_pool) >= len(ir):
         chosen_or = rng.sample(list(or_pool), len(ir))
         return [(t, IR) for t in ir] + [(t, OR) for t in chosen_or]
-    logger.warning(
+    import logging
+
+    logging.getLogger(__name__).warning(
         "OR pool (%d) smaller than IR (%d); downsampling IR", len(or_pool), len(ir)
     )
     chosen_ir = rng.sample(list(ir), len(or_pool))
@@ -373,6 +371,8 @@ def imbalance_sweep(
     For each ratio the largest dataset the two pools can support is drawn,
     split 80/20 stratified, and scored with NB log-posterior margins.
     """
+    if not ratios:
+        raise ValueError("at least one ratio is required")
     ir_vectors = [vectorize(t, classes) for t in ir]
     or_vectors = [vectorize(t, classes) for t in or_pool]
     aucs: list[float] = []

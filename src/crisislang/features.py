@@ -16,10 +16,12 @@ clouds and the word distributions of the divergence module use too.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from crisislang.text import TaggedTweet
+if TYPE_CHECKING:
+    from crisislang.text import TaggedTweet
 
 
 class FeatureClass(Enum):
@@ -56,6 +58,19 @@ ARK_CRISIS_PATTERNS: tuple[tuple[str, ...], ...] = (
     ("L", "A", "!"),
     ("A", "N", "P"),
 )
+
+
+# Model and evaluation settings a run config fills in. They live here, so
+# loading a config loads neither the model nor the evaluation module.
+@dataclass(frozen=True)
+class LogRegParams:
+    learning_rate: float = 0.1
+    l2: float = 1e-4
+    max_epochs: int = 500
+    tolerance: float = 1e-6
+
+
+DEFAULT_IMBALANCE_RATIOS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95)
 
 # Looking a class up by name here runs no Python code, unlike FeatureClass(name).
 _CLASS_BY_NAME = {cls.value: cls for cls in FeatureClass}

@@ -21,7 +21,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from crisislang.features import FeatureClass, FeatureId, FeatureVector, split_feature
+from crisislang.features import FeatureClass, FeatureId, FeatureVector, LogRegParams, split_feature
 from crisislang.ingest import atomic_open
 
 if TYPE_CHECKING:
@@ -36,7 +36,7 @@ MODEL_SCHEMA_VERSION = 1
 LabeledVector = tuple[FeatureVector, str]
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(ValueError):
     """Logistic-regression loss became non-finite (learning rate too high)."""
 
     def __init__(self, epoch: int):
@@ -67,14 +67,6 @@ class NaiveBayesModel:
         ll_or = self.feature_log_likelihood[OR]
         margin = self.class_log_prior[IR] - self.class_log_prior[OR]
         return margin, {fid: ll_ir[fid] - ll_or[fid] for fid in ll_ir}
-
-
-@dataclass(frozen=True)
-class LogRegParams:
-    learning_rate: float = 0.1
-    l2: float = 1e-4
-    max_epochs: int = 500
-    tolerance: float = 1e-6
 
 
 @dataclass
@@ -346,6 +338,9 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
         if not isinstance(raw_classes, list) or not raw_classes:
             raise ValueError("model field feature_classes must be a non-empty list")
         classes = [FeatureClass(c) for c in raw_classes]
+        for i, cls in enumerate(classes):
+            if cls in classes[:i]:
+                raise ValueError(f"model field feature_classes lists {cls.value} more than once")
     try:
         if doc["kind"] == "nb":
             name = "feature_log_likelihood"

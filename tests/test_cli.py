@@ -690,6 +690,11 @@ class TestTrainClassify:
             pytest.param(
                 lambda doc: _as_logreg(doc, bias=float("nan")), "bias must be finite", id="bias-nan"
             ),
+            pytest.param(
+                lambda doc: doc.update(feature_classes=["PTB_POS", "PTB_POS"]),
+                "model field feature_classes lists PTB_POS more than once",
+                id="classes-repeated",
+            ),
         ],
     )
     def test_corrupt_model_is_one_error_line(self, workspace, capsys, corrupt, message):
@@ -723,6 +728,17 @@ class TestTrainClassify:
         ) == 0
         summary = read_json(workspace["out"] / "classify_summary.json")
         assert summary["classified_ir"] == summary["total"] == 80
+
+    def test_diverging_logreg_is_one_error_line(self, workspace, capsys):
+        doc = read_json(workspace["config"])
+        doc["model"] = {"kind": "logreg"}
+        doc["logreg"] = {"learning_rate": 1e9}
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        run(workspace, "partition")
+        capsys.readouterr()
+        assert run(workspace, "train") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss at epoch ")
 
     def test_train_logreg_kind(self, workspace):
         doc = read_json(workspace["config"])
@@ -1251,22 +1267,106 @@ class TestNumpyOnlyForLogisticRegression:
         assert result.returncode == 0, result.stderr
 
     def test_classify_through_the_module_entry_point_never_imports_numpy(self, workspace):
-        # -X importtime lists every module the process imports, on stderr.
         run(workspace, "partition")
         run(workspace, "train")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "crisislang",
-             "--config", str(workspace["config"]),
-             "classify", "--model", str(workspace["out"] / "model.json")],
-            capture_output=True, text=True, env=env, cwd=workspace["root"],
+        imported, _ = run_stage_process(
+            workspace, "classify", "--model", str(workspace["out"] / "model.json")
         )
-        assert result.returncode == 0, result.stderr
         assert read_json(workspace["out"] / "classify_summary.json")["classified"] > 0
-        imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
-                    if line.startswith("import time:")]
         assert "crisislang.cli" in imported
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def run_stage_process(workspace, *argv):
+    """Run one stage as `python -X importtime -m crisislang` and check that it
+    exits 0. Returns the names of the modules the process imported, in
+    order, and its other stderr lines."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "crisislang",
+         "--config", str(workspace["config"]), *argv],
+        capture_output=True, text=True, env=env, cwd=workspace["root"],
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    # -X importtime lists every module the process imports, on stderr.
+    imported = [line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")]
+    return imported, [line for line in lines if not line.startswith("import time:")]
+
+
+# The crisislang modules each stage process loads, beyond the package itself,
+# cli, ingest and features, which every stage loads to read its config.
+STAGE_MODULES = [
+    (["partition"], []),
+    (["classify", "--model", "MODEL"], ["text", "model"]),
+    (["divergence", "--mode", "regional"], ["text", "divergence"]),
+    (["evaluate", "--mode", "single"], ["text", "model", "evaluation"]),
+]
+
+# Every name crisislang exports, by the module that defines it.
+PACKAGE_EXPORTS = {
+    "divergence": ["js_divergence", "word_distribution"],
+    "evaluation": [
+        "balanced_sample", "bigram_cloud", "compute_metrics", "cross_validate",
+        "enumerate_combinations", "imbalance_sweep", "roc_auc",
+    ],
+    "features": ["FeatureClass", "FeatureId", "extract_crisis_sensitive", "vectorize"],
+    "ingest": [
+        "GeoPoint", "PartitionLabel", "RawTweet", "Region", "TimeWindow", "assign_partition",
+        "haversine_km", "load_corpus", "parse_tweet_record",
+    ],
+    "model": [
+        "predict_nb", "select_all_baseline", "top_features", "train_logreg", "train_naive_bayes",
+    ],
+    "text": ["attach_tags", "fallback_ark_tags", "tag_raw_tweet", "tokenize"],
+}
+
+
+class TestImportBudget:
+    """A stage process loads only the modules its stage runs, and logging
+    only when it warns."""
+
+    @pytest.mark.parametrize("argv, modules", STAGE_MODULES, ids=[a[0] for a, _ in STAGE_MODULES])
+    def test_stage_loads_only_the_modules_it_runs(self, workspace, argv, modules):
+        run(workspace, "partition")
+        if "MODEL" in argv:
+            run(workspace, "train")
+        model = str(workspace["out"] / "model.json")
+        imported, _ = run_stage_process(workspace, *[model if a == "MODEL" else a for a in argv])
+        own = {name for name in imported if name.split(".")[0] == "crisislang"}
+        base = ["crisislang", "crisislang.cli", "crisislang.ingest", "crisislang.features"]
+        assert own == {*base, *(f"crisislang.{m}" for m in modules)}
+        assert "logging" not in imported
+
+    def test_classify_fallback_warning_reaches_stderr(self, workspace):
+        from crisislang.model import save_model, train_naive_bayes
+
+        run(workspace, "partition")
+        model = train_naive_bayes([({"UNIGRAM:qz1": 1}, "IR"), ({"UNIGRAM:qz2": 1}, "OR")])
+        model_path = workspace["root"] / "bare_model.json"
+        save_model(model_path, model)
+        imported, err = run_stage_process(workspace, "classify", "--model", str(model_path))
+        assert err == ["model file lacks feature_classes; falling back to config"]
+        assert "logging" in imported
+        assert read_json(workspace["out"] / "classify_summary.json")["classified"] > 0
+
+    def test_every_export_is_its_home_module_object(self):
+        import importlib
+
+        import crisislang
+
+        assert crisislang.__all__ == sorted(n for names in PACKAGE_EXPORTS.values() for n in names)
+        for module, names in PACKAGE_EXPORTS.items():
+            home = importlib.import_module(f"crisislang.{module}")
+            for name in names:
+                assert getattr(crisislang, name) is getattr(home, name), name
+                assert name in dir(crisislang), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        import crisislang
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            crisislang.no_such_name
 

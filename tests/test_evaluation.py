@@ -56,6 +56,16 @@ class TestBalancedSample:
         or_ids = [t.tweet_id for t, label in data if label == OR]
         assert len(or_ids) == len(set(or_ids))
 
+    def test_downsampling_logs_a_warning(self, caplog):
+        balanced_sample(make_tweets(10, "ir"), make_tweets(4, "or"), seed=3)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("crisislang.evaluation", "WARNING", "OR pool (4) smaller than IR (10); downsampling IR")
+        ]
+
+    def test_enough_or_tweets_log_nothing(self, caplog):
+        balanced_sample(make_tweets(4, "ir"), make_tweets(10, "or"), seed=3)
+        assert caplog.records == []
+
 
 class TestComputeMetrics:
     def test_select_all_on_balanced_set(self):
@@ -205,6 +215,13 @@ class TestImbalanceSweep:
         or_pool = [t for t, label in data if label == OR]
         with pytest.raises(ValueError, match="infeasible"):
             imbalance_sweep(ir, or_pool, U, ratios=(0.95,), seed=1)
+
+    def test_no_ratio_rejected_before_vectorizing(self):
+        # The tweets carry no PTB layer, so vectorizing them would raise
+        # MissingLayerError first.
+        ir, or_pool = make_tweets(4, "ir"), make_tweets(4, "or")
+        with pytest.raises(ValueError, match="^at least one ratio is required$"):
+            imbalance_sweep(ir, or_pool, [FeatureClass.PTB_POS], ratios=[], seed=1)
 
     def test_deterministic(self):
         data = separable_labeled_set(n=200, marker_in_rate=0.8, marker_out_rate=0.2, seed=11)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import date
@@ -38,6 +39,7 @@ from crisislang.ingest import (
     Skips,
     TimeWindow,
     atomic_open,
+    iter_corpus,
     iter_jsonl,
     load_corpus,
     parse_timestamp,
@@ -141,12 +143,12 @@ def _list(doc: dict, key: str, default: list) -> list:
 def _typed(convert, value, name: str):
     """convert(value), or a ConfigError naming the key when the value has the
     wrong type or form. Nothing is coerced into a bool, int or float: those
-    take only JSON booleans and numbers, and an int only a whole number."""
+    take only JSON booleans and finite numbers, and an int only a whole number."""
     if convert is bool and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if convert in (int, float) and not number:
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if convert in (int, float) and not (number and -math.inf < value < math.inf):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if convert is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     try:
@@ -295,10 +297,6 @@ def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
-def _read_tweets(path: Path, skips: Skips) -> list[RawTweet]:
-    return [tweet for _, tweet in iter_jsonl(path, skips)]
-
-
 def _counted_tweets(path: Path, skips: Skips, tally: dict[str, int]) -> Iterator[RawTweet]:
     """The tweets at path, lazily, each counted in tally["total"] as it is
     parsed."""
@@ -349,7 +347,7 @@ def _partition_path(config: RunConfig, filename: str) -> Path:
 def _tagged_partition(
     config: RunConfig, label: PartitionLabel, skips: Skips, classes: Sequence[FeatureClass]
 ) -> list[TaggedTweet]:
-    tweets = _read_tweets(_partition_path(config, PARTITION_FILES[label]), skips)
+    tweets = (t for _, t in iter_jsonl(_partition_path(config, PARTITION_FILES[label]), skips))
     return [tagged for _, tagged in _tagged(config, tweets, skips, classes)]
 
 
@@ -407,12 +405,11 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
     from crisislang import divergence as div
 
     skips = Skips()
-    tweets = _read_tweets(config.input, skips)
     if mode == "hourly":
         if config.divergence_day is None or not config.divergence_hours:
             raise ConfigError("hourly mode needs divergence.day and divergence.hours in the config")
         matrix, warnings = div.hourly_divergence_matrix(
-            tweets,
+            iter_corpus(config.input, skips),
             config.region,
             config.divergence_day,
             config.divergence_hours,
@@ -426,16 +423,15 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
         )
         if window is None:
             raise ConfigError("divergence window 'pre_crisis' requires pre_crisis_window")
-        groups: dict[str, list[TaggedTweet]] = {}
-        for name, region in config.regions.items():
-            members = [
-                t
-                for t in tweets
-                if t.geo is not None
-                and window.contains(t.created_at)
-                and region.contains(t.geo)
-            ]
-            groups[name] = [t for _, t in _tagged(config, members, skips, ())]
+        homes: dict[str, tuple[RawTweet, list[str]]] = {}  # id -> tweet, regions holding it
+        for tweet in iter_corpus(config.input, skips):
+            if tweet.geo is not None and window.contains(tweet.created_at):
+                if names := [n for n, r in config.regions.items() if r.contains(tweet.geo)]:
+                    homes[tweet.id] = tweet, names
+        groups: dict[str, list[TaggedTweet]] = {name: [] for name in config.regions}
+        for tweet, tagged in _tagged(config, (t for t, _ in homes.values()), skips, ()):
+            for name in homes[tweet.id][1]:
+                groups[name].append(tagged)
         matrix, warnings = div.regional_divergence_matrix(groups)
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
@@ -590,10 +586,10 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
     model, classes = _load_model(config, model_path)
-    unlabeled = _read_tweets(_partition_path(config, UNLABELED_FILE), skips)
+    unlabeled = iter_jsonl(_partition_path(config, UNLABELED_FILE), skips)
     additions = [
         tagged
-        for _, tagged in _tagged(config, unlabeled, skips, classes)
+        for _, tagged in _tagged(config, (t for _, t in unlabeled), skips, classes)
         if mdl.predict(model, vectorize(tagged, classes)).label == mdl.IR
     ]
     combined_cloud = ev.bigram_cloud(ir_tagged + additions, k)

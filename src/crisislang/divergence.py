@@ -89,6 +89,26 @@ def pairwise_matrix(
     )
 
 
+def _matrix(
+    groups: Iterable[tuple[str, Iterable[TaggedTweet]]], name: str, empty: str
+) -> tuple[DivergenceMatrix, list[str]]:
+    """Pairwise JSD between (label, tweets) groups. A group with no tokens is
+    dropped with a warning that names it by name.format(label)."""
+    labels: list[str] = []
+    distributions: list[dict[str, float]] = []
+    warnings: list[str] = []
+    for label, tweets in groups:
+        try:
+            distributions.append(word_distribution(tweets))
+        except ValueError:
+            warnings.append(f"{name.format(label)} has no tokens; dropped from the axis")
+            continue
+        labels.append(label)
+    if not labels:
+        raise ValueError(empty)
+    return pairwise_matrix(labels, distributions), warnings
+
+
 def _tokens_only(tweet: RawTweet) -> TaggedTweet:
     return attach_tags(tokenize(tweet.text), tweet_id=tweet.id)
 
@@ -120,39 +140,12 @@ def hourly_divergence_matrix(
         if local.date() != day or local.hour not in buckets:
             continue
         buckets[local.hour].append(_tokens_only(tweet))
-
-    labels: list[str] = []
-    distributions: list[dict[str, float]] = []
-    warnings: list[str] = []
-    for hour in hours:
-        label = f"{hour:02d}:00"
-        try:
-            dist = word_distribution(buckets[hour])
-        except ValueError:
-            warnings.append(f"hour {label} has no tokens; dropped from the axis")
-            continue
-        labels.append(label)
-        distributions.append(dist)
-    if not labels:
-        raise ValueError("no hour in the range has any tokens")
-    return pairwise_matrix(labels, distributions), warnings
+    labelled = ((f"{hour:02d}:00", buckets[hour]) for hour in hours)
+    return _matrix(labelled, "hour {}", "no hour in the range has any tokens")
 
 
 def regional_divergence_matrix(
     groups: Mapping[str, Sequence[TaggedTweet]],
 ) -> tuple[DivergenceMatrix, list[str]]:
     """Pairwise JSD between named tweet groups (for example, cities)."""
-    labels: list[str] = []
-    distributions: list[dict[str, float]] = []
-    warnings: list[str] = []
-    for name, tweets in groups.items():
-        try:
-            dist = word_distribution(tweets)
-        except ValueError:
-            warnings.append(f"group {name!r} has no tokens; dropped from the axis")
-            continue
-        labels.append(name)
-        distributions.append(dist)
-    if not labels:
-        raise ValueError("no group has any tokens")
-    return pairwise_matrix(labels, distributions), warnings
+    return _matrix(groups.items(), "group {!r}", "no group has any tokens")

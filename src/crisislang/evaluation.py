@@ -216,8 +216,8 @@ def _subset_readings(
     if len(data) < folds:
         raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
     rows = _vectorize_by_class(data, classes)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     labels = [label for _, label in data]
     log = math.log
     readings: list[list[Metrics]] = [[] for _ in subsets]

@@ -199,10 +199,11 @@ def assign_partition(
 @dataclass
 class Skips:
     """Skip ledger: counts every skip and keeps the first MAX_REPORTED_ERRORS
-    reasons, in order."""
+    reasons, in order. duplicates counts the repeated ids among them."""
 
     count: int = 0
     reasons: list[str] = field(default_factory=list)
+    duplicates: int = 0
 
     def add(self, reason: str) -> None:
         self.count += 1
@@ -218,8 +219,11 @@ class Corpus:
         default_factory=lambda: {label: [] for label in PartitionLabel}
     )
     unlabeled: list[RawTweet] = field(default_factory=list)
-    duplicates: int = 0
     skips: Skips = field(default_factory=Skips)
+
+    @property
+    def duplicates(self) -> int:
+        return self.skips.duplicates
 
     @property
     def lines(self) -> int:
@@ -261,26 +265,33 @@ def iter_jsonl(path: str | Path, skips: Skips) -> Iterator[tuple[int, RawTweet]]
             yield lineno, tweet
 
 
+def iter_corpus(path: str | Path, skips: Skips) -> Iterator[RawTweet]:
+    """The records of a JSON Lines corpus in input order, lazily. A record
+    whose id an earlier one had goes into skips as "line N: duplicate id X"."""
+    seen: set[str] = set()
+    for lineno, tweet in iter_jsonl(path, skips):
+        if tweet.id in seen:
+            skips.duplicates += 1
+            skips.add(f"line {lineno}: duplicate id {tweet.id}")
+            continue
+        seen.add(tweet.id)
+        yield tweet
+
+
 def load_corpus(
     path: str | Path,
     region: Region,
     crisis: TimeWindow,
     pre_crisis: TimeWindow | None = None,
 ) -> Corpus:
-    """Load and partition a JSON Lines corpus.
+    """Load and partition a JSON Lines corpus read through iter_corpus.
 
     Malformed records and duplicate ids are skipped and counted, never fatal.
     Blank lines are ignored. Per-label counts plus unlabeled plus skipped
     always sum to the number of non-blank input lines.
     """
     corpus = Corpus()
-    seen: set[str] = set()
-    for lineno, tweet in iter_jsonl(path, corpus.skips):
-        if tweet.id in seen:
-            corpus.duplicates += 1
-            corpus.skips.add(f"line {lineno}: duplicate id {tweet.id}")
-            continue
-        seen.add(tweet.id)
+    for tweet in iter_corpus(path, corpus.skips):
         if tweet.geo is None:
             corpus.unlabeled.append(tweet)
         else:

@@ -89,8 +89,8 @@ def _check_labels(labels: Iterable[str]) -> None:
 
 def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> NaiveBayesModel:
     """Fit multinomial NB: likelihood(f|c) = (n_fc + alpha) / (n_c + alpha |V|)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     _check_labels(label for _, label in data)
 
     class_counts = {label: 0 for label in LABELS}

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -108,6 +110,14 @@ class TestConfig:
             ("timezone_offset_minutes", 10**12, ["divergence", "--mode", "hourly"]),
             ("feature_classes", ["UNIGRAM", "UNIGRAM"], ["partition"]),
             ("imbalance_ratios", [], ["evaluate", "--mode", "imbalance"]),
+            ("model", {"alpha": float("nan")}, ["train"]),
+            ("model", {"alpha": float("inf")}, ["train"]),
+            ("logreg", {"learning_rate": float("nan")}, ["top-features", "--k", "2"]),
+            (
+                "regions",
+                {"boston": {"lat": 42.35, "lon": -71.08, "radius_km": float("inf")}},
+                ["partition"],
+            ),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
@@ -179,6 +189,7 @@ CONFIG_FIELDS = [
 @example(field="timezone_offset_minutes", value=10**12)
 @example(field="input", value="corpus\x00.jsonl")
 @example(field="regions.boston.radius_km", value=float("nan"))
+@example(field="model.alpha", value=float("nan"))
 def test_any_json_value_in_any_config_field_loads_or_is_config_error(field, value):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -196,6 +207,29 @@ def test_any_json_value_in_any_config_field_loads_or_is_config_error(field, valu
             return
     assert -1440 <= config.timezone_offset_minutes <= 1440
     assert config.region.radius_km > 0
+    assert all(math.isfinite(number) for number in _floats(config))
+
+
+def _floats(value):
+    """Every float held in value, through dataclasses, dicts and lists."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+    elif isinstance(value, float):
+        yield value
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+    ids=lambda path: path.name,
+)
+def test_shipped_config_loads(path):
+    load_config(path)
 
 
 class TestPartitionFirst:
@@ -338,6 +372,55 @@ class TestDivergence:
         assert run(workspace, "divergence", "--mode", "regional") == 0
         summary = read_json(workspace["out"] / "divergence_summary.json")
         assert summary["skipped_records"] == 1
+
+    def test_regional_tweet_in_two_regions_is_gated_once(self, workspace):
+        doc = read_json(workspace["config"])
+        doc["regions"]["downtown"] = dict(doc["regions"]["boston"], radius_km=5.0)
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        lines = read_lines(workspace["corpus"])
+        bad = json.loads(lines[0])
+        assert bad["geo"] == {"lat": doc["regions"]["boston"]["lat"],
+                              "lon": doc["regions"]["boston"]["lon"]}
+        bad["chunk_tags"] = ["O"]
+        workspace["corpus"].write_text(
+            "".join(line + "\n" for line in [json.dumps(bad), *lines[1:]]), encoding="utf-8"
+        )
+        assert run(workspace, "divergence", "--mode", "regional") == 0
+        summary = read_json(workspace["out"] / "divergence_summary.json")
+        assert summary["warnings"] == [
+            f"tweet {bad['id']!r}: chunk_tags has 1 tags for {len(tokenize(bad['text']))} tokens"
+        ]
+        assert summary["skipped_records"] == 1
+        matrix = read_json(workspace["out"] / "divergence_regional.json")
+        assert matrix["labels"] == ["boston", "nyc", "downtown"]
+        assert matrix["values"][0][2] == 0.0  # both discs hold every Boston tweet
+
+    @pytest.mark.parametrize("mode", ["regional", "hourly"])
+    def test_repeated_id_leaves_the_matrix_unchanged(self, tmp_path, mode):
+        from synthdata import hourly_shift_tweets
+
+        if mode == "regional":
+            lines = pipeline_corpus_lines(seed=0)
+        else:
+            tweets = hourly_shift_tweets(seed=1, tweets_per_hour=20)
+            lines = [json.dumps(r, sort_keys=True) for r in tweets]
+        repeat = json.loads(lines[0])
+        assert repeat["geo"] is not None
+
+        def divergence(name, corpus_lines):
+            corpus = tmp_path / f"{name}.jsonl"
+            corpus.write_text("".join(line + "\n" for line in corpus_lines), encoding="utf-8")
+            config = tmp_path / f"{name}.json"
+            write_config(config, corpus, tmp_path / name)
+            assert main(["--config", str(config), "divergence", "--mode", mode]) == 0
+            matrix = read_json(tmp_path / name / f"divergence_{mode}.json")
+            return matrix, read_json(tmp_path / name / "divergence_summary.json")
+
+        plain, plain_summary = divergence("plain", lines)
+        repeated, summary = divergence("repeated", [*lines[:5], lines[0], *lines[5:]])
+        assert repeated == plain
+        assert summary["skipped_records"] == plain_summary["skipped_records"] + 1 == 1
+        assert summary["warnings"] == [f"line 6: duplicate id {repeat['id']}"]
 
     def test_identical_groups_zero_matrix(self, tmp_path):
         # One tweet duplicated at both epicenters: off-diagonal exactly zero.

@@ -159,6 +159,14 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(data, U, folds=5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        data = separable_labeled_set(n=20, seed=7)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            cross_validate(data, U, repeats=1, folds=2, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            enumerate_combinations(data, seed=4, repeats=1, folds=2, alpha=alpha)
+
     def test_csv_has_fifteen_rows_plus_mean(self):
         data = separable_labeled_set(n=60, seed=6)
         report = cross_validate(data, U, seed=2)

@@ -1,6 +1,8 @@
 import errno
 import json
 import random
+import tempfile
+from pathlib import Path
 from datetime import datetime, timezone
 
 import pytest
@@ -10,14 +12,17 @@ from hypothesis import strategies as st
 from crisislang import ingest
 from crisislang.cli import _write_json, _write_text
 from crisislang.ingest import (
+    MAX_REPORTED_ERRORS,
     GeoPoint,
     PartitionLabel,
+    RawTweet,
     RecordError,
     Region,
     Skips,
     TimeWindow,
     assign_partition,
     haversine_km,
+    iter_corpus,
     iter_jsonl,
     load_corpus,
     parse_tweet_record,
@@ -326,6 +331,67 @@ class TestLoadCorpus:
         dst = tmp_path / "dst.jsonl"
         write_jsonl(dst, map(tweet_to_record, tweets))
         assert [tweet for _, tweet in iter_jsonl(dst, Skips())] == tweets
+
+
+# One corpus line: a valid record (its id drawn from a pool small enough to
+# repeat; 7 and "7" are the same id), a malformed line, or a blank one.
+RECORD_LINES = st.builds(
+    lambda tweet_id, text, created_at, geo: json.dumps(
+        {"id": tweet_id, "text": text, "created_at": created_at,
+         **({"geo": geo} if geo is not None else {})}
+    ),
+    st.sampled_from(["a", "b", "c", 7, "7"]),
+    st.sampled_from(["x", "safe in boston", "hello world"]),
+    st.sampled_from(["2013-04-15T19:30:00Z", "2013-04-09T15:00:00Z", "2013-04-01T00:00:00Z"]),
+    st.sampled_from([None, {"lat": 42.35, "lon": -71.08}, {"lat": 40.75, "lon": -73.99}]),
+)
+MALFORMED_LINES = st.sampled_from([
+    "not json",
+    "[1, 2]",
+    '{"id": "a", "created_at": "2013-04-15T19:30:00Z"}',
+    '{"id": true, "text": "x", "created_at": "2013-04-15T19:30:00Z"}',
+    '{"id": "b", "text": "x", "created_at": "2013-04-15T19:30:00Z", "geo": {"lat": 91, "lon": 0}}',
+])
+CORPUS_LINES = st.lists(
+    st.one_of(RECORD_LINES, MALFORMED_LINES, st.sampled_from(["", "   ", "\t"])),
+    max_size=MAX_REPORTED_ERRORS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=CORPUS_LINES)
+def test_corpus_record_rule(lines):
+    valid, malformed, blank = [], [], []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            blank.append(number)
+            continue
+        try:
+            valid.append((number, parse_tweet_record(line)))
+        except RecordError:
+            malformed.append(number)
+    firsts: dict[str, RawTweet] = {}
+    for _, tweet in valid:
+        firsts.setdefault(tweet.id, tweet)
+    repeats = [(n, t.id) for n, t in valid if firsts[t.id] is not t]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        corpus = load_corpus(path, BOSTON_REGION, CRISIS, PRE_CRISIS)
+        skips = Skips()
+        read = list(iter_corpus(path, skips))
+
+    counts = corpus.counts()
+    partitioned = sum(counts[label.value] for label in PartitionLabel) + counts["unlabeled"]
+    assert partitioned + counts["skipped"] == len(lines) - len(blank)
+    assert counts["duplicates"] == corpus.duplicates == len(valid) - len(firsts)
+    assert read == list(firsts.values())
+    assert (skips.count, skips.duplicates) == (len(malformed) + len(repeats), len(repeats))
+    assert [r for r in skips.reasons if "duplicate" in r] == [
+        f"line {n}: duplicate id {tweet_id}" for n, tweet_id in repeats
+    ]
+    assert corpus.skips == skips
 
 
 class TestTypeInvariants:

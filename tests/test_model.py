@@ -104,6 +104,11 @@ class TestTrainNaiveBayes:
         with pytest.raises(ValueError):
             train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)], alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)], alpha=alpha)
+
     def test_normalization_invariants(self):
         rng = random.Random(1)
         for _ in range(20):

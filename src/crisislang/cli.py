@@ -17,8 +17,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from datetime import date
-from itertools import islice
+from datetime import date, timedelta
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -202,12 +202,19 @@ def load_config(
     kind = model_doc.get("kind", "nb")
     if kind not in ("nb", "logreg"):
         raise ConfigError(f"model kind must be nb or logreg, got {kind!r}")
+    alpha = _typed(float, model_doc.get("alpha", 1.0), "model.alpha")
+    if alpha <= 0:
+        raise ConfigError(f"model.alpha must be positive, got {alpha}")
 
     lr_doc = _section(doc, "logreg")
-    logreg = LogRegParams(**{
+    lr_values = {
         key: _typed(type(default), lr_doc.get(key, default), f"logreg.{key}")
         for key, default in dataclasses.asdict(LogRegParams()).items()
-    })
+    }
+    try:
+        logreg = LogRegParams(**lr_values)
+    except ValueError as exc:
+        raise ConfigError(f"logreg.{exc}") from None
 
     raw_ratios = _list(doc, "imbalance_ratios", list(DEFAULT_IMBALANCE_RATIOS))
     ratios = [_typed(float, r, "imbalance_ratios") for r in raw_ratios]
@@ -257,7 +264,7 @@ def load_config(
         timezone_offset_minutes=offset,
         feature_classes=classes,
         model_kind=kind,
-        alpha=_typed(float, model_doc.get("alpha", 1.0), "model.alpha"),
+        alpha=alpha,
         logreg=logreg,
         cv_repeats=cv_repeats,
         cv_folds=cv_folds,
@@ -402,19 +409,27 @@ def cmd_partition(config: RunConfig) -> dict:
 
 
 def cmd_divergence(config: RunConfig, mode: str) -> dict:
+    """Read the corpus once, tag each tweet that groups_of(tweet) puts in
+    some group through _tagged, and build the mode's matrix from the groups."""
     from crisislang import divergence as div
 
-    skips = Skips()
     if mode == "hourly":
-        if config.divergence_day is None or not config.divergence_hours:
+        day, region = config.divergence_day, config.region
+        if day is None or not config.divergence_hours:
             raise ConfigError("hourly mode needs divergence.day and divergence.hours in the config")
-        matrix, warnings = div.hourly_divergence_matrix(
-            iter_corpus(config.input, skips),
-            config.region,
-            config.divergence_day,
-            config.divergence_hours,
-            config.timezone_offset_minutes,
-        )
+        offset = timedelta(minutes=config.timezone_offset_minutes)
+        groups: dict = {hour: [] for hour in config.divergence_hours}
+        build = div.hourly_divergence_matrix
+
+        def groups_of(tweet: RawTweet) -> list:
+            try:
+                local = tweet.created_at + offset
+            except OverflowError:  # past an end of the calendar, so not on the day
+                return []
+            if local.date() != day or local.hour not in groups:
+                return []
+            return [local.hour] if tweet.geo is not None and region.contains(tweet.geo) else []
+
     elif mode == "regional":
         window = (
             config.crisis_window
@@ -423,18 +438,29 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
         )
         if window is None:
             raise ConfigError("divergence window 'pre_crisis' requires pre_crisis_window")
-        homes: dict[str, tuple[RawTweet, list[str]]] = {}  # id -> tweet, regions holding it
-        for tweet in iter_corpus(config.input, skips):
-            if tweet.geo is not None and window.contains(tweet.created_at):
-                if names := [n for n, r in config.regions.items() if r.contains(tweet.geo)]:
-                    homes[tweet.id] = tweet, names
-        groups: dict[str, list[TaggedTweet]] = {name: [] for name in config.regions}
-        for tweet, tagged in _tagged(config, (t for t, _ in homes.values()), skips, ()):
-            for name in homes[tweet.id][1]:
-                groups[name].append(tagged)
-        matrix, warnings = div.regional_divergence_matrix(groups)
+        groups = {name: [] for name in config.regions}
+        build = div.regional_divergence_matrix
+
+        def groups_of(tweet: RawTweet) -> list:
+            if tweet.geo is None or not window.contains(tweet.created_at):
+                return []
+            return [name for name, r in config.regions.items() if r.contains(tweet.geo)]
+
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
+    skips = Skips()
+    homes: dict[str, list] = {}  # id -> groups of each selected tweet until it is tagged
+
+    def selected() -> Iterator[RawTweet]:
+        for tweet in iter_corpus(config.input, skips):
+            if names := groups_of(tweet):
+                homes[tweet.id] = names
+                yield tweet
+
+    for tweet, tagged in _tagged(config, selected(), skips, ()):
+        for name in homes.pop(tweet.id):
+            groups[name].append(tagged)
+    matrix, warnings = build(groups)
     return {
         "warnings": list(warnings) + skips.reasons,
         "mode": mode,
@@ -587,12 +613,15 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
 
     model, classes = _load_model(config, model_path)
     unlabeled = iter_jsonl(_partition_path(config, UNLABELED_FILE), skips)
-    additions = [
-        tagged
-        for _, tagged in _tagged(config, (t for _, t in unlabeled), skips, classes)
-        if mdl.predict(model, vectorize(tagged, classes)).label == mdl.IR
-    ]
-    combined_cloud = ev.bigram_cloud(ir_tagged + additions, k)
+    tally = {"model_additions": 0}
+
+    def additions() -> Iterator[TaggedTweet]:
+        for _, tagged in _tagged(config, (t for _, t in unlabeled), skips, classes):
+            if mdl.predict(model, vectorize(tagged, classes)).label == mdl.IR:
+                tally["model_additions"] += 1
+                yield tagged
+
+    combined_cloud = ev.bigram_cloud(chain(ir_tagged, additions()), k)
     files: dict[str, str] = {}
     for name, cloud in (("geotagged", geotagged_cloud), ("combined", combined_cloud)):
         path = config.output_dir / f"cloud_{name}.json"
@@ -603,7 +632,7 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
         "warnings": skips.reasons,
         "k": k,
         "geotagged_ir": len(ir_tagged),
-        "model_additions": len(additions),
+        **tally,
         "files": files,
     }
 

@@ -4,19 +4,21 @@ Jensen-Shannon divergence with base-2 logarithms, so values live in [0, 1].
 The mixture distribution covers the union support, so no smoothing is needed.
 A word distribution is a plain dict of token to relative frequency, counted
 with features.count_ngrams. Matrices come in two flavors: hour-by-hour within
-a region on one local day, and group-by-group across named regions.
+a region on one local day, and group-by-group across named regions. Either
+way the caller selects and tags the tweets and passes them in groups; this
+module only turns groups into matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from datetime import date, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from crisislang.features import count_ngrams
-from crisislang.ingest import RawTweet, Region
-from crisislang.text import TaggedTweet, attach_tags, tokenize
+
+if TYPE_CHECKING:
+    from crisislang.text import TaggedTweet
 
 
 @dataclass
@@ -109,38 +111,13 @@ def _matrix(
     return pairwise_matrix(labels, distributions), warnings
 
 
-def _tokens_only(tweet: RawTweet) -> TaggedTweet:
-    return attach_tags(tokenize(tweet.text), tweet_id=tweet.id)
-
-
 def hourly_divergence_matrix(
-    tweets: Iterable[RawTweet],
-    region: Region,
-    day: date,
-    hours: Sequence[int],
-    timezone_offset_minutes: int = 0,
+    buckets: Mapping[int, Iterable[TaggedTweet]],
 ) -> tuple[DivergenceMatrix, list[str]]:
-    """Pairwise JSD between hourly word distributions inside the region.
-
-    Hours are clock hours of the given local day under the fixed UTC offset.
-    Hours with no tokens are dropped from the axis; the drop reasons come
-    back as warnings.
-    """
-    if not hours:
-        raise ValueError("hour range is empty")
-    offset = timedelta(minutes=timezone_offset_minutes)
-    buckets: dict[int, list[TaggedTweet]] = {h: [] for h in hours}
-    for tweet in tweets:
-        if tweet.geo is None or not region.contains(tweet.geo):
-            continue
-        try:
-            local = tweet.created_at + offset
-        except OverflowError:  # past an end of the calendar, so not on the day
-            continue
-        if local.date() != day or local.hour not in buckets:
-            continue
-        buckets[local.hour].append(_tokens_only(tweet))
-    labelled = ((f"{hour:02d}:00", buckets[hour]) for hour in hours)
+    """Pairwise JSD between hourly word distributions, one bucket of tweets
+    per clock hour, in the mapping's order. Hours with no tokens are dropped
+    from the axis; the drop reasons come back as warnings."""
+    labelled = ((f"{hour:02d}:00", tweets) for hour, tweets in buckets.items())
     return _matrix(labelled, "hour {}", "no hour in the range has any tokens")
 
 

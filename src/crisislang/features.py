@@ -69,6 +69,14 @@ class LogRegParams:
     max_epochs: int = 500
     tolerance: float = 1e-6
 
+    def __post_init__(self) -> None:
+        """ValueError naming the first setting out of its range."""
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        for name, low in (("l2", 0), ("max_epochs", 1), ("tolerance", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+
 
 DEFAULT_IMBALANCE_RATIOS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95)
 

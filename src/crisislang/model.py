@@ -363,12 +363,16 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
             params = {f.name: hp[f.name] for f in dataclasses.fields(LogRegParams)}
             for name, value in params.items():
                 _number(value, f"hyperparameters.{name}")
+            try:
+                lr_params = LogRegParams(**params)
+            except ValueError as exc:
+                raise ValueError(f"model field hyperparameters.{exc}") from None
             weights = _weight_table(doc["weights"], "weights")
             _check_ids(weights)
             model = LogisticRegressionModel(
                 weights=weights,
                 bias=_number(doc["bias"], "bias"),
-                params=LogRegParams(**params),
+                params=lr_params,
             )
         else:
             raise ValueError(f"unknown model kind: {doc.get('kind')!r}")

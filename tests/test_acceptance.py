@@ -10,11 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crisislang.divergence import (
-    hourly_divergence_matrix,
-    js_divergence,
-    regional_divergence_matrix,
-)
+from crisislang.divergence import DivergenceMatrix, js_divergence, regional_divergence_matrix
 from crisislang.evaluation import (
     compute_metrics,
     cross_validate,
@@ -23,7 +19,7 @@ from crisislang.evaluation import (
     stratified_fold_indices,
 )
 from crisislang.features import FeatureClass, extract_crisis_sensitive, split_feature
-from crisislang.ingest import GeoPoint, Region, haversine_km, parse_tweet_record
+from crisislang.ingest import GeoPoint, haversine_km, parse_tweet_record
 from crisislang.model import (
     IR,
     OR,
@@ -189,16 +185,19 @@ def test_criterion_07_haversine():
         assert abs(haversine_km(a, b) - spherical_law_km(a.lat, a.lon, b.lat, b.lon)) <= 1.0
 
 
-def test_criterion_08_divergence_structure_on_shifted_corpus():
+def test_criterion_08_divergence_structure_on_shifted_corpus(tmp_path):
+    from crisislang.cli import main
+
     start = time.perf_counter()
     records = hourly_shift_tweets(seed=808, tweets_per_hour=200, crisis_token_share=0.3)
-    tweets = [parse_tweet_record(json.dumps(r)) for r in records]
-    region = Region(GeoPoint(42.35, -71.08), 19.0)
-    from datetime import date
-
-    matrix, warnings = hourly_divergence_matrix(
-        tweets, region, date(2013, 4, 15), list(range(10, 20)), timezone_offset_minutes=-240
-    )
+    corpus = tmp_path / "hourly.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    # Boston, local day 2013-04-15, hours 10 to 19 at UTC-4.
+    write_config(config, corpus, out)
+    assert main(["--config", str(config), "divergence", "--mode", "hourly"]) == 0
+    matrix = DivergenceMatrix(**json.loads((out / "divergence_hourly.json").read_text()))
+    warnings = json.loads((out / "divergence_summary.json").read_text())["warnings"]
     assert warnings == []
     idx = {label: i for i, label in enumerate(matrix.labels)}
     pre = [idx[f"{h:02d}:00"] for h in range(10, 15)]

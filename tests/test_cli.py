@@ -118,6 +118,11 @@ class TestConfig:
                 {"boston": {"lat": 42.35, "lon": -71.08, "radius_km": float("inf")}},
                 ["partition"],
             ),
+            ("logreg", {"learning_rate": -0.1}, ["partition"]),
+            ("logreg", {"l2": -1.0}, ["partition"]),
+            ("logreg", {"max_epochs": 0}, ["partition"]),
+            ("logreg", {"tolerance": -1.0}, ["partition"]),
+            ("model", {"alpha": 0}, ["partition"]),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
@@ -324,6 +329,26 @@ class TestPartition:
         assert all(v == 0 for v in summary["counts"].values())
 
 
+def _divergence(root, name, records, mode, **overrides):
+    """Run divergence on records (dicts written as JSON, strs as they are)
+    under the test config, check that it exits 0, and return its matrix and
+    summary."""
+    corpus = _write_records(root / f"{name}.jsonl", records)
+    config = root / f"{name}.json"
+    write_config(config, corpus, root / name, **overrides)
+    assert main(["--config", str(config), "divergence", "--mode", mode]) == 0
+    out = root / name
+    return read_json(out / f"divergence_{mode}.json"), read_json(out / "divergence_summary.json")
+
+
+HOUR_TEN = {"divergence": {"day": "2013-04-15", "hours": [10, 10]}}
+
+
+def _geo_record(tweet_id, text, created_at, geo=None):
+    return {"id": tweet_id, "text": text, "created_at": created_at,
+            "geo": geo or {"lat": 42.35, "lon": -71.08}}
+
+
 class TestDivergence:
     def test_regional_matrix(self, workspace):
         assert run(workspace, "divergence", "--mode", "regional") == 0
@@ -437,6 +462,97 @@ class TestDivergence:
         assert main(["--config", str(config), "divergence", "--mode", "regional"]) == 0
         doc = read_json(tmp_path / "o" / "divergence_regional.json")
         assert doc["values"] == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_hourly_out_of_region_and_wrong_day_excluded(self, tmp_path):
+        records = [
+            _geo_record("1", "inside", "2013-04-15T14:00:00Z"),
+            _geo_record("2", "faraway", "2013-04-15T14:00:00Z", {"lat": 40.75, "lon": -73.99}),
+            _geo_record("3", "wrongday", "2013-04-14T14:00:00Z"),
+        ]
+        matrix, _ = _divergence(tmp_path, "o", records, "hourly", **HOUR_TEN)
+        # Only the in-region, on-day tweet contributes.
+        assert matrix["labels"] == ["10:00"]
+
+    def test_hourly_local_time_past_the_calendar_is_off_the_day(self, tmp_path):
+        records = [
+            _geo_record("1", "inside", "2013-04-15T14:00:00Z"),
+            _geo_record("2", "too early", "0001-01-01T01:00:00Z"),
+        ]
+        matrix, _ = _divergence(tmp_path, "o", records, "hourly", **HOUR_TEN)
+        assert matrix["labels"] == ["10:00"]
+
+    def test_hourly_misaligned_and_tokenless_records_are_counted_skips(self, tmp_path):
+        from synthdata import hourly_shift_tweets
+
+        records = hourly_shift_tweets(seed=1, tweets_per_hour=20)
+        misaligned = dict(records[0], id="m1", chunk_tags=["O"])
+        tokenless = dict(records[0], id="e1", text="   ")
+        plain, _ = _divergence(tmp_path, "plain", records, "hourly")
+        matrix, summary = _divergence(
+            tmp_path, "gated", [*records[:3], misaligned, tokenless, *records[3:]], "hourly"
+        )
+        assert matrix == plain
+        assert summary["skipped_records"] == 2
+        n_tokens = len(tokenize(misaligned["text"]))
+        assert summary["warnings"] == [
+            f"tweet 'm1': chunk_tags has 1 tags for {n_tokens} tokens",
+            "tweet e1: no tokens",
+        ]
+
+    def test_regional_skips_listed_in_input_order(self, workspace):
+        lines = read_lines(workspace["corpus"])
+        bad = dict(json.loads(lines[0]), chunk_tags=["O"])
+        _write_records(workspace["corpus"], [bad, *lines[1:4], "not json", *lines[4:]])
+        assert run(workspace, "divergence", "--mode", "regional") == 0
+        summary = read_json(workspace["out"] / "divergence_summary.json")
+        assert summary["warnings"] == [
+            f"tweet {bad['id']!r}: chunk_tags has 1 tags for {len(tokenize(bad['text']))} tokens",
+            "line 5: malformed JSON: Expecting value",
+        ]
+
+    # On the day and in the crisis window of the test config, or off both.
+    ON_DAY, OFF_DAY = "2013-04-15T{:02d}:30:00Z", "2013-04-10T{:02d}:30:00Z"
+    FAR = {"lat": 0.0, "lon": 0.0}
+    KINDS = ["good", "far", "off-day", "misaligned", "misaligned-far", "tokenless",
+             "tokenless-off-day", "malformed", "blank", "duplicate"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kinds=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(19, 23)), max_size=15),
+        words=st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=2, max_size=5),
+    )
+    def test_skips_are_the_bad_lines_in_input_order(self, kinds, words):
+        text = " ".join(words)
+        records, bad_lines, line_of = [], [], {}  # line_of: id -> line of its first record
+        for lineno, (kind, hour) in enumerate([*kinds, ("good", 20)], start=1):
+            if kind in ("malformed", "blank"):
+                records.append("not json" if kind == "malformed" else "")
+                bad_lines += [lineno] if kind == "malformed" else []
+                continue
+            if kind == "duplicate" and line_of:
+                record = records[next(iter(line_of.values())) - 1]
+            else:
+                when = (self.OFF_DAY if "off-day" in kind else self.ON_DAY).format(hour)
+                geo = self.FAR if "far" in kind else None
+                record = _geo_record(f"r{lineno}", "   " if "tokenless" in kind else text, when, geo)
+                if "misaligned" in kind:
+                    record["chunk_tags"] = ["O"]
+            records.append(record)
+            # A repeated id, or a tweet both modes select whose tagging fails.
+            if record["id"] in line_of or kind in ("misaligned", "tokenless"):
+                bad_lines.append(lineno)
+            line_of.setdefault(record["id"], lineno)
+        with tempfile.TemporaryDirectory() as tmp:
+            for mode in ("hourly", "regional"):
+                _, summary = _divergence(Path(tmp), mode, records, mode)
+                assert summary["skipped_records"] == len(bad_lines)
+                skips = [w for w in summary["warnings"] if not w.endswith("dropped from the axis")]
+                listed = [
+                    int(w.split()[1][:-1]) if w.startswith("line ") else
+                    line_of[w.split()[1].strip("':")]
+                    for w in skips
+                ]
+                assert listed == bad_lines
 
 
 def _first_id(model_doc):
@@ -990,6 +1106,38 @@ class TestClassifyMemory:
         assert large <= small + self.SLACK_BYTES, (small, large)
 
 
+class TestCloudMemory:
+    # cloud counts the model's additions as they are predicted, so 8x the
+    # unlabeled pool may add only this much to its tracemalloc peak: under
+    # 1 KB was measured here, while holding every addition added about 1.3 MB.
+    SLACK_BYTES = 256 * 1024
+
+    def test_peak_does_not_grow_with_the_unlabeled_pool(self, workspace):
+        run(workspace, "partition")
+        run(workspace, "train")
+        config = load_config(workspace["config"])
+        model_path = config.output_dir / "model.json"
+        unlabeled = config.partitions_dir() / cli.UNLABELED_FILE
+        pool = [json.loads(line) for line in read_lines(unlabeled)]
+        n = 8 * len(pool)
+
+        def peak(size):
+            # The pool repeated under fresh ids, so the bigram counts stay put.
+            _write_records(unlabeled, [dict(pool[i % len(pool)], id=f"u{i}") for i in range(size)])
+            tracemalloc.start()
+            try:
+                summary = cli.cmd_cloud(config, model_path, 10)
+                return tracemalloc.get_traced_memory()[1], summary["model_additions"]
+            finally:
+                tracemalloc.stop()
+
+        cli.cmd_cloud(config, model_path, 10)  # one-off allocations
+        small, small_additions = peak(n)
+        large, large_additions = peak(8 * n)
+        assert large_additions == 8 * small_additions > 0
+        assert large <= small + self.SLACK_BYTES, (small, large)
+
+
 class TestEvaluate:
     def test_single_mode_fifteen_readings(self, workspace):
         run(workspace, "partition")
@@ -1386,7 +1534,9 @@ STAGE_MODULES = [
     (["classify", "--model", "MODEL"], ["text", "model"]),
     (["divergence", "--mode", "regional"], ["text", "divergence"]),
     (["evaluate", "--mode", "single"], ["text", "model", "evaluation"]),
+    (["divergence", "--mode", "hourly"], ["text", "divergence"]),
 ]
+STAGE_IDS = [a[0] + ("-hourly" if "hourly" in a else "") for a, _ in STAGE_MODULES]
 
 # Every name crisislang exports, by the module that defines it.
 PACKAGE_EXPORTS = {
@@ -1411,7 +1561,7 @@ class TestImportBudget:
     """A stage process loads only the modules its stage runs, and logging
     only when it warns."""
 
-    @pytest.mark.parametrize("argv, modules", STAGE_MODULES, ids=[a[0] for a, _ in STAGE_MODULES])
+    @pytest.mark.parametrize("argv, modules", STAGE_MODULES, ids=STAGE_IDS)
     def test_stage_loads_only_the_modules_it_runs(self, workspace, argv, modules):
         run(workspace, "partition")
         if "MODEL" in argv:

@@ -476,6 +476,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="feature_log_likelihood"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value", [("learning_rate", 0.0), ("l2", -1.0), ("max_epochs", 0), ("tolerance", -1.0)]
+    )
+    def test_out_of_range_hyperparameter_rejected(self, key, value):
+        doc = model_to_dict(LogisticRegressionModel({"UNIGRAM:a": 1.0}, 0.0, LogRegParams()))
+        doc["hyperparameters"][key] = value
+        with pytest.raises(ValueError, match=f"model field hyperparameters.{key} must be"):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("doc", [[], "nb", None])
     def test_non_object_document_rejected(self, doc):
         with pytest.raises(ValueError, match="must be a JSON object"):

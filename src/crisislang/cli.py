@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -23,9 +22,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from crisislang.features import (
+    ALPHA_RANGE,
     DEFAULT_IMBALANCE_RATIOS,
     FeatureClass,
     LogRegParams,
+    checked,
+    feature_classes,
     missing_classes,
     split_feature,
     vector_to_json,
@@ -102,59 +104,47 @@ class RunConfig:
         return self.output_dir / "partitions"
 
 
-def _parse_window(raw: dict, name: str) -> TimeWindow:
-    if not isinstance(raw, dict) or "start" not in raw or "end" not in raw:
-        raise ConfigError(f"{name} must be an object with start and end")
-    for key in ("start", "end"):
-        if not isinstance(raw[key], str):
-            raise ConfigError(f"{name}.{key} must be a string, got {raw[key]!r}")
+# Every scalar setting: its RunConfig field, its dotted config key, its type, its
+# default, and the range it must lie in with the rule that says so (see checked).
+_SETTINGS = (
+    ("input", "input", str, None, None, ""),
+    ("output_dir", "output_dir", str, "out", None, ""),
+    ("seed", "seed", int, 0, None, ""),
+    (
+        "timezone_offset_minutes", "timezone_offset_minutes", int, 0,
+        lambda minutes: -1440 <= minutes <= 1440, "within ±1440",
+    ),
+    ("model_kind", "model.kind", str, "nb", lambda kind: kind in ("nb", "logreg"), "nb or logreg"),
+    ("alpha", "model.alpha", float, 1.0, *ALPHA_RANGE),
+    ("cv_repeats", "cv.repeats", int, 3, lambda repeats: repeats >= 1, "at least 1"),
+    ("cv_folds", "cv.folds", int, 5, lambda folds: folds >= 2, "at least 2"),
+    ("balance", "balance", bool, True, None, ""),
+    ("fallback_tags", "fallback_tags", bool, True, None, ""),
+    (
+        "divergence_window", "divergence.window", str, "crisis",
+        lambda window: window in ("crisis", "pre_crisis"), "crisis or pre_crisis",
+    ),
+)
+
+
+def _parse_window(raw, name: str) -> TimeWindow:
+    raw = checked(raw, dict, name)
+    start, end = (checked(raw.get(key), str, f"{name}.{key}") for key in ("start", "end"))
     try:
-        return TimeWindow(parse_timestamp(raw["start"]), parse_timestamp(raw["end"]))
+        return TimeWindow(parse_timestamp(start), parse_timestamp(end))
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _parse_region(raw: dict, name: str) -> Region:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"regions.{name} must be an object, got {raw!r}")
+def _parse_region(raw, name: str) -> Region:
+    raw = checked(raw, dict, name)
     lat, lon, radius_km = (
-        _typed(float, raw.get(key), f"regions.{name}.{key}") for key in ("lat", "lon", "radius_km")
+        checked(raw.get(key), float, f"{name}.{key}") for key in ("lat", "lon", "radius_km")
     )
     try:
         return Region(GeoPoint(lat, lon), radius_km)
     except ValueError as exc:
-        raise ConfigError(f"regions.{name}: {exc}") from None
-
-
-def _section(doc: dict, key: str) -> dict:
-    section = doc.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object, got {section!r}")
-    return section
-
-
-def _list(doc: dict, key: str, default: list) -> list:
-    value = doc.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def _typed(convert, value, name: str):
-    """convert(value), or a ConfigError naming the key when the value has the
-    wrong type or form. Nothing is coerced into a bool, int or float: those
-    take only JSON booleans and finite numbers, and an int only a whole number."""
-    if convert is bool and not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if convert in (int, float) and not (number and -math.inf < value < math.inf):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if convert is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def load_config(
@@ -170,112 +160,10 @@ def load_config(
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-
-    for key in ("input", "regions", "primary_region", "crisis_window"):
-        if key not in doc:
-            raise ConfigError(f"config is missing required key: {key}")
-
-    if not isinstance(doc["regions"], dict):
-        raise ConfigError("regions must be an object mapping names to regions")
-    regions = {name: _parse_region(raw, name) for name, raw in doc["regions"].items()}
-    primary = doc["primary_region"]
-    if not isinstance(primary, str) or primary not in regions:
-        raise ConfigError(f"primary_region {primary!r} is not a configured region")
-
-    crisis = _parse_window(doc["crisis_window"], "crisis_window")
-    pre = None
-    if doc.get("pre_crisis_window") is not None:
-        pre = _parse_window(doc["pre_crisis_window"], "pre_crisis_window")
-
-    raw_classes = _list(doc, "feature_classes", ["UNIGRAM", "BIGRAM"])
     try:
-        classes = [FeatureClass(c) for c in raw_classes]
-    except ValueError as exc:
-        raise ConfigError(f"unknown feature class: {exc}") from None
-    if not classes:
-        raise ConfigError("feature_classes must not be empty")
-    for i, cls in enumerate(classes):
-        if cls in classes[:i]:
-            raise ConfigError(f"feature_classes lists {cls.value} more than once")
-
-    model_doc = _section(doc, "model")
-    kind = model_doc.get("kind", "nb")
-    if kind not in ("nb", "logreg"):
-        raise ConfigError(f"model kind must be nb or logreg, got {kind!r}")
-    alpha = _typed(float, model_doc.get("alpha", 1.0), "model.alpha")
-    if alpha <= 0:
-        raise ConfigError(f"model.alpha must be positive, got {alpha}")
-
-    lr_doc = _section(doc, "logreg")
-    lr_values = {
-        key: _typed(type(default), lr_doc.get(key, default), f"logreg.{key}")
-        for key, default in dataclasses.asdict(LogRegParams()).items()
-    }
-    try:
-        logreg = LogRegParams(**lr_values)
-    except ValueError as exc:
-        raise ConfigError(f"logreg.{exc}") from None
-
-    raw_ratios = _list(doc, "imbalance_ratios", list(DEFAULT_IMBALANCE_RATIOS))
-    ratios = [_typed(float, r, "imbalance_ratios") for r in raw_ratios]
-    if not ratios:
-        raise ConfigError("imbalance_ratios must not be empty")
-    for r in ratios:
-        if not 0.0 < r < 1.0:
-            raise ConfigError(f"imbalance ratio must be in (0, 1), got {r}")
-
-    div_doc = _section(doc, "divergence")
-    div_day = None
-    if "day" in div_doc:
-        div_day = _typed(date.fromisoformat, div_doc["day"], "divergence.day")
-    div_hours: list[int] = []
-    if "hours" in div_doc:
-        hours = div_doc["hours"]
-        if not (isinstance(hours, list) and len(hours) == 2):
-            raise ConfigError(f"divergence hours must be a [first, last] pair, got {hours!r}")
-        first, last = (_typed(int, h, "divergence.hours") for h in hours)
-        if not 0 <= first <= last <= 23:
-            raise ConfigError("divergence hours must satisfy 0 <= first <= last <= 23")
-        div_hours = list(range(first, last + 1))
-    div_window = div_doc.get("window", "crisis")
-    if div_window not in ("crisis", "pre_crisis"):
-        raise ConfigError(f"divergence window must be crisis or pre_crisis, got {div_window!r}")
-
-    offset = _typed(int, doc.get("timezone_offset_minutes", 0), "timezone_offset_minutes")
-    if not -1440 <= offset <= 1440:
-        raise ConfigError(f"timezone_offset_minutes must be within ±1440, got {offset}")
-
-    cv_doc = _section(doc, "cv")
-    cv_repeats = _typed(int, cv_doc.get("repeats", 3), "cv.repeats")
-    cv_folds = _typed(int, cv_doc.get("folds", 5), "cv.folds")
-    if cv_repeats < 1 or cv_folds < 2:
-        raise ConfigError(f"cv needs repeats >= 1 and folds >= 2, got {cv_repeats} and {cv_folds}")
-    config = RunConfig(
-        input=_typed(Path, doc["input"], "input"),
-        output_dir=_typed(
-            Path,
-            output_dir if output_dir is not None else doc.get("output_dir", "out"),
-            "output_dir",
-        ),
-        regions=regions,
-        primary_region=primary,
-        crisis_window=crisis,
-        pre_crisis_window=pre,
-        timezone_offset_minutes=offset,
-        feature_classes=classes,
-        model_kind=kind,
-        alpha=alpha,
-        logreg=logreg,
-        cv_repeats=cv_repeats,
-        cv_folds=cv_folds,
-        imbalance_ratios=ratios,
-        balance=_typed(bool, doc.get("balance", True), "balance"),
-        fallback_tags=_typed(bool, doc.get("fallback_tags", True), "fallback_tags"),
-        seed=_typed(int, seed if seed is not None else doc.get("seed", 0), "seed"),
-        divergence_day=div_day,
-        divergence_hours=div_hours,
-        divergence_window=div_window,
-    )
+        config = _run_config(doc, {"seed": seed, "output_dir": output_dir})
+    except ValueError as exc:  # each message starts with the key at fault
+        raise ConfigError(str(exc)) from None
     try:
         same = config.input.resolve() == config.output_dir.resolve()
     except (OSError, ValueError) as exc:
@@ -283,6 +171,74 @@ def load_config(
     if same:
         raise ConfigError("input path and output_dir must be distinct")
     return config
+
+
+def _run_config(doc: dict, overrides: dict) -> RunConfig:
+    """The RunConfig a config document describes; ValueError on the first key
+    that is missing, of the wrong type or out of its range."""
+    for key in ("input", "regions", "primary_region", "crisis_window"):
+        if key not in doc:
+            raise ValueError(f"config is missing required key: {key}")
+    sections = {"": doc}  # keyed by what precedes a dotted key's last dot
+    for name in ("model", "logreg", "cv", "divergence"):
+        sections[name] = checked(doc.get(name, {}), dict, name)
+    settings = {}
+    for field, key, kind, default, ok, rule in _SETTINGS:
+        section, _, last = key.rpartition(".")
+        value = overrides.get(field)
+        value = sections[section].get(last, default) if value is None else value
+        settings[field] = checked(value, kind, key, ok, rule)
+    for field in ("input", "output_dir"):
+        settings[field] = Path(settings[field])
+
+    regions = checked(doc["regions"], dict, "regions")
+    regions = {name: _parse_region(raw, f"regions.{name}") for name, raw in regions.items()}
+    primary = checked(
+        doc["primary_region"], str, "primary_region", regions.__contains__, "a configured region"
+    )
+    pre = doc.get("pre_crisis_window")
+    known = {setting.name for setting in dataclasses.fields(LogRegParams)}
+    try:
+        logreg = LogRegParams(**{k: v for k, v in sections["logreg"].items() if k in known})
+    except ValueError as exc:
+        raise ValueError(f"logreg.{exc}") from None
+    ratios = checked(
+        doc.get("imbalance_ratios", list(DEFAULT_IMBALANCE_RATIOS)),
+        list, "imbalance_ratios", bool, "a non-empty list",
+    )
+    div_doc = sections["divergence"]
+    div_day = None
+    if "day" in div_doc:
+        day = checked(div_doc["day"], str, "divergence.day")
+        try:
+            div_day = date.fromisoformat(day)
+        except ValueError as exc:
+            raise ValueError(f"divergence.day: {exc}") from None
+    div_hours: list[int] = []
+    if "hours" in div_doc:
+        hours = div_doc["hours"]
+        checked(hours, list, "divergence.hours", lambda h: len(h) == 2, "a [first, last] pair")
+        first, last = (checked(hour, int, "divergence.hours") for hour in hours)
+        if not 0 <= first <= last <= 23:
+            raise ValueError(f"divergence.hours must be 0 <= first <= last <= 23, got {hours}")
+        div_hours = list(range(first, last + 1))
+    return RunConfig(
+        regions=regions,
+        primary_region=primary,
+        crisis_window=_parse_window(doc["crisis_window"], "crisis_window"),
+        pre_crisis_window=None if pre is None else _parse_window(pre, "pre_crisis_window"),
+        feature_classes=feature_classes(
+            doc.get("feature_classes", ["UNIGRAM", "BIGRAM"]), "feature_classes"
+        ),
+        logreg=logreg,
+        imbalance_ratios=[
+            checked(ratio, float, "imbalance_ratios", lambda r: 0 < r < 1, "in (0, 1)")
+            for ratio in ratios
+        ],
+        divergence_day=div_day,
+        divergence_hours=div_hours,
+        **settings,
+    )
 
 
 def _write_json(path: Path, obj: dict) -> None:

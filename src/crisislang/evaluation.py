@@ -17,11 +17,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from crisislang.features import (
+    ALPHA_RANGE,
     DEFAULT_IMBALANCE_RATIOS,
     FeatureClass,
     FeatureId,
     FeatureVector,
     MissingLayerError,
+    checked,
     count_ngrams,
     missing_classes,
     vectorize,
@@ -216,8 +218,7 @@ def _subset_readings(
     if len(data) < folds:
         raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
     rows = _vectorize_by_class(data, classes)
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
     labels = [label for _, label in data]
     log = math.log
     readings: list[list[Metrics]] = [[] for _ in subsets]

@@ -16,6 +16,8 @@ clouds and the word distributions of the divergence module use too.
 
 from __future__ import annotations
 
+import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -60,8 +62,42 @@ ARK_CRISIS_PATTERNS: tuple[tuple[str, ...], ...] = (
 )
 
 
-# Model and evaluation settings a run config fills in. They live here, so
-# loading a config loads neither the model nor the evaluation module.
+# Settings a run config or model file carries and their one checker. They live
+# here, so loading a config loads neither the model nor the evaluation module.
+_KIND_NAMES = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+
+
+def checked(value, kind: type, name: str, ok: Callable | None = None, rule: str = ""):
+    """value as kind (bool, int, float, str, list or dict), or ValueError("<name>
+    must be …"). No bool passes as a number, an int takes only a whole number and
+    a float only a finite one. ok, when given, is the range and rule says it in
+    words; it is checked before finiteness, so a rule may promise finiteness."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int or kind is float:
+        if not number:
+            raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+    elif not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
+    if ok is not None and not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+    if kind is int:
+        return int(value)
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+# NB's smoothing alpha: its range and the rule that says so, for checked.
+ALPHA_RANGE = (lambda alpha: 0 < alpha < math.inf, "positive and finite")
+
+
 @dataclass(frozen=True)
 class LogRegParams:
     learning_rate: float = 0.1
@@ -70,12 +106,30 @@ class LogRegParams:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        """ValueError naming the first setting out of its range."""
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        for name, low in (("l2", 0), ("max_epochs", 1), ("tolerance", 0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        """Each setting through checked, stored as the type of its default:
+        ValueError naming the first one of another type or out of its range."""
+        for name, ok, rule in (
+            ("learning_rate", lambda rate: rate > 0, "positive"),
+            ("l2", lambda l2: l2 >= 0, "at least 0"),
+            ("max_epochs", lambda epochs: epochs >= 1, "at least 1"),
+            ("tolerance", lambda tolerance: tolerance >= 0, "at least 0"),
+        ):
+            kind = type(getattr(LogRegParams, name))
+            object.__setattr__(self, name, checked(getattr(self, name), kind, name, ok, rule))
+
+
+def feature_classes(raw, name: str) -> list[FeatureClass]:
+    """The feature classes raw names; ValueError("<name> …") unless it is a
+    non-empty list of known class names with none named twice."""
+    classes: list[FeatureClass] = []
+    for item in checked(raw, list, name, bool, "a non-empty list"):
+        cls = _CLASS_BY_NAME.get(item) if isinstance(item, str) else None
+        if cls is None:
+            raise ValueError(f"{name} lists unknown feature class {reprlib.repr(item)}")
+        if cls in classes:
+            raise ValueError(f"{name} lists {cls.value} more than once")
+        classes.append(cls)
+    return classes
 
 
 DEFAULT_IMBALANCE_RATIOS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95)

@@ -21,7 +21,16 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from crisislang.features import FeatureClass, FeatureId, FeatureVector, LogRegParams, split_feature
+from crisislang.features import (
+    ALPHA_RANGE,
+    FeatureClass,
+    FeatureId,
+    FeatureVector,
+    LogRegParams,
+    checked,
+    feature_classes,
+    split_feature,
+)
 from crisislang.ingest import atomic_open
 
 if TYPE_CHECKING:
@@ -89,8 +98,7 @@ def _check_labels(labels: Iterable[str]) -> None:
 
 def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> NaiveBayesModel:
     """Fit multinomial NB: likelihood(f|c) = (n_fc + alpha) / (n_c + alpha |V|)."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
     _check_labels(label for _, label in data)
 
     class_counts = {label: 0 for label in LABELS}
@@ -282,29 +290,12 @@ def model_to_dict(
 
 
 def _number(value, name: str) -> float:
-    """A finite JSON number as a float; ValueError for any other value, for
-    NaN or an infinity, or for an integer too large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"model field {name} must be a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"model field {name} is too large for a float") from None
-    if not math.isfinite(number):
-        raise ValueError(f"model field {name} must be finite, got {number}")
-    return number
-
-
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"model field {name} must be an object, got {type(value).__name__}")
-    return value
+    return checked(value, float, name)
 
 
 def _per_label(value, name: str, convert) -> dict:
     """An object keyed by exactly IR and OR, each value passed through convert."""
-    if set(_object(value, name)) != set(LABELS):
-        raise ValueError(f"model field {name} must have exactly the keys IR and OR")
+    checked(value, dict, name, lambda v: v.keys() == set(LABELS), "keyed by exactly IR and OR")
     return {label: convert(value[label], f"{name}.{label}") for label in LABELS}
 
 
@@ -312,7 +303,7 @@ def _weight_table(value, name: str) -> dict[FeatureId, float]:
     """Feature id to finite number; the ids are checked by _check_ids."""
     table = {}
     isfinite = math.isfinite
-    for fid, weight in _object(value, name).items():
+    for fid, weight in checked(value, dict, name).items():
         # A finite float is taken as is, which is what _number would return.
         ok = type(weight) is float and isfinite(weight)
         table[fid] = weight if ok else _number(weight, f"{name}[{fid!r}]")
@@ -335,44 +326,39 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
     raw_classes = doc.get("feature_classes")
     classes = None
     if raw_classes is not None:
-        if not isinstance(raw_classes, list) or not raw_classes:
-            raise ValueError("model field feature_classes must be a non-empty list")
-        classes = [FeatureClass(c) for c in raw_classes]
-        for i, cls in enumerate(classes):
-            if cls in classes[:i]:
-                raise ValueError(f"model field feature_classes lists {cls.value} more than once")
+        classes = feature_classes(raw_classes, "model field feature_classes")
     try:
         if doc["kind"] == "nb":
             name = "feature_log_likelihood"
-            loglik = _per_label(doc[name], name, _weight_table)
+            loglik = _per_label(doc[name], f"model field {name}", _weight_table)
             ll_ir, ll_or = loglik[IR], loglik[OR]
             # Each id is checked once: the IR table's, then any only OR holds.
             _check_ids(ll_ir)
             if ll_ir.keys() != ll_or.keys():
                 _check_ids(fid for fid in ll_or if fid not in ll_ir)
                 raise ValueError(f"model tables {name}.IR and {name}.OR hold different ids")
-            _number(doc["alpha"], "alpha")
+            alpha = checked(doc["alpha"], float, "model field alpha", *ALPHA_RANGE)
             model: NaiveBayesModel | LogisticRegressionModel = NaiveBayesModel(
-                class_log_prior=_per_label(doc["class_log_prior"], "class_log_prior", _number),
+                class_log_prior=_per_label(
+                    doc["class_log_prior"], "model field class_log_prior", _number
+                ),
                 feature_log_likelihood=loglik,
                 vocabulary=frozenset(ll_ir),
-                alpha=doc["alpha"],
+                alpha=alpha,
             )
         elif doc["kind"] == "logreg":
-            hp = _object(doc["hyperparameters"], "hyperparameters")
-            params = {f.name: hp[f.name] for f in dataclasses.fields(LogRegParams)}
-            for name, value in params.items():
-                _number(value, f"hyperparameters.{name}")
+            hp = checked(doc["hyperparameters"], dict, "model field hyperparameters")
+            values = {field.name: hp[field.name] for field in dataclasses.fields(LogRegParams)}
             try:
-                lr_params = LogRegParams(**params)
+                params = LogRegParams(**values)
             except ValueError as exc:
                 raise ValueError(f"model field hyperparameters.{exc}") from None
-            weights = _weight_table(doc["weights"], "weights")
+            weights = _weight_table(doc["weights"], "model field weights")
             _check_ids(weights)
             model = LogisticRegressionModel(
                 weights=weights,
-                bias=_number(doc["bias"], "bias"),
-                params=lr_params,
+                bias=_number(doc["bias"], "model field bias"),
+                params=params,
             )
         else:
             raise ValueError(f"unknown model kind: {doc.get('kind')!r}")

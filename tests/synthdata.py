@@ -4,6 +4,7 @@ shifts, per-city groups, and full JSONL pipelines for the CLI."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -200,3 +201,14 @@ def write_config(path, input_path, output_dir, **overrides) -> None:
     }
     config.update(overrides)
     path.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def logreg_params_in_range(params) -> bool:
+    """Whether LogRegParams hold the types and ranges the README's settings
+    table states, each float finite."""
+    return (
+        type(params.max_epochs) is int and params.max_epochs >= 1
+        and all(type(v) is float and math.isfinite(v) for v in
+                (params.learning_rate, params.l2, params.tolerance))
+        and params.learning_rate > 0 and params.l2 >= 0 and params.tolerance >= 0
+    )

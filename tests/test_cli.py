@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from crisislang import cli
 from crisislang.cli import ConfigError, load_config, main
 from crisislang.text import tokenize
-from synthdata import JSON_VALUES, pipeline_corpus_lines, write_config
+from synthdata import JSON_VALUES, logreg_params_in_range, pipeline_corpus_lines, write_config
 
 
 @pytest.fixture()
@@ -65,6 +65,27 @@ class TestConfig:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ConfigError, match="distinct"):
             load_config(bad)
+
+    def test_whole_numbers_load_as_the_setting_type(self, workspace):
+        """alpha 1 and learning_rate 1 load as floats and max_epochs 500.0 as an
+        int, so a logreg model.json is byte-identical to the canonical spelling's."""
+        written = []
+        for alpha, rate, epochs in ((1, 1, 500.0), (1.0, 1.0, 500)):
+            doc = read_json(workspace["config"])
+            doc["model"] = {"kind": "logreg", "alpha": alpha}
+            doc["logreg"] = {"learning_rate": rate, "max_epochs": epochs}
+            workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+            config = load_config(workspace["config"])
+            loaded = (config.alpha, config.logreg.learning_rate, config.logreg.max_epochs)
+            assert loaded == (1.0, 1.0, 500)
+            assert [type(value) for value in loaded] == [float, float, int]
+            assert run(workspace, "partition") == 0 and run(workspace, "train") == 0
+            written.append((workspace["out"] / "model.json").read_bytes())
+        assert written[0] == written[1]
+        hyperparameters = read_json(workspace["out"] / "model.json")["hyperparameters"]
+        assert json.dumps(hyperparameters, sort_keys=True) == (
+            '{"l2": 0.0001, "learning_rate": 1.0, "max_epochs": 500, "tolerance": 1e-06}'
+        )
 
     def test_overrides(self, workspace):
         config = load_config(workspace["config"], seed=99, output_dir="elsewhere")
@@ -213,6 +234,10 @@ def test_any_json_value_in_any_config_field_loads_or_is_config_error(field, valu
     assert -1440 <= config.timezone_offset_minutes <= 1440
     assert config.region.radius_km > 0
     assert all(math.isfinite(number) for number in _floats(config))
+    assert config.alpha > 0 and config.cv_repeats >= 1 and config.cv_folds >= 2
+    assert all(0 < ratio < 1 for ratio in config.imbalance_ratios)
+    assert logreg_params_in_range(config.logreg)
+    assert all(type(n) is int for n in (config.seed, config.cv_repeats, config.cv_folds))
 
 
 def _floats(value):
@@ -893,6 +918,11 @@ class TestTrainClassify:
                 lambda doc: doc.update(feature_classes=["PTB_POS", "PTB_POS"]),
                 "model field feature_classes lists PTB_POS more than once",
                 id="classes-repeated",
+            ),
+            pytest.param(
+                lambda doc: doc.update(alpha=-1.0),
+                "model field alpha must be positive and finite",
+                id="alpha-negative",
             ),
         ],
     )

@@ -41,6 +41,7 @@ from oracles import (
     reference_logistic_loss_and_gradient,
     reference_train_logreg,
 )
+from synthdata import logreg_params_in_range
 
 U = FeatureClass.UNIGRAM
 
@@ -477,7 +478,14 @@ class TestSerialization:
             model_from_dict(doc)
 
     @pytest.mark.parametrize(
-        "key, value", [("learning_rate", 0.0), ("l2", -1.0), ("max_epochs", 0), ("tolerance", -1.0)]
+        "key, value",
+        [
+            ("learning_rate", 0.0),
+            ("l2", -1.0),
+            ("max_epochs", 0),
+            ("tolerance", -1.0),
+            ("max_epochs", 2.5),
+        ],
     )
     def test_out_of_range_hyperparameter_rejected(self, key, value):
         doc = model_to_dict(LogisticRegressionModel({"UNIGRAM:a": 1.0}, 0.0, LogRegParams()))
@@ -529,6 +537,8 @@ _JSON_VALUES = st.recursive(
 class TestCorruptDocuments:
     @settings(max_examples=400, deadline=None)
     @given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+    @example(field=(0, ("alpha",)), value=-1.0)
+    @example(field=(1, ("hyperparameters", "max_epochs")), value=2.5)
     def test_any_field_replaced_raises_value_error_or_predicts(self, field, value):
         k, path = field
         doc = copy.deepcopy(_DOCUMENTS[k])
@@ -540,6 +550,10 @@ class TestCorruptDocuments:
             model, _ = model_from_dict(doc)
         except ValueError:
             return
+        if isinstance(model, LogisticRegressionModel):
+            assert logreg_params_in_range(model.params)
+        else:
+            assert type(model.alpha) is float and 0 < model.alpha < math.inf
         ids = model.vocabulary if hasattr(model, "vocabulary") else model.weights
         predict(model, {fid: 1 for fid in ids})
         predict(model, {})

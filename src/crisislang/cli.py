@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from crisislang.features import (
     ALPHA_RANGE,
     DEFAULT_IMBALANCE_RATIOS,
     FeatureClass,
+    K_RANGE,
     LogRegParams,
     checked,
     feature_classes,
@@ -64,8 +65,9 @@ PARTITION_FILES = {
 }
 UNLABELED_FILE = "unlabeled.jsonl"
 
-# Tagged tweets that classify vectorizes and predicts at a time. Only one
-# batch is held, so classify's memory is bounded by the model, not the input.
+# Tagged tweets that classify and cloud vectorize and predict at a time (see
+# _predicted). Only one batch is held, so their memory is bounded by the model
+# and the batch, not the input.
 CLASSIFY_BATCH = 256
 
 
@@ -260,12 +262,27 @@ def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
-def _counted_tweets(path: Path, skips: Skips, tally: dict[str, int]) -> Iterator[RawTweet]:
-    """The tweets at path, lazily, each counted in tally["total"] as it is
-    parsed."""
-    for _, tweet in iter_jsonl(path, skips):
-        tally["total"] += 1
-        yield tweet
+def _stream(source: Path, target: Path, tally: dict[str, int], records: Callable) -> dict:
+    """Write the dicts records(tweets, skips) yields to target as JSON lines,
+    where tweets are the tweets at source, each counted in tally["total"] as
+    it is parsed. Returns the summary every streaming stage shares, with the
+    stage's own counts from tally."""
+    skips = Skips()
+    tally["total"] = 0
+
+    def tweets() -> Iterator[RawTweet]:
+        for _, tweet in iter_jsonl(source, skips):
+            tally["total"] += 1
+            yield tweet
+
+    write_jsonl(target, records(tweets(), skips))
+    return {
+        "warnings": skips.reasons,
+        "input": str(source),
+        "output": str(target),
+        **tally,
+        "skipped": skips.count,
+    }
 
 
 def _tagged(
@@ -298,6 +315,22 @@ def _tagged(
     if lacking and not usable:
         names = ", ".join(c.value for c in classes)
         raise ConfigError(f"no input tweet carries the tag layers the model needs ({names})")
+
+
+def _predicted(
+    tagged: Iterator[tuple[RawTweet, TaggedTweet]],
+    model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel,
+    classes: Sequence[FeatureClass],
+) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction]]:
+    """Each (tweet, tagged) pair with the model's prediction, lazily.
+    Vectorizes and predicts CLASSIFY_BATCH tagged tweets at a time and holds
+    only that batch."""
+    from crisislang import model as mdl
+
+    while batch := list(islice(tagged, CLASSIFY_BATCH)):
+        predictions = [mdl.predict(model, vectorize(t, classes)) for _, t in batch]
+        for (tweet, t), prediction in zip(batch, predictions):
+            yield tweet, t, prediction
 
 
 def _partition_path(config: RunConfig, filename: str) -> Path:
@@ -508,33 +541,20 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
 
     model, classes = _load_model(config, model_path)
     source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
-    skips = Skips()
-    tally = dict.fromkeys(("total", "classified", "classified_ir"), 0)
-    tagged = _tagged(config, _counted_tweets(source, skips, tally), skips, classes)
+    tally = dict.fromkeys(("classified", "classified_ir"), 0)
 
-    def records() -> Iterator[dict]:
-        while batch := list(islice(tagged, CLASSIFY_BATCH)):
-            predictions = [mdl.predict(model, vectorize(t, classes)) for _, t in batch]
-            tally["classified"] += len(batch)
-            tally["classified_ir"] += sum(p.label == mdl.IR for p in predictions)
-            for (tweet, _), p in zip(batch, predictions):
-                yield dict(tweet_to_record(tweet), label=p.label, score=p.score)
+    def records(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
+        for tweet, _, p in _predicted(_tagged(config, tweets, skips, classes), model, classes):
+            tally["classified"] += 1
+            tally["classified_ir"] += p.label == mdl.IR
+            yield dict(tweet_to_record(tweet), label=p.label, score=p.score)
 
-    out_path = config.output_dir / "classified.jsonl"
-    write_jsonl(out_path, records())
-    return {
-        "warnings": skips.reasons,
-        "model": str(model_path),
-        "input": str(source),
-        "output": str(out_path),
-        **tally,
-        "skipped": skips.count,
-    }
+    summary = _stream(source, config.output_dir / "classified.jsonl", tally, records)
+    return {"model": str(model_path), **summary}
 
 
 def cmd_top_features(config: RunConfig, k: int) -> dict:
-    if k <= 0:
-        raise ConfigError(f"k must be positive, got {k}")
+    k = checked(k, int, "k", *K_RANGE)
     from crisislang import model as mdl
 
     skips = Skips()
@@ -558,8 +578,7 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
 
 
 def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
-    if k <= 0:
-        raise ConfigError(f"k must be positive, got {k}")
+    k = checked(k, int, "k", *K_RANGE)
     from crisislang import evaluation as ev
     from crisislang import model as mdl
 
@@ -568,12 +587,12 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
     model, classes = _load_model(config, model_path)
-    unlabeled = iter_jsonl(_partition_path(config, UNLABELED_FILE), skips)
+    pool = (t for _, t in iter_jsonl(_partition_path(config, UNLABELED_FILE), skips))
     tally = {"model_additions": 0}
 
     def additions() -> Iterator[TaggedTweet]:
-        for _, tagged in _tagged(config, (t for _, t in unlabeled), skips, classes):
-            if mdl.predict(model, vectorize(tagged, classes)).label == mdl.IR:
+        for _, tagged, p in _predicted(_tagged(config, pool, skips, classes), model, classes):
+            if p.label == mdl.IR:
                 tally["model_additions"] += 1
                 yield tagged
 
@@ -598,36 +617,26 @@ def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None
 
     source = input_path if input_path is not None else config.input
     target = output_path if output_path is not None else config.output_dir / "tagged.jsonl"
-    skips = Skips()
-    tally = dict.fromkeys(("total", "newly_tagged"), 0)
+    tally = {"newly_tagged": 0}
 
-    def filled() -> Iterator[RawTweet]:
-        for tweet in _counted_tweets(source, skips, tally):
+    def filled(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
+        for tweet in tweets:
             if tweet.ark_tags is None:
                 tally["newly_tagged"] += 1
                 tweet = dataclasses.replace(
                     tweet, ark_tags=tuple(txt.fallback_ark_tags(txt.tokenize(tweet.text)))
                 )
-            yield tweet
+            yield tweet_to_record(tweet)
 
-    write_jsonl(target, map(tweet_to_record, filled()))
-    return {
-        "warnings": skips.reasons,
-        "input": str(source),
-        "output": str(target),
-        **tally,
-        "skipped": skips.count,
-    }
+    return _stream(source, target, tally, filled)
 
 
 def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
     source = input_path if input_path is not None else config.input
-    skips = Skips()
-    tally = {"total": 0}
     coverage = {cls.value: 0 for cls in config.feature_classes}
 
-    def docs() -> Iterator[dict]:
-        for tweet, tagged in _tagged(config, _counted_tweets(source, skips, tally), skips, ()):
+    def docs(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
+        for tweet, tagged in _tagged(config, tweets, skips, ()):
             absent = missing_classes(tagged, config.feature_classes)
             present = [cls for cls in config.feature_classes if cls not in absent]
             for cls in present:
@@ -635,16 +644,8 @@ def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
             vector = vectorize(tagged, present) if present else {}
             yield {"id": tweet.id, "features": vector_to_json(vector)}
 
-    out_path = config.output_dir / "vectors.jsonl"
-    write_jsonl(out_path, docs())
-    return {
-        "warnings": skips.reasons,
-        "input": str(source),
-        "output": str(out_path),
-        **tally,
-        "skipped": skips.count,
-        "class_coverage": coverage,
-    }
+    summary = _stream(source, config.output_dir / "vectors.jsonl", {}, docs)
+    return {**summary, "class_coverage": coverage}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,15 +20,15 @@ from crisislang.features import (
     ALPHA_RANGE,
     DEFAULT_IMBALANCE_RATIOS,
     FeatureClass,
-    FeatureId,
     FeatureVector,
+    K_RANGE,
     MissingLayerError,
     checked,
     count_ngrams,
     missing_classes,
     vectorize,
 )
-from crisislang.model import IR, OR, _check_labels, predict_nb, train_naive_bayes
+from crisislang.model import IR, OR, _check_labels, nb_counts, predict_nb, train_naive_bayes
 from crisislang.text import TaggedTweet
 
 LabeledTweet = tuple[TaggedTweet, str]
@@ -179,23 +179,6 @@ def _vectorize_by_class(
     return rows
 
 
-def _class_table(
-    rows: list[list[FeatureVector]], labels: Sequence[str], train_idx: list[int], k: int
-) -> tuple[dict[FeatureId, list[int]], list[int]]:
-    """Class k's [IR, OR] count per feature and [IR, OR] totals over train_idx."""
-    counts: dict[FeatureId, list[int]] = {}
-    totals = [0, 0]
-    for i in train_idx:
-        slot = 0 if labels[i] == IR else 1
-        for fid, count in rows[i][k].items():
-            pair = counts.get(fid)
-            if pair is None:
-                pair = counts[fid] = [0, 0]
-            pair[slot] += count
-            totals[slot] += count
-    return counts, totals
-
-
 def _subset_readings(
     data: Sequence[LabeledTweet],
     classes: Sequence[FeatureClass],
@@ -208,12 +191,13 @@ def _subset_readings(
     """Repeated stratified CV of NB on every subset of classes (given as index
     tuples into classes), counting each fold's training side once per class.
 
-    A subset's NB model is the disjoint union of its classes' tables, so its
-    margins are built from them with the arithmetic of train_naive_bayes and
-    predict_nb: the same integer totals and vocabulary size, the same
-    log((n + alpha) / denom) terms summed in the same order. Readings are
-    bit-identical to training one model per subset and fold. Folds run in
-    the outer loop, so only one fold's tables are alive at a time.
+    Each class's table is counted by nb_counts, the routine train_naive_bayes
+    fits from. A subset's NB model is the disjoint union of its classes'
+    tables, so its margins take the same integer totals and vocabulary size
+    and the same log((n + alpha) / denom) terms as train_naive_bayes, summed
+    in predict_nb's order. Readings are bit-identical to training one model
+    per subset and fold. Folds run in the outer loop, so only one fold's
+    tables are alive at a time.
     """
     if len(data) < folds:
         raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
@@ -228,10 +212,12 @@ def _subset_readings(
             held = set(held_out)
             train_idx = [i for i in range(len(data)) if i not in held]
             _check_labels(labels[i] for i in train_idx)
+            tables = [
+                nb_counts((rows[i][k], labels[i]) for i in train_idx) for k in range(len(classes))
+            ]
             n = len(train_idx)
-            n_ir = sum(1 for i in train_idx if labels[i] == IR)
-            prior = log(n_ir / n) - log((n - n_ir) / n)
-            tables = [_class_table(rows, labels, train_idx, k) for k in range(len(classes))]
+            n_ir, n_or = tables[0][2]
+            prior = log(n_ir / n) - log(n_or / n)
             # A feature's term depends only on its (n_IR, n_OR) pair and the
             # subset's denominators. Per class, each distinct pair among the
             # held-out tweets' in-vocabulary features gets an index, and a
@@ -240,7 +226,7 @@ def _subset_readings(
             # held-out tweet t in class k, in the vector's order.
             hits: list[list[list[tuple[int, int]]]] = [[] for _ in held_out]
             class_pairs: list[list[tuple[int, int]]] = []
-            for k, (counts, _) in enumerate(tables):
+            for k, (counts, _, _) in enumerate(tables):
                 index: dict[tuple[int, int], int] = {}
                 for tweet_hits, j in zip(hits, held_out):
                     tweet_hits.append(
@@ -485,8 +471,7 @@ def enumerate_combinations(
 
 def bigram_cloud(tweets: Iterable[TaggedTweet], k: int) -> list[tuple[str, int]]:
     """Top-k word bigrams by count, ties broken lexicographically."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    k = checked(k, int, "k", *K_RANGE)
     counts: dict[str, int] = {}
     for tweet in tweets:
         count_ngrams(counts, "", tweet.words, 2)

@@ -94,8 +94,10 @@ def checked(value, kind: type, name: str, ok: Callable | None = None, rule: str 
     return value
 
 
-# NB's smoothing alpha: its range and the rule that says so, for checked.
+# NB's smoothing alpha and a top-k count: each one's range and the rule that
+# says so, for checked.
 ALPHA_RANGE = (lambda alpha: 0 < alpha < math.inf, "positive and finite")
+K_RANGE = (lambda k: k > 0, "positive")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from crisislang.features import (
     FeatureClass,
     FeatureId,
     FeatureVector,
+    K_RANGE,
     LogRegParams,
     checked,
     feature_classes,
@@ -100,36 +101,43 @@ def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> Naiv
     """Fit multinomial NB: likelihood(f|c) = (n_fc + alpha) / (n_c + alpha |V|)."""
     alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
     _check_labels(label for _, label in data)
-
-    class_counts = {label: 0 for label in LABELS}
-    feature_counts: dict[str, dict[FeatureId, int]] = {label: {} for label in LABELS}
-    totals = {label: 0 for label in LABELS}
-    vocabulary: set[FeatureId] = set()
-    for vector, label in data:
-        class_counts[label] += 1
-        bucket = feature_counts[label]
-        for fid, count in vector.items():
-            vocabulary.add(fid)
-            bucket[fid] = bucket.get(fid, 0) + count
-            totals[label] += count
-
+    counts, totals, instances = nb_counts(data)
     n = len(data)
-    class_log_prior = {label: math.log(class_counts[label] / n) for label in LABELS}
-    v = len(vocabulary)
+    v = len(counts)
+    class_log_prior: dict[str, float] = {}
     loglik: dict[str, dict[FeatureId, float]] = {}
-    for label in LABELS:
-        denom = totals[label] + alpha * v
+    for slot, label in enumerate(LABELS):
+        class_log_prior[label] = math.log(instances[slot] / n)
+        denom = totals[slot] + alpha * v
         loglik[label] = {
-            fid: math.log((feature_counts[label].get(fid, 0) + alpha) / denom)
-            for fid in vocabulary
+            fid: math.log((pair[slot] + alpha) / denom) for fid, pair in counts.items()
         }
-
     return NaiveBayesModel(
         class_log_prior=class_log_prior,
         feature_log_likelihood=loglik,
-        vocabulary=frozenset(vocabulary),
+        vocabulary=frozenset(counts),
         alpha=alpha,
     )
+
+
+def nb_counts(
+    data: Iterable[LabeledVector],
+) -> tuple[dict[FeatureId, list[int]], list[int], list[int]]:
+    """NB's counts over labelled vectors, each as an [IR, OR] pair: per
+    feature its count, then the feature totals and the instance totals."""
+    counts: dict[FeatureId, list[int]] = {}
+    totals = [0, 0]
+    instances = [0, 0]
+    for vector, label in data:
+        slot = 0 if label == IR else 1
+        instances[slot] += 1
+        for fid, count in vector.items():
+            pair = counts.get(fid)
+            if pair is None:
+                pair = counts[fid] = [0, 0]
+            pair[slot] += count
+            totals[slot] += count
+    return counts, totals, instances
 
 
 def predict_nb(model: NaiveBayesModel, vector: FeatureVector) -> Prediction:
@@ -252,8 +260,7 @@ def top_features(
     model: LogisticRegressionModel, k: int, feature_class: FeatureClass
 ) -> list[tuple[FeatureId, float]]:
     """Most IR-indicative features of one class: weight descending, key ties."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    k = checked(k, int, "k", *K_RANGE)
     items = [
         (fid, w) for fid, w in model.weights.items() if split_feature(fid)[0] is feature_class
     ]

@@ -16,9 +16,11 @@ from typing import TYPE_CHECKING, Sequence
 from crisislang.features import FeatureId
 from crisislang.model import (
     IR,
+    LABELS,
     LabeledVector,
     LogisticRegressionModel,
     LogRegParams,
+    NaiveBayesModel,
     TrainingDiverged,
     _check_labels,
     _sigmoid,
@@ -107,6 +109,44 @@ def nb_posterior_margin(
             prob *= likelihood**count
         post[label] = prob
     return math.log(post["IR"]) - math.log(post["OR"])
+
+
+def reference_train_naive_bayes(
+    data: Sequence[LabeledVector], alpha: float = 1.0
+) -> NaiveBayesModel:
+    """Multinomial NB counted label by label: one count dict, one total and
+    one instance count per label and the vocabulary as a set, so it shares no
+    counting code with model.nb_counts. Each likelihood is
+    (n_fc + alpha) / (n_c + alpha |V|), computed per label."""
+    _check_labels(label for _, label in data)
+    class_counts = {label: 0 for label in LABELS}
+    feature_counts: dict[str, dict[FeatureId, int]] = {label: {} for label in LABELS}
+    totals = {label: 0 for label in LABELS}
+    vocabulary: set[FeatureId] = set()
+    for vector, label in data:
+        class_counts[label] += 1
+        bucket = feature_counts[label]
+        for fid, count in vector.items():
+            vocabulary.add(fid)
+            bucket[fid] = bucket.get(fid, 0) + count
+            totals[label] += count
+
+    n = len(data)
+    class_log_prior = {label: math.log(class_counts[label] / n) for label in LABELS}
+    v = len(vocabulary)
+    loglik: dict[str, dict[FeatureId, float]] = {}
+    for label in LABELS:
+        denom = totals[label] + alpha * v
+        loglik[label] = {
+            fid: math.log((feature_counts[label].get(fid, 0) + alpha) / denom)
+            for fid in vocabulary
+        }
+    return NaiveBayesModel(
+        class_log_prior=class_log_prior,
+        feature_log_likelihood=loglik,
+        vocabulary=frozenset(vocabulary),
+        alpha=alpha,
+    )
 
 
 def reference_nb_score(model, vector: dict) -> float:

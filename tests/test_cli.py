@@ -1217,6 +1217,18 @@ class TestTopFeatures:
         assert '"qz1"' in first_unigram
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["top-features", "--k", "0"], ["cloud", "--model", "no_model.json", "--k", "0"]],
+    ids=["top-features", "cloud"],
+)
+def test_k_zero_is_one_error_before_any_file_is_read(workspace, capsys, argv):
+    # No partition, no model file: only the k check can name the fault.
+    assert run(workspace, *argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: k must be positive, got 0"]
+    assert not workspace["out"].exists()
+
+
 class TestCloud:
     def test_clouds_written(self, workspace):
         run(workspace, "partition")
@@ -1271,6 +1283,27 @@ class TestCloud:
         summary = read_json(workspace["out"] / "cloud_summary.json")
         assert summary["warnings"] == ["tweet blank1: no tokens"]
         assert summary["model_additions"] == 30
+
+    def test_batch_size_changes_no_output_byte(self, workspace, monkeypatch):
+        run(workspace, "partition")
+        run(workspace, "train")
+        unlabeled = workspace["out"] / "partitions" / "unlabeled.jsonl"
+        pool = read_lines(unlabeled)
+        misaligned = {"id": "m1", "text": "qz1 w1", "created_at": AT, "ark_tags": ["N"]}
+        _write_records(unlabeled, [*pool[:7], "not json", misaligned, *pool[7:]])
+        outputs = []
+        for size in (1, 2, len(pool) + 10):
+            monkeypatch.setattr(cli, "CLASSIFY_BATCH", size)
+            assert run(workspace, "cloud", "--model", str(workspace["out"] / "model.json")) == 0
+            outputs.append(
+                tuple((workspace["out"] / name).read_bytes()
+                      for name in ("cloud_geotagged.json", "cloud_combined.json",
+                                   "cloud_summary.json"))
+            )
+        assert outputs[0] == outputs[1] == outputs[2]
+        summary = read_json(workspace["out"] / "cloud_summary.json")
+        assert summary["model_additions"] == 30
+        assert len(summary["warnings"]) == 2
 
 
 GATED_STAGES = {
@@ -1565,6 +1598,9 @@ STAGE_MODULES = [
     (["divergence", "--mode", "regional"], ["text", "divergence"]),
     (["evaluate", "--mode", "single"], ["text", "model", "evaluation"]),
     (["divergence", "--mode", "hourly"], ["text", "divergence"]),
+    (["tag"], ["text"]),
+    (["vectors"], ["text"]),
+    (["train"], ["text", "model", "evaluation"]),
 ]
 STAGE_IDS = [a[0] + ("-hourly" if "hourly" in a else "") for a, _ in STAGE_MODULES]
 

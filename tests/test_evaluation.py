@@ -16,9 +16,9 @@ from crisislang.evaluation import (
     stratified_fold_indices,
 )
 from crisislang.features import FeatureClass, MissingLayerError, vectorize
-from crisislang.model import IR, OR, predict_nb, select_all_baseline, train_naive_bayes
+from crisislang.model import IR, OR, predict_nb, select_all_baseline
 from crisislang.text import attach_tags
-from oracles import auc_pairwise, confusion_metrics
+from oracles import auc_pairwise, confusion_metrics, reference_train_naive_bayes
 from synthdata import separable_labeled_set, tagged_labeled_set, tweet_from_text
 
 U = [FeatureClass.UNIGRAM]
@@ -290,8 +290,9 @@ class TestEnumerateCombinations:
 
 
 def reference_readings(data, classes, repeats, folds, seed, alpha=1.0):
-    """CV readings from one train_naive_bayes model per fold, plus every
-    held-out (tweet id, score) that predict_nb gave."""
+    """CV readings from one NB model per fold, fitted by the oracle
+    reference_train_naive_bayes, plus every held-out (tweet id, score) that
+    predict_nb gave."""
     vectors = [vectorize(tweet, classes) for tweet, _ in data]
     labels = [label for _, label in data]
     readings, scores = [], []
@@ -300,7 +301,7 @@ def reference_readings(data, classes, repeats, folds, seed, alpha=1.0):
         for held_out in stratified_fold_indices(labels, folds, rng):
             held = set(held_out)
             train = [(vectors[i], labels[i]) for i in range(len(data)) if i not in held]
-            model = train_naive_bayes(train, alpha=alpha)
+            model = reference_train_naive_bayes(train, alpha=alpha)
             predictions = [predict_nb(model, vectors[i]) for i in held_out]
             scores += [(data[i][0].tweet_id, p.score) for i, p in zip(held_out, predictions)]
             readings.append(
@@ -396,7 +397,7 @@ class TestReferenceEquality:
 
     def test_search_vectorizes_once_and_never_trains(self, monkeypatch):
         data = tagged_labeled_set(n=20, seed=9)
-        calls = {"vectorize": 0, "train_naive_bayes": 0}
+        calls = {"vectorize": 0, "train_naive_bayes": 0, "nb_counts": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -411,6 +412,8 @@ class TestReferenceEquality:
         assert len(report.entries) == 63
         assert 0 < calls["vectorize"] <= len(data) * len(FeatureClass)
         assert calls["train_naive_bayes"] == 0
+        # One count table per class per fold, from the routine NB training uses.
+        assert calls["nb_counts"] == 2 * 3 * len(FeatureClass)
 
     def test_errors_keep_their_types(self):
         data = tagged_labeled_set(n=10, seed=4)
@@ -435,8 +438,9 @@ class TestBigramCloud:
         assert bigram_cloud(tweets, 2) == [("a b", 1), ("b a", 1)]
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            bigram_cloud([], 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"^k must be positive, got {k}$"):
+                bigram_cloud([], k)
 
     def test_fewer_than_k(self):
         assert bigram_cloud([tweet_from_text("1", "a b")], 10) == [("a b", 1)]

@@ -40,6 +40,7 @@ from oracles import (
     reference_design_matrix,
     reference_logistic_loss_and_gradient,
     reference_train_logreg,
+    reference_train_naive_bayes,
 )
 from synthdata import logreg_params_in_range
 
@@ -109,6 +110,17 @@ class TestTrainNaiveBayes:
     def test_nonfinite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)], alpha=alpha)
+
+    @given(_nb_training_data(), st.sampled_from([0.25, 1.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    @example([({}, IR), ({}, OR)], 1.0)
+    def test_equals_the_per_label_reference_float_for_float(self, data, alpha):
+        model = train_naive_bayes(data, alpha=alpha)
+        expected = reference_train_naive_bayes(data, alpha=alpha)
+        assert model.class_log_prior == expected.class_log_prior
+        assert model.feature_log_likelihood == expected.feature_log_likelihood
+        assert model.vocabulary == expected.vocabulary
+        assert model.alpha == expected.alpha
 
     def test_normalization_invariants(self):
         rng = random.Random(1)
@@ -376,8 +388,9 @@ class TestTopFeatures:
         assert [split_feature(fid)[1] for fid, _ in ranked] == ["a", "b"]
 
     def test_k_nonpositive(self):
-        with pytest.raises(ValueError):
-            top_features(self._model(), 0, U)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"^k must be positive, got {k}$"):
+                top_features(self._model(), k, U)
 
     def test_tie_breaks_lexicographic(self):
         from crisislang.model import LogisticRegressionModel

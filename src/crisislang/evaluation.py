@@ -28,7 +28,9 @@ from crisislang.features import (
     missing_classes,
     vectorize,
 )
-from crisislang.model import IR, OR, _check_labels, nb_counts, predict_nb, train_naive_bayes
+from crisislang.model import (
+    IR, OR, _check_labels, nb_counts, nb_log_likelihoods, predict_nb, train_naive_bayes
+)
 from crisislang.text import TaggedTweet
 
 LabeledTweet = tuple[TaggedTweet, str]
@@ -189,74 +191,101 @@ def _subset_readings(
     alpha: float,
 ) -> list[list[Metrics]]:
     """Repeated stratified CV of NB on every subset of classes (given as index
-    tuples into classes), counting each fold's training side once per class.
+    tuples into classes), counting only each fold's held-out side.
 
-    Each class's table is counted by nb_counts, the routine train_naive_bayes
-    fits from. A subset's NB model is the disjoint union of its classes'
-    tables, so its margins take the same integer totals and vocabulary size
-    and the same log((n + alpha) / denom) terms as train_naive_bayes, summed
-    in predict_nb's order. Readings are bit-identical to training one model
-    per subset and fold. Folds run in the outer loop, so only one fold's
-    tables are alive at a time.
+    Each class is counted once over the whole set by nb_counts, the routine
+    train_naive_bayes fits from, and each fold's held-out side once more per
+    class. A fold's training table is the difference: its totals and
+    instances subtract, and its vocabulary loses the held-out features whose
+    whole count sits in the fold. A subset's NB model is the disjoint union
+    of its classes' tables, so its margins take the same integer totals and
+    vocabulary size and the same log((n + alpha) / denom) terms as
+    train_naive_bayes, from the same nb_log_likelihoods, summed in
+    predict_nb's order. Readings are bit-identical to training one model per
+    subset and fold. The whole-set tables stay alive for the run, folds /
+    (folds - 1) times one fold's training side (1.25 at five folds).
     """
     if len(data) < folds:
         raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
     rows = _vectorize_by_class(data, classes)
     alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
     labels = [label for _, label in data]
+    label_counts = Counter(labels)
+    whole = [
+        nb_counts((row[k], label) for row, label in zip(rows, labels)) for k in range(len(classes))
+    ]
     log = math.log
     readings: list[list[Metrics]] = [[] for _ in subsets]
     for repeat in range(repeats):
         rng = random.Random(seed + repeat)
         for held_out in stratified_fold_indices(labels, folds, rng):
-            held = set(held_out)
-            train_idx = [i for i in range(len(data)) if i not in held]
-            _check_labels(labels[i] for i in train_idx)
-            tables = [
-                nb_counts((rows[i][k], labels[i]) for i in train_idx) for k in range(len(classes))
-            ]
-            n = len(train_idx)
-            n_ir, n_or = tables[0][2]
-            prior = log(n_ir / n) - log(n_or / n)
-            # A feature's term depends only on its (n_IR, n_OR) pair and the
-            # subset's denominators. Per class, each distinct pair among the
-            # held-out tweets' in-vocabulary features gets an index, and a
-            # subset computes the term of each of its classes' pairs once.
-            # hits[t][k]: (count, pair index) per in-vocabulary feature of
-            # held-out tweet t in class k, in the vector's order.
-            hits: list[list[list[tuple[int, int]]]] = [[] for _ in held_out]
-            class_pairs: list[list[tuple[int, int]]] = []
-            for k, (counts, _, _) in enumerate(tables):
-                index: dict[tuple[int, int], int] = {}
+            truth = [labels[j] for j in held_out]
+            _check_labels(label_counts - Counter(truth))
+            # A held-out feature's term depends only on its count in the
+            # tweet, its training (n_IR, n_OR) pair and the subset's
+            # denominators. Per class, each distinct (count, n_IR, n_OR) of
+            # the held-out tweets' in-vocabulary features gets an index.
+            # hits[t][k]: the index per in-vocabulary feature of held-out
+            # tweet t in class k, in the vector's order.
+            hits: list[list[list[int]]] = [[] for _ in held_out]
+            triples: list[list[tuple[int, int, int]]] = []
+            sizes: list[int] = []
+            totals: tuple[list[int], list[int]] = ([], [])
+            for k, (counts, whole_totals, instances) in enumerate(whole):
+                held, held_totals, held_instances = nb_counts(
+                    (rows[j][k], labels[j]) for j in held_out
+                )
+                # The held-out features' training pairs; a feature whose whole
+                # count sits in the fold leaves the training vocabulary.
+                train = {
+                    fid: pair
+                    for fid, (h_ir, h_or) in held.items()
+                    if (pair := (counts[fid][0] - h_ir, counts[fid][1] - h_or)) != (0, 0)
+                }
+                sizes.append(len(counts) - len(held) + len(train))
+                for slot in (0, 1):
+                    totals[slot].append(whole_totals[slot] - held_totals[slot])
+                index: dict[tuple[int, int, int], int] = {}
                 for tweet_hits, j in zip(hits, held_out):
                     tweet_hits.append(
                         [
-                            (count, index.setdefault((pair[0], pair[1]), len(index)))
+                            index.setdefault((count, *pair), len(index))
                             for fid, count in rows[j][k].items()
-                            if (pair := counts.get(fid)) is not None
+                            if (pair := train.get(fid)) is not None
                         ]
                     )
-                class_pairs.append(list(index))
-            truth = [labels[j] for j in held_out]
+                triples.append(list(index))
+            # Every class counts the same instances.
+            n_ir = instances[0] - held_instances[0]
+            n_or = instances[1] - held_instances[1]
+            n = n_ir + n_or
+            prior = log(n_ir / n) - log(n_or / n)
+            # Per label and class, the distinct training counts its hits hold.
+            values = [[{triple[i] for triple in t} for t in triples] for i in (1, 2)]
             for subset, subset_readings in zip(subsets, readings):
-                v = sum(len(tables[k][0]) for k in subset)
-                denom_ir = sum(tables[k][1][0] for k in subset) + alpha * v
-                denom_or = sum(tables[k][1][1] for k in subset) + alpha * v
-                # A class with no pairs computes no term, so an empty
-                # vocabulary (v = 0, zero denominators) is never divided by.
+                v = sum(sizes[k] for k in subset)
+                # Logs only of the values the subset's classes hold, so an
+                # empty vocabulary (v = 0, zero denominators) is never
+                # divided by.
+                ll_ir, ll_or = [
+                    nb_log_likelihoods(
+                        itertools.chain.from_iterable(label_values[k] for k in subset),
+                        sum(label_totals[k] for k in subset),
+                        v,
+                        alpha,
+                    )
+                    for label_values, label_totals in zip(values, totals)
+                ]
                 terms = [
-                    [
-                        log((n_fir + alpha) / denom_ir) - log((n_for + alpha) / denom_or)
-                        for n_fir, n_for in class_pairs[k]
-                    ]
+                    [count * (ll_ir[n_fir] - ll_or[n_for]) for count, n_fir, n_for in triples[k]]
                     for k in subset
                 ]
                 predicted = []
                 for tweet_hits in hits:
                     score = prior
                     for k, class_terms in zip(subset, terms):
-                        for count, t in tweet_hits[k]:
-                            score += count * class_terms[t]
+                        for t in tweet_hits[k]:
+                            score += class_terms[t]
                     predicted.append(IR if score >= 0.0 else OR)
                 subset_readings.append(compute_metrics(predicted, truth))
     return readings
@@ -441,10 +470,11 @@ def enumerate_combinations(
 
     All subsets share the same fold seed, so rankings compare like-for-like.
     A class is extractable only when every tweet carries its tag layer;
-    anything else is excluded and reported. Each fold's training side is
-    counted once per class and every subset is scored from those tables:
-    the classes' feature ids are disjoint, so a subset's totals and
-    vocabulary size are the sums of its classes'.
+    anything else is excluded and reported. Each class is counted once over
+    the whole set and once per fold over the held-out side, and every subset
+    is scored from the training tables those two give: the classes' feature
+    ids are disjoint, so a subset's totals and vocabulary size are the sums
+    of its classes'.
     """
     available = [
         cls

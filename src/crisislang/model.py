@@ -98,7 +98,8 @@ def _check_labels(labels: Iterable[str]) -> None:
 
 
 def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> NaiveBayesModel:
-    """Fit multinomial NB: likelihood(f|c) = (n_fc + alpha) / (n_c + alpha |V|)."""
+    """Fit multinomial NB: likelihood(f|c) = (n_fc + alpha) / (n_c + alpha |V|),
+    one log per distinct count n_fc per label (nb_log_likelihoods)."""
     alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
     _check_labels(label for _, label in data)
     counts, totals, instances = nb_counts(data)
@@ -108,16 +109,32 @@ def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> Naiv
     loglik: dict[str, dict[FeatureId, float]] = {}
     for slot, label in enumerate(LABELS):
         class_log_prior[label] = math.log(instances[slot] / n)
-        denom = totals[slot] + alpha * v
-        loglik[label] = {
-            fid: math.log((pair[slot] + alpha) / denom) for fid, pair in counts.items()
-        }
+        values = {pair[slot] for pair in counts.values()}
+        table = nb_log_likelihoods(values, totals[slot], v, alpha)
+        loglik[label] = {fid: table[pair[slot]] for fid, pair in counts.items()}
     return NaiveBayesModel(
         class_log_prior=class_log_prior,
         feature_log_likelihood=loglik,
         vocabulary=frozenset(counts),
         alpha=alpha,
     )
+
+
+def nb_log_likelihoods(
+    counts: Iterable[int], total: int, size: int, alpha: float
+) -> dict[int, float]:
+    """NB's smoothed log-likelihood log((c + alpha) / (total + alpha * size))
+    of a feature seen c times, once per distinct count c; no count, no
+    division. ValueError naming alpha when a likelihood rounds to 0."""
+    denom = total + alpha * size
+    table: dict[int, float] = {}
+    for c in counts:
+        if c not in table:
+            likelihood = (c + alpha) / denom
+            if not likelihood:
+                raise ValueError(f"alpha {alpha!r} rounds a smoothed likelihood to 0")
+            table[c] = math.log(likelihood)
+    return table
 
 
 def nb_counts(

@@ -1207,6 +1207,32 @@ class TestEvaluate:
         assert all(a >= 0.9 for a in sweep["auc_per_ratio"])
 
 
+@pytest.mark.parametrize("alpha", [5e-324, 1e308])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train"],
+        ["evaluate", "--mode", "single"],
+        ["evaluate", "--mode", "combos"],
+        ["evaluate", "--mode", "imbalance"],
+    ],
+    ids=["train", "single", "combos", "imbalance"],
+)
+def test_alpha_that_rounds_a_likelihood_to_zero_is_one_error_line(workspace, capsys, argv, alpha):
+    # Both are positive and finite, so the config loads; with these counts
+    # a smoothed likelihood rounds to 0, which only the NB fit can see.
+    doc = json.loads(workspace["config"].read_text())
+    doc["model"] = {"alpha": alpha}
+    doc["imbalance_ratios"] = [0.5]
+    workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+    assert run(workspace, "partition") == 0
+    capsys.readouterr()
+    assert run(workspace, *argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: alpha {alpha!r} rounds a smoothed likelihood to 0"]
+
+
 class TestTopFeatures:
     def test_marker_ranks_first(self, workspace):
         run(workspace, "partition")

@@ -349,6 +349,35 @@ def one_token_corpus():
     return [(_rebuilt(t, [i]), label) for (t, label), i in zip(data, kept)]
 
 
+def held_out_only_feature_corpus():
+    """Fully tagged tweets, one of which alone carries the word "zonly" with
+    tags no other tweet has: in the fold that holds it out, its features
+    leave every class's training vocabulary."""
+    data = tagged_labeled_set(n=20, seed=11)
+    t, label = data[0]
+    lone = attach_tags(
+        [*t.words, "zonly"], [*t.ark, "Z"], [*t.ptb, "ZZ"], [*t.chunk, "B-ZP"], tweet_id=t.tweet_id
+    )
+    return [(lone, label)] + data[1:]
+
+
+def twice_counted_corpus():
+    """Fully tagged tweets that each repeat their first token and its tags,
+    so every tweet carries a UNIGRAM feature counted twice."""
+    data = tagged_labeled_set(n=20, seed=12)
+    return [(_rebuilt(t, [0, *range(len(t.words))]), label) for t, label in data]
+
+
+def one_chunked_tweet_corpus():
+    """all_o_chunk_corpus with chunks on its first tweet only: in the fold
+    that holds that tweet out, SHALLOW_PARSE's training side is empty while
+    the held-out tweet carries its features."""
+    data = all_o_chunk_corpus()
+    t, label = data[0]
+    chunks = ["B-NP"] + ["I-NP"] * (len(t.words) - 1)
+    return [(_rebuilt(t, range(len(t.words)), chunks), label)] + data[1:]
+
+
 class TestReferenceEquality:
     @pytest.mark.parametrize(
         "make_data, folds, alpha",
@@ -358,8 +387,20 @@ class TestReferenceEquality:
             (zero_margin_corpus, 2, 1.0),
             (all_o_chunk_corpus, 3, 1.0),
             (one_token_corpus, 3, 1.0),
+            (held_out_only_feature_corpus, 5, 1.0),
+            (twice_counted_corpus, 3, 0.5),
+            (one_chunked_tweet_corpus, 4, 1.0),
         ],
-        ids=["tagged", "tagged-alpha", "zero-margin", "empty-shallow-parse", "empty-bigram"],
+        ids=[
+            "tagged",
+            "tagged-alpha",
+            "zero-margin",
+            "empty-shallow-parse",
+            "empty-bigram",
+            "held-out-only-feature",
+            "twice-counted",
+            "empty-training-class",
+        ],
     )
     def test_every_subset_matches_per_fold_training(self, make_data, folds, alpha):
         data = make_data()
@@ -395,6 +436,26 @@ class TestReferenceEquality:
         assert all(vectorize(t, [empty]) == {} for t, _ in data)
         assert all(vectorize(t, [FeatureClass.UNIGRAM]) for t, _ in data)
 
+    def test_held_out_only_feature_corpus_has_its_lone_features(self):
+        # The equality test above covers a fold whose vocabulary shrinks only
+        # if the lone tweet's features really are carried by no other tweet.
+        data = held_out_only_feature_corpus()
+        for cls in FeatureClass:
+            lone = vectorize(data[0][0], [cls]).keys()
+            others = {fid for t, _ in data[1:] for fid in vectorize(t, [cls])}
+            assert lone - others, cls
+
+    def test_twice_counted_corpus_counts_a_feature_twice(self):
+        data = twice_counted_corpus()
+        assert all(max(vectorize(t, [FeatureClass.UNIGRAM]).values()) >= 2 for t, _ in data)
+
+    def test_one_chunked_tweet_corpus_empties_a_training_side(self):
+        # Only the first tweet carries SHALLOW_PARSE features, so the fold
+        # holding it out trains that class on nothing.
+        data = one_chunked_tweet_corpus()
+        carried = [bool(vectorize(t, [FeatureClass.SHALLOW_PARSE])) for t, _ in data]
+        assert carried == [True] + [False] * (len(data) - 1)
+
     def test_search_vectorizes_once_and_never_trains(self, monkeypatch):
         data = tagged_labeled_set(n=20, seed=9)
         calls = {"vectorize": 0, "train_naive_bayes": 0, "nb_counts": 0}
@@ -412,8 +473,9 @@ class TestReferenceEquality:
         assert len(report.entries) == 63
         assert 0 < calls["vectorize"] <= len(data) * len(FeatureClass)
         assert calls["train_naive_bayes"] == 0
-        # One count table per class per fold, from the routine NB training uses.
-        assert calls["nb_counts"] == 2 * 3 * len(FeatureClass)
+        # Per class, one whole-set count table and one held-out table per
+        # fold, from the routine NB training uses.
+        assert calls["nb_counts"] == len(FeatureClass) * (1 + 2 * 3)
 
     def test_errors_keep_their_types(self):
         data = tagged_labeled_set(n=10, seed=4)

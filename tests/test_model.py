@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -65,9 +66,9 @@ def _query_vectors():
 
 
 @st.composite
-def _nb_training_data(draw):
+def _nb_training_data(draw, max_count=9):
     """Labelled vectors holding both labels, empty vectors included."""
-    vectors = st.dictionaries(_IDS, st.integers(1, 9), max_size=6)
+    vectors = st.dictionaries(_IDS, st.integers(1, max_count), max_size=6)
     rows = draw(st.lists(st.tuples(vectors, st.sampled_from([IR, OR])), min_size=0, max_size=12))
     return [(draw(vectors), IR), (draw(vectors), OR)] + rows
 
@@ -111,7 +112,17 @@ class TestTrainNaiveBayes:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)], alpha=alpha)
 
-    @given(_nb_training_data(), st.sampled_from([0.25, 1.0, 3.0]))
+    @pytest.mark.parametrize("alpha", [5e-324, 1e308])
+    def test_alpha_that_rounds_a_likelihood_to_zero_is_named(self, alpha):
+        # Positive and finite, so alpha passes its range; the fit still
+        # cannot take the log of a likelihood that rounds to 0.
+        data = [(uvec(x=1, y=1), IR), (uvec(y=2), OR)]
+        message = f"alpha {alpha!r} rounds a smoothed likelihood to 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_naive_bayes(data, alpha=alpha)
+
+    # Counts up to 50 give the per-count log table many distinct values.
+    @given(_nb_training_data(max_count=50), st.floats(1e-3, 1e3))
     @settings(max_examples=200, deadline=None)
     @example([({}, IR), ({}, OR)], 1.0)
     def test_equals_the_per_label_reference_float_for_float(self, data, alpha):

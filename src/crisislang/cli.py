@@ -27,6 +27,7 @@ from crisislang.features import (
     FeatureClass,
     K_RANGE,
     LogRegParams,
+    REPEATS_RANGE,
     checked,
     feature_classes,
     missing_classes,
@@ -118,7 +119,7 @@ _SETTINGS = (
     ),
     ("model_kind", "model.kind", str, "nb", lambda kind: kind in ("nb", "logreg"), "nb or logreg"),
     ("alpha", "model.alpha", float, 1.0, *ALPHA_RANGE),
-    ("cv_repeats", "cv.repeats", int, 3, lambda repeats: repeats >= 1, "at least 1"),
+    ("cv_repeats", "cv.repeats", int, 3, *REPEATS_RANGE),
     ("cv_folds", "cv.folds", int, 5, lambda folds: folds >= 2, "at least 2"),
     ("balance", "balance", bool, True, None, ""),
     ("fallback_tags", "fallback_tags", bool, True, None, ""),

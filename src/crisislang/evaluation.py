@@ -2,9 +2,11 @@
 IR-perspective metrics, rank-based ROC AUC, the class-imbalance sweep, and
 the exhaustive search over the 63 feature-class combinations.
 
-All randomness is derived from explicit integer seeds; repeat i of a
-cross-validation run uses seed + i, so each reading is individually
-reproducible.
+No NB model is fitted here: CV, the subset search and the sweep all score
+held-out tweets through _held_out_scores, which subtracts the held-out side
+from counts taken once over the whole set. All randomness is derived from
+explicit integer seeds; repeat i of a cross-validation run uses seed + i, so
+each reading is individually reproducible.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from crisislang.features import (
     ALPHA_RANGE,
     DEFAULT_IMBALANCE_RATIOS,
     FeatureClass,
+    FeatureId,
     FeatureVector,
     K_RANGE,
     MissingLayerError,
+    REPEATS_RANGE,
     checked,
     count_ngrams,
     missing_classes,
     vectorize,
 )
-from crisislang.model import (
-    IR, OR, _check_labels, nb_counts, nb_log_likelihoods, predict_nb, train_naive_bayes
-)
+from crisislang.model import IR, OR, _check_labels, nb_counts, nb_log_likelihoods
 from crisislang.text import TaggedTweet
 
 LabeledTweet = tuple[TaggedTweet, str]
@@ -181,6 +183,87 @@ def _vectorize_by_class(
     return rows
 
 
+def _held_out_scores(
+    whole: Sequence[tuple[dict[FeatureId, list[int]], list[int], list[int]]],
+    rows: Sequence[Sequence[FeatureVector]],
+    labels: Sequence[str],
+    held_out: Sequence[int],
+    subsets: Sequence[tuple[int, ...]],
+    alpha: float,
+) -> list[list[float]]:
+    """Per subset of columns (index tuples), each held-out row's NB margin
+    under a model of the other rows: predict_nb's score after
+    train_naive_bayes, bit for bit. whole[k] is nb_counts of column k over all
+    rows; training counts are it minus the held-out rows'. Column ids are
+    disjoint, so a subset's model is its columns' union. alpha comes checked.
+    """
+    # A held-out feature's term depends only on its count in the row, its
+    # training (n_IR, n_OR) pair and the subset's denominators. Per column,
+    # each distinct (count, n_IR, n_OR) of the held-out rows' in-vocabulary
+    # features gets an index. hits[t][k]: the index per in-vocabulary feature
+    # of held-out row t in column k, in the vector's order.
+    hits: list[list[list[int]]] = [[] for _ in held_out]
+    triples: list[list[tuple[int, int, int]]] = []
+    sizes: list[int] = []
+    totals: tuple[list[int], list[int]] = ([], [])
+    for k, (counts, whole_totals, instances) in enumerate(whole):
+        held, held_totals, held_instances = nb_counts((rows[j][k], labels[j]) for j in held_out)
+        # The held-out features' training pairs; a feature whose whole count
+        # sits in the held-out rows leaves the training vocabulary.
+        train = {
+            fid: pair
+            for fid, (h_ir, h_or) in held.items()
+            if (pair := (counts[fid][0] - h_ir, counts[fid][1] - h_or)) != (0, 0)
+        }
+        sizes.append(len(counts) - len(held) + len(train))
+        for slot in (0, 1):
+            totals[slot].append(whole_totals[slot] - held_totals[slot])
+        index: dict[tuple[int, int, int], int] = {}
+        for row_hits, j in zip(hits, held_out):
+            row_hits.append(
+                [
+                    index.setdefault((count, *pair), len(index))
+                    for fid, count in rows[j][k].items()
+                    if (pair := train.get(fid)) is not None
+                ]
+            )
+        triples.append(list(index))
+    # Every column counts the same instances.
+    n_ir = instances[0] - held_instances[0]
+    n_or = instances[1] - held_instances[1]
+    n = n_ir + n_or
+    prior = math.log(n_ir / n) - math.log(n_or / n)
+    # Per label and column, the distinct training counts its hits hold.
+    values = [[{triple[i] for triple in t} for t in triples] for i in (1, 2)]
+    scores: list[list[float]] = []
+    for subset in subsets:
+        v = sum(sizes[k] for k in subset)
+        # Logs only of the values the subset's columns hold, so an empty
+        # vocabulary (v = 0, zero denominators) is never divided by.
+        ll_ir, ll_or = [
+            nb_log_likelihoods(
+                itertools.chain.from_iterable(label_values[k] for k in subset),
+                sum(label_totals[k] for k in subset),
+                v,
+                alpha,
+            )
+            for label_values, label_totals in zip(values, totals)
+        ]
+        terms = [
+            [count * (ll_ir[n_fir] - ll_or[n_for]) for count, n_fir, n_for in triples[k]]
+            for k in subset
+        ]
+        subset_scores = []
+        for row_hits in hits:
+            score = prior
+            for k, column_terms in zip(subset, terms):
+                for t in row_hits[k]:
+                    score += column_terms[t]
+            subset_scores.append(score)
+        scores.append(subset_scores)
+    return scores
+
+
 def _subset_readings(
     data: Sequence[LabeledTweet],
     classes: Sequence[FeatureClass],
@@ -190,103 +273,27 @@ def _subset_readings(
     seed: int,
     alpha: float,
 ) -> list[list[Metrics]]:
-    """Repeated stratified CV of NB on every subset of classes (given as index
-    tuples into classes), counting only each fold's held-out side.
-
-    Each class is counted once over the whole set by nb_counts, the routine
-    train_naive_bayes fits from, and each fold's held-out side once more per
-    class. A fold's training table is the difference: its totals and
-    instances subtract, and its vocabulary loses the held-out features whose
-    whole count sits in the fold. A subset's NB model is the disjoint union
-    of its classes' tables, so its margins take the same integer totals and
-    vocabulary size and the same log((n + alpha) / denom) terms as
-    train_naive_bayes, from the same nb_log_likelihoods, summed in
-    predict_nb's order. Readings are bit-identical to training one model per
-    subset and fold. The whole-set tables stay alive for the run, folds /
-    (folds - 1) times one fold's training side (1.25 at five folds).
+    """Repeated stratified CV of NB on every subset of classes (index tuples
+    into classes), each fold scored by _held_out_scores from one whole-set
+    count per class, which is folds / (folds - 1) times a fold's training side.
     """
     if len(data) < folds:
         raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
     rows = _vectorize_by_class(data, classes)
+    repeats = checked(repeats, int, "repeats", *REPEATS_RANGE)
     alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
     labels = [label for _, label in data]
     label_counts = Counter(labels)
-    whole = [
-        nb_counts((row[k], label) for row, label in zip(rows, labels)) for k in range(len(classes))
-    ]
-    log = math.log
+    whole = [nb_counts(zip((row[k] for row in rows), labels)) for k in range(len(classes))]
     readings: list[list[Metrics]] = [[] for _ in subsets]
     for repeat in range(repeats):
         rng = random.Random(seed + repeat)
         for held_out in stratified_fold_indices(labels, folds, rng):
             truth = [labels[j] for j in held_out]
             _check_labels(label_counts - Counter(truth))
-            # A held-out feature's term depends only on its count in the
-            # tweet, its training (n_IR, n_OR) pair and the subset's
-            # denominators. Per class, each distinct (count, n_IR, n_OR) of
-            # the held-out tweets' in-vocabulary features gets an index.
-            # hits[t][k]: the index per in-vocabulary feature of held-out
-            # tweet t in class k, in the vector's order.
-            hits: list[list[list[int]]] = [[] for _ in held_out]
-            triples: list[list[tuple[int, int, int]]] = []
-            sizes: list[int] = []
-            totals: tuple[list[int], list[int]] = ([], [])
-            for k, (counts, whole_totals, instances) in enumerate(whole):
-                held, held_totals, held_instances = nb_counts(
-                    (rows[j][k], labels[j]) for j in held_out
-                )
-                # The held-out features' training pairs; a feature whose whole
-                # count sits in the fold leaves the training vocabulary.
-                train = {
-                    fid: pair
-                    for fid, (h_ir, h_or) in held.items()
-                    if (pair := (counts[fid][0] - h_ir, counts[fid][1] - h_or)) != (0, 0)
-                }
-                sizes.append(len(counts) - len(held) + len(train))
-                for slot in (0, 1):
-                    totals[slot].append(whole_totals[slot] - held_totals[slot])
-                index: dict[tuple[int, int, int], int] = {}
-                for tweet_hits, j in zip(hits, held_out):
-                    tweet_hits.append(
-                        [
-                            index.setdefault((count, *pair), len(index))
-                            for fid, count in rows[j][k].items()
-                            if (pair := train.get(fid)) is not None
-                        ]
-                    )
-                triples.append(list(index))
-            # Every class counts the same instances.
-            n_ir = instances[0] - held_instances[0]
-            n_or = instances[1] - held_instances[1]
-            n = n_ir + n_or
-            prior = log(n_ir / n) - log(n_or / n)
-            # Per label and class, the distinct training counts its hits hold.
-            values = [[{triple[i] for triple in t} for t in triples] for i in (1, 2)]
-            for subset, subset_readings in zip(subsets, readings):
-                v = sum(sizes[k] for k in subset)
-                # Logs only of the values the subset's classes hold, so an
-                # empty vocabulary (v = 0, zero denominators) is never
-                # divided by.
-                ll_ir, ll_or = [
-                    nb_log_likelihoods(
-                        itertools.chain.from_iterable(label_values[k] for k in subset),
-                        sum(label_totals[k] for k in subset),
-                        v,
-                        alpha,
-                    )
-                    for label_values, label_totals in zip(values, totals)
-                ]
-                terms = [
-                    [count * (ll_ir[n_fir] - ll_or[n_for]) for count, n_fir, n_for in triples[k]]
-                    for k in subset
-                ]
-                predicted = []
-                for tweet_hits in hits:
-                    score = prior
-                    for k, class_terms in zip(subset, terms):
-                        for t in tweet_hits[k]:
-                            score += class_terms[t]
-                    predicted.append(IR if score >= 0.0 else OR)
+            scores = _held_out_scores(whole, rows, labels, held_out, subsets, alpha)
+            for subset_scores, subset_readings in zip(scores, readings):
+                predicted = [IR if score >= 0.0 else OR for score in subset_scores]
                 subset_readings.append(compute_metrics(predicted, truth))
     return readings
 
@@ -357,10 +364,9 @@ class ImbalanceSweep:
         return "\n".join(lines) + "\n"
 
 
-def _stratified_split(
-    indices_by_label: dict[str, list[int]], test_fraction: float, rng: random.Random
-) -> tuple[list[int], list[int]]:
-    train: list[int] = []
+def _test_split(
+    indices_by_label: dict[str, Sequence[int]], test_fraction: float, rng: random.Random
+) -> list[int]:
     test: list[int] = []
     for label in sorted(indices_by_label):
         members = list(indices_by_label[label])
@@ -369,8 +375,7 @@ def _stratified_split(
         if n_test >= len(members):
             raise ValueError(f"label {label} too small to split train/test")
         test.extend(members[:n_test])
-        train.extend(members[n_test:])
-    return train, test
+    return test
 
 
 def imbalance_sweep(
@@ -382,10 +387,12 @@ def imbalance_sweep(
     alpha: float = 1.0,
     test_fraction: float = 0.2,
 ) -> ImbalanceSweep:
-    """Retrain at each IR fraction and measure AUC on a held-out split.
+    """AUC of NB margins at each IR fraction, on a held-out split.
 
-    For each ratio the largest dataset the two pools can support is drawn,
-    split 80/20 stratified, and scored with NB log-posterior margins.
+    For each ratio, after its range and size checks and before alpha's, the
+    largest dataset the two pools can support is drawn and split 80/20
+    stratified. Its test split is the held-out side of _held_out_scores, so
+    each margin is the one a model of the training split would give.
     """
     if not ratios:
         raise ValueError("at least one ratio is required")
@@ -404,14 +411,13 @@ def imbalance_sweep(
                 f"{len(or_vectors)} OR tweets"
             )
         rng = random.Random(seed * 1000003 + step)
-        sample = [(v, IR) for v in rng.sample(ir_vectors, k_ir)]
-        sample += [(v, OR) for v in rng.sample(or_vectors, k_or)]
-        by_label = {IR: list(range(k_ir)), OR: list(range(k_ir, k_ir + k_or))}
-        train_idx, test_idx = _stratified_split(by_label, test_fraction, rng)
-        model = train_naive_bayes([sample[i] for i in train_idx], alpha=alpha)
-        scores = [predict_nb(model, sample[i][0]).score for i in test_idx]
-        truth = [sample[i][1] for i in test_idx]
-        aucs.append(roc_auc(scores, truth))
+        sample = rng.sample(ir_vectors, k_ir) + rng.sample(or_vectors, k_or)
+        labels = [IR] * k_ir + [OR] * k_or
+        test = _test_split({IR: range(k_ir), OR: range(k_ir, len(sample))}, test_fraction, rng)
+        alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
+        whole = [nb_counts(zip(sample, labels))]
+        [scores] = _held_out_scores(whole, [[v] for v in sample], labels, test, [(0,)], alpha)
+        aucs.append(roc_auc(scores, [labels[i] for i in test]))
     return ImbalanceSweep(
         ratios=list(ratios),
         auc_per_ratio=aucs,
@@ -470,11 +476,8 @@ def enumerate_combinations(
 
     All subsets share the same fold seed, so rankings compare like-for-like.
     A class is extractable only when every tweet carries its tag layer;
-    anything else is excluded and reported. Each class is counted once over
-    the whole set and once per fold over the held-out side, and every subset
-    is scored from the training tables those two give: the classes' feature
-    ids are disjoint, so a subset's totals and vocabulary size are the sums
-    of its classes'.
+    anything else is excluded and reported. All subsets are scored from one
+    count per class and fold (_subset_readings).
     """
     available = [
         cls

@@ -94,10 +94,11 @@ def checked(value, kind: type, name: str, ok: Callable | None = None, rule: str 
     return value
 
 
-# NB's smoothing alpha and a top-k count: each one's range and the rule that
-# says so, for checked.
+# NB's smoothing alpha, a top-k count and CV's repeat count: each one's range
+# and the rule that says so, for checked.
 ALPHA_RANGE = (lambda alpha: 0 < alpha < math.inf, "positive and finite")
 K_RANGE = (lambda k: k > 0, "positive")
+REPEATS_RANGE = (lambda repeats: repeats >= 1, "at least 1")
 
 
 @dataclass(frozen=True)
@@ -365,11 +366,6 @@ def vectorize(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> FeatureVec
     for cls in classes:
         cls.extract(tweet, vector)
     return vector
-
-
-def extract_shallow_parse(tweet: TaggedTweet) -> FeatureVector:
-    """The tweet's SHALLOW_PARSE vector (see _count_shallow_parse)."""
-    return vectorize(tweet, [FeatureClass.SHALLOW_PARSE])
 
 
 def extract_crisis_sensitive(tweet: TaggedTweet) -> FeatureVector:

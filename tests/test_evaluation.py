@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
-from crisislang import evaluation
+from crisislang import evaluation, model
 from crisislang.evaluation import (
     balanced_sample,
     bigram_cloud,
@@ -16,12 +18,13 @@ from crisislang.evaluation import (
     stratified_fold_indices,
 )
 from crisislang.features import FeatureClass, MissingLayerError, vectorize
-from crisislang.model import IR, OR, predict_nb, select_all_baseline
+from crisislang.model import IR, OR, nb_counts, predict_nb, select_all_baseline
 from crisislang.text import attach_tags
 from oracles import auc_pairwise, confusion_metrics, reference_train_naive_bayes
 from synthdata import separable_labeled_set, tagged_labeled_set, tweet_from_text
 
 U = [FeatureClass.UNIGRAM]
+ALL = list(FeatureClass)
 
 
 def make_tweets(n, prefix="t", text="hello world"):
@@ -167,6 +170,21 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             enumerate_combinations(data, seed=4, repeats=1, folds=2, alpha=alpha)
 
+    @pytest.mark.parametrize(
+        "repeats, message",
+        [
+            (0, "repeats must be at least 1, got 0"),
+            (-2, "repeats must be at least 1, got -2"),
+            (1.5, "repeats must be a whole number, got 1.5"),
+        ],
+    )
+    def test_bad_repeats_rejected(self, repeats, message):
+        data = separable_labeled_set(n=20, seed=7)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cross_validate(data, U, repeats=repeats, folds=2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_combinations(data, seed=4, repeats=repeats, folds=2)
+
     def test_csv_has_fifteen_rows_plus_mean(self):
         data = separable_labeled_set(n=60, seed=6)
         report = cross_validate(data, U, seed=2)
@@ -301,13 +319,86 @@ def reference_readings(data, classes, repeats, folds, seed, alpha=1.0):
         for held_out in stratified_fold_indices(labels, folds, rng):
             held = set(held_out)
             train = [(vectors[i], labels[i]) for i in range(len(data)) if i not in held]
-            model = reference_train_naive_bayes(train, alpha=alpha)
-            predictions = [predict_nb(model, vectors[i]) for i in held_out]
+            fitted = reference_train_naive_bayes(train, alpha=alpha)
+            predictions = [predict_nb(fitted, vectors[i]) for i in held_out]
             scores += [(data[i][0].tweet_id, p.score) for i, p in zip(held_out, predictions)]
             readings.append(
                 compute_metrics([p.label for p in predictions], [labels[i] for i in held_out])
             )
     return readings, scores
+
+
+def held_out_margins(data, subsets, repeats, folds, seed, alpha=1.0):
+    """Per subset of all six classes (index tuples), every held-out (tweet id,
+    margin) that evaluation._held_out_scores gives, in reference_readings'
+    order."""
+    rows = evaluation._vectorize_by_class(data, ALL)
+    labels = [label for _, label in data]
+    whole = [nb_counts(zip((row[k] for row in rows), labels)) for k in range(len(ALL))]
+    margins = [[] for _ in subsets]
+    for repeat in range(repeats):
+        rng = random.Random(seed + repeat)
+        for held_out in stratified_fold_indices(labels, folds, rng):
+            scores = evaluation._held_out_scores(whole, rows, labels, held_out, subsets, alpha)
+            for subset_margins, subset_scores in zip(margins, scores):
+                subset_margins += zip([data[j][0].tweet_id for j in held_out], subset_scores)
+    return margins
+
+
+def reference_sweep(ir, or_pool, classes, ratios, seed, alpha=1.0):
+    """imbalance_sweep's AUCs from one NB model per ratio, fitted by the
+    oracle reference_train_naive_bayes on the training split and applied by
+    predict_nb to the test split, plus each ratio's training vocabulary and
+    test vectors."""
+    ir_vectors = [vectorize(t, classes) for t in ir]
+    or_vectors = [vectorize(t, classes) for t in or_pool]
+    aucs, splits = [], []
+    for step, ratio in enumerate(ratios):
+        n_total = min(int(len(ir_vectors) / ratio), int(len(or_vectors) / (1.0 - ratio)))
+        k_ir = min(round(n_total * ratio), len(ir_vectors))
+        k_or = min(n_total - k_ir, len(or_vectors))
+        rng = random.Random(seed * 1000003 + step)
+        sample = [(v, IR) for v in rng.sample(ir_vectors, k_ir)]
+        sample += [(v, OR) for v in rng.sample(or_vectors, k_or)]
+        by_label = {IR: list(range(k_ir)), OR: list(range(k_ir, k_ir + k_or))}
+        test_idx = evaluation._test_split(by_label, 0.2, rng)
+        train = [row for i, row in enumerate(sample) if i not in test_idx]
+        fitted = reference_train_naive_bayes(train, alpha=alpha)
+        scores = [predict_nb(fitted, sample[i][0]).score for i in test_idx]
+        aucs.append(roc_auc(scores, [sample[i][1] for i in test_idx]))
+        splits.append((fitted.vocabulary, [sample[i][0] for i in test_idx]))
+    return aucs, splits
+
+
+def lone_word_pools(seed):
+    """Word-only IR and OR pools in which eight tweets per pool carry words
+    no other tweet has: held out, four of them have no in-vocabulary feature
+    and the other four one in-vocabulary word beside their lone ones."""
+    data = separable_labeled_set(n=60, marker_in_rate=0.7, marker_out_rate=0.3, seed=seed)
+    pools = {IR: [], OR: []}
+    for tweet, label in data:
+        pools[label].append(tweet)
+    for label, pool in pools.items():
+        for i in range(8):
+            text = f"lq{label}{i}x lq{label}{i}y" + (" qz1" if i % 2 else "")
+            pool.append(tweet_from_text(f"lone-{label}{i}", text))
+    return pools[IR], pools[OR]
+
+
+def tagged_pools(seed):
+    data = tagged_labeled_set(n=60, seed=seed)
+    return [t for t, label in data if label == IR], [t for t, label in data if label == OR]
+
+
+SWEEP_CASES = [
+    (lambda: lone_word_pools(1), [FeatureClass.UNIGRAM, FeatureClass.BIGRAM], 1.0),
+    (lambda: lone_word_pools(2), [FeatureClass.UNIGRAM, FeatureClass.UNIGRAM], 0.3),
+    (lambda: lone_word_pools(3), [FeatureClass.BIGRAM, *U, FeatureClass.BIGRAM], 7.5),
+    (lambda: tagged_pools(4), ALL, 1.0),
+    (lambda: tagged_pools(5), ALL + [FeatureClass.ARK_POS], 0.01),
+]
+SWEEP_IDS = ["lone-words", "repeated-class", "repeated-classes", "tagged", "tagged-repeated"]
+SWEEP_RATIOS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
 def zero_margin_corpus():
@@ -406,12 +497,33 @@ class TestReferenceEquality:
         data = make_data()
         report = enumerate_combinations(data, seed=3, repeats=3, folds=folds, alpha=alpha)
         assert len(report.entries) == 63
-        for entry in report.entries:
+        subsets = [tuple(ALL.index(c) for c in entry.classes) for entry in report.entries]
+        margins = held_out_margins(data, subsets, 3, folds, seed=3, alpha=alpha)
+        for entry, subset_margins in zip(report.entries, margins):
             classes = list(entry.classes)
-            expected, _ = reference_readings(data, classes, 3, folds, seed=3, alpha=alpha)
+            expected, scores = reference_readings(data, classes, 3, folds, seed=3, alpha=alpha)
             assert entry.report.readings == expected, entry.class_names()
+            assert subset_margins == scores, entry.class_names()
             direct = cross_validate(data, classes, repeats=3, folds=folds, seed=3, alpha=alpha)
             assert direct.readings == expected, entry.class_names()
+
+    @pytest.mark.parametrize("make_pools, classes, alpha", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_sweep_matches_one_fit_per_ratio(self, make_pools, classes, alpha):
+        ir, or_pool = make_pools()
+        for seed in range(3):
+            sweep = imbalance_sweep(ir, or_pool, classes, SWEEP_RATIOS, seed=seed, alpha=alpha)
+            expected, _ = reference_sweep(ir, or_pool, classes, SWEEP_RATIOS, seed, alpha)
+            assert sweep.auc_per_ratio == expected, seed
+
+    def test_lone_word_pools_hold_out_what_no_fit_has_seen(self):
+        # The sweep test above covers a test tweet with no in-vocabulary
+        # feature, and a feature seen only in the test split beside one that
+        # was trained, only if the lone-word tweets really land in test splits.
+        for make_pools, classes, alpha in SWEEP_CASES[:3]:
+            splits = reference_sweep(*make_pools(), classes, SWEEP_RATIOS, 0, alpha)[1]
+            held = [(vocabulary, v) for vocabulary, test in splits for v in test]
+            assert any(v and not vocabulary.intersection(v) for vocabulary, v in held)
+            assert any(vocabulary.intersection(v) and set(v) - vocabulary for vocabulary, v in held)
 
     def test_zero_margin_corpus_has_its_tie(self):
         # The equality test above covers the IR tie-break only if "z" really
@@ -456,26 +568,48 @@ class TestReferenceEquality:
         carried = [bool(vectorize(t, [FeatureClass.SHALLOW_PARSE])) for t, _ in data]
         assert carried == [True] + [False] * (len(data) - 1)
 
+    @staticmethod
+    def _counted(monkeypatch, module, names, calls):
+        for name in names:
+            fn = getattr(module, name)
+
+            def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
     def test_search_vectorizes_once_and_never_trains(self, monkeypatch):
         data = tagged_labeled_set(n=20, seed=9)
-        calls = {"vectorize": 0, "train_naive_bayes": 0, "nb_counts": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+        calls = Counter()
+        self._counted(monkeypatch, evaluation, ["vectorize", "nb_counts"], calls)
+        self._counted(monkeypatch, model, ["train_naive_bayes", "predict_nb"], calls)
         report = enumerate_combinations(data, seed=1, repeats=2, folds=3)
         assert len(report.entries) == 63
         assert 0 < calls["vectorize"] <= len(data) * len(FeatureClass)
-        assert calls["train_naive_bayes"] == 0
+        assert calls["train_naive_bayes"] == calls["predict_nb"] == 0
         # Per class, one whole-set count table and one held-out table per
         # fold, from the routine NB training uses.
         assert calls["nb_counts"] == len(FeatureClass) * (1 + 2 * 3)
+
+    def test_sweep_never_trains(self, monkeypatch):
+        data = separable_labeled_set(n=60, seed=9)
+        ir = [t for t, label in data if label == IR]
+        or_pool = [t for t, label in data if label == OR]
+        calls = Counter()
+        self._counted(monkeypatch, evaluation, ["nb_counts"], calls)
+        self._counted(monkeypatch, model, ["train_naive_bayes", "predict_nb"], calls)
+        sweep = imbalance_sweep(ir, or_pool, U, ratios=(0.3, 0.5), seed=2)
+        assert len(sweep.auc_per_ratio) == 2
+        assert calls["train_naive_bayes"] == calls["predict_nb"] == 0
+        # Per ratio, one whole-sample table and one for its test split.
+        assert calls["nb_counts"] == 2 * 2
+
+    def test_evaluation_binds_no_nb_fit(self):
+        # A name bound at import would escape the probes above, which patch
+        # only the model module.
+        assert not hasattr(evaluation, "train_naive_bayes")
+        assert not hasattr(evaluation, "predict_nb")
 
     def test_errors_keep_their_types(self):
         data = tagged_labeled_set(n=10, seed=4)

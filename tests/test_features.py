@@ -11,7 +11,6 @@ from crisislang.features import (
     MissingLayerError,
     count_ngrams,
     extract_crisis_sensitive,
-    extract_shallow_parse,
     missing_classes,
     split_feature,
     vectorize,
@@ -79,29 +78,32 @@ class TestPosNgrams:
 
 
 class TestShallowParse:
+    SHALLOW = [FeatureClass.SHALLOW_PARSE]
+
     def test_headword_from_np(self):
-        v = extract_shallow_parse(tweet_of(["the", "movie"], chunks=["B-NP", "I-NP"]))
+        v = vectorize(tweet_of(["the", "movie"], chunks=["B-NP", "I-NP"]), self.SHALLOW)
         assert keys(v) == {"NP": 1, "NP:movie": 1}
 
     def test_np_vp_sequence(self):
-        v = extract_shallow_parse(tweet_of(["bombs", "exploded"], chunks=["B-NP", "B-VP"]))
+        v = vectorize(tweet_of(["bombs", "exploded"], chunks=["B-NP", "B-VP"]), self.SHALLOW)
         assert keys(v) == {"NP": 1, "VP": 1, "NP VP": 1, "NP:bombs": 1, "VP:exploded": 1}
 
     def test_all_outside_tags(self):
-        assert extract_shallow_parse(tweet_of(["a", "b"], chunks=["O", "O"])) == {}
+        assert vectorize(tweet_of(["a", "b"], chunks=["O", "O"]), self.SHALLOW) == {}
 
     def test_chunk_trigram_skips_outside_tokens(self):
-        v = extract_shallow_parse(
+        v = vectorize(
             tweet_of(
                 ["bombs", "just", "exploded", "in", "boston"],
                 chunks=["B-NP", "O", "B-VP", "B-PP", "B-NP"],
-            )
+            ),
+            self.SHALLOW,
         )
         assert keys(v)["NP VP PP"] == 1
         assert keys(v)["VP PP NP"] == 1
 
     def test_bare_inside_tag_starts_chunk(self):
-        v = extract_shallow_parse(tweet_of(["a", "b"], chunks=["I-NP", "I-VP"]))
+        v = vectorize(tweet_of(["a", "b"], chunks=["I-NP", "I-VP"]), self.SHALLOW)
         assert keys(v) == {"NP": 1, "VP": 1, "NP VP": 1, "NP:a": 1, "VP:b": 1}
 
 

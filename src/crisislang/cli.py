@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from crisislang.features import (
     ALPHA_RANGE,
     DEFAULT_IMBALANCE_RATIOS,
+    FOLDS_RANGE,
     FeatureClass,
     K_RANGE,
     LogRegParams,
@@ -45,9 +46,11 @@ from crisislang.ingest import (
     atomic_open,
     iter_corpus,
     iter_jsonl,
+    json_value,
     load_corpus,
     parse_timestamp,
     tweet_to_record,
+    write_json,
     write_jsonl,
 )
 
@@ -120,7 +123,7 @@ _SETTINGS = (
     ("model_kind", "model.kind", str, "nb", lambda kind: kind in ("nb", "logreg"), "nb or logreg"),
     ("alpha", "model.alpha", float, 1.0, *ALPHA_RANGE),
     ("cv_repeats", "cv.repeats", int, 3, *REPEATS_RANGE),
-    ("cv_folds", "cv.folds", int, 5, lambda folds: folds >= 2, "at least 2"),
+    ("cv_folds", "cv.folds", int, 5, *FOLDS_RANGE),
     ("balance", "balance", bool, True, None, ""),
     ("fallback_tags", "fallback_tags", bool, True, None, ""),
     (
@@ -156,11 +159,11 @@ def load_config(
     output_dir: str | None = None,
 ) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json_value(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     try:
@@ -244,10 +247,6 @@ def _run_config(doc: dict, overrides: dict) -> RunConfig:
     )
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _write_text(path: Path, text: str) -> None:
     with atomic_open(path) as handle:
         handle.write(text)
@@ -259,7 +258,7 @@ def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
     csv_path = config.output_dir / f"{stem}.csv"
     json_path = config.output_dir / f"{stem}.json"
     _write_text(csv_path, report.to_csv())
-    _write_json(json_path, report.to_dict())
+    write_json(json_path, report.to_dict())
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
@@ -602,7 +601,7 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     for name, cloud in (("geotagged", geotagged_cloud), ("combined", combined_cloud)):
         path = config.output_dir / f"cloud_{name}.json"
         bigrams = [{"bigram": bigram, "count": count} for bigram, count in cloud]
-        _write_json(path, {"schema_version": SCHEMA_VERSION, "bigrams": bigrams})
+        write_json(path, {"schema_version": SCHEMA_VERSION, "bigrams": bigrams})
         files[name] = str(path)
     return {
         "warnings": skips.reasons,
@@ -714,7 +713,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary = {"schema_version": SCHEMA_VERSION, "command": args.command}
         summary.update(args.run(config, args))
         stem = args.command.replace("-", "_")
-        _write_json(config.output_dir / f"{stem}_summary.json", summary)
+        write_json(config.output_dir / f"{stem}_summary.json", summary)
     except (ValueError, OSError) as exc:  # ConfigError and TrainingDiverged among them
         print(f"error: {exc}", file=sys.stderr)
         return 1

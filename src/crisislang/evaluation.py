@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from crisislang.features import (
     ALPHA_RANGE,
     DEFAULT_IMBALANCE_RATIOS,
+    FOLDS_RANGE,
     FeatureClass,
     FeatureId,
     FeatureVector,
@@ -277,6 +278,7 @@ def _subset_readings(
     into classes), each fold scored by _held_out_scores from one whole-set
     count per class, which is folds / (folds - 1) times a fold's training side.
     """
+    folds = checked(folds, int, "folds", *FOLDS_RANGE)
     if len(data) < folds:
         raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
     rows = _vectorize_by_class(data, classes)

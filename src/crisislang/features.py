@@ -94,11 +94,12 @@ def checked(value, kind: type, name: str, ok: Callable | None = None, rule: str 
     return value
 
 
-# NB's smoothing alpha, a top-k count and CV's repeat count: each one's range
-# and the rule that says so, for checked.
+# NB's smoothing alpha, a top-k count and CV's repeat and fold counts: each
+# one's range and the rule that says so, for checked.
 ALPHA_RANGE = (lambda alpha: 0 < alpha < math.inf, "positive and finite")
 K_RANGE = (lambda k: k > 0, "positive")
 REPEATS_RANGE = (lambda repeats: repeats >= 1, "at least 1")
+FOLDS_RANGE = (lambda folds: folds >= 2, "at least 2")
 
 
 @dataclass(frozen=True)

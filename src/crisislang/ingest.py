@@ -1,4 +1,4 @@
-"""Corpus ingestion: JSON Lines parsing and geo/time partitioning.
+"""Corpus ingestion and geo/time partitioning, plus the one JSON decode rule and writer.
 
 One message per line: {"id", "text", "created_at", optional "geo" {lat, lon},
 optional "ark_tags"/"ptb_tags"/"chunk_tags"}. Geotagged messages inside the
@@ -122,16 +122,30 @@ def _parse_tag_layer(obj: dict, name: str) -> tuple[str, ...] | None:
     return tuple(raw)
 
 
-def parse_tweet_record(line: str) -> RawTweet:
+def json_value(data: bytes | str):
+    """The JSON value data holds; bytes are read as strict UTF-8 (never
+    guessed as UTF-16/32). Any failure is one ValueError whose text is the
+    reason: "malformed JSON: …" or "not UTF-8 (… at byte N)"."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise ValueError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None
+
+
+def parse_tweet_record(line: bytes | str) -> RawTweet:
     """Parse one JSON Lines record into a validated RawTweet.
 
     Unknown fields are ignored. Tag layers are not checked against the
     tokenization here; alignment is validated when tags are attached.
     """
     try:
-        obj = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise RecordError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None
+        obj = json_value(line)
+    except ValueError as exc:
+        raise RecordError(str(exc)) from None
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object")
     for name in ("id", "text", "created_at"):
@@ -250,12 +264,13 @@ class Corpus:
 def iter_jsonl(path: str | Path, skips: Skips) -> Iterator[tuple[int, RawTweet]]:
     """Parse a JSON Lines file one non-blank line at a time.
 
-    Yields (line number, tweet) for each parsed record; a record that fails
-    parsing goes into skips as "line N: reason".
+    A line ends at LF only (a CRLF ending still parses) and is blank when it
+    holds only ASCII whitespace. Yields (line number, tweet) for each parsed
+    record; a record that fails parsing goes into skips as "line N: reason".
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 tweet = parse_tweet_record(line)
@@ -333,6 +348,12 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, obj: dict) -> None:
+    """Write obj as one JSON document (keys sorted, indent 2) through atomic_open."""
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:

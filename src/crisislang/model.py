@@ -14,7 +14,6 @@ inside the logistic-regression functions, so the NB path never loads it.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,7 @@ from crisislang.features import (
     feature_classes,
     split_feature,
 )
-from crisislang.ingest import atomic_open
+from crisislang.ingest import json_value, write_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -396,13 +395,11 @@ def save_model(
     model: NaiveBayesModel | LogisticRegressionModel,
     feature_classes: Sequence[FeatureClass] | None = None,
 ) -> None:
-    doc = model_to_dict(model, feature_classes)
-    with atomic_open(path) as handle:
-        handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, model_to_dict(model, feature_classes))
 
 
 def load_model(path: str | Path) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(json_value(Path(path).read_bytes()))
 
 
 def predict(model: NaiveBayesModel | LogisticRegressionModel, vector: FeatureVector) -> Prediction:

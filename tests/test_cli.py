@@ -1597,23 +1597,85 @@ class TestNumpyOnlyForLogisticRegression:
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
+def stage_process(workspace, *argv, flags=()):
+    """Run one stage as `python [flags] -m crisislang` and return the
+    finished process, its output as text."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "crisislang", "--config", str(workspace["config"]), *argv],
+        capture_output=True, text=True, env=env, cwd=workspace["root"],
+    )
+
+
 def run_stage_process(workspace, *argv):
     """Run one stage as `python -X importtime -m crisislang` and check that it
     exits 0. Returns the names of the modules the process imported, in
     order, and its other stderr lines."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "crisislang",
-         "--config", str(workspace["config"]), *argv],
-        capture_output=True, text=True, env=env, cwd=workspace["root"],
-    )
+    result = stage_process(workspace, *argv, flags=("-X", "importtime"))
     assert result.returncode == 0, result.stderr
     lines = result.stderr.splitlines()
     # -X importtime lists every module the process imports, on stderr.
     imported = [line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")]
     return imported, [line for line in lines if not line.startswith("import time:")]
+
+
+DEEP = b"[" * 200_000  # nested far past the recursion limit
+NOT_UTF8 = json.dumps(
+    {"id": "latin1", "text": "caf\u00e9 in boston", "created_at": "2013-04-15T19:30:00Z"},
+    ensure_ascii=False,
+).encode("latin-1")
+NOT_UTF8_REASON = f"not UTF-8 (invalid continuation byte at byte {NOT_UTF8.index(0xE9)})"
+
+
+class TestBadBytesInAStageProcess:
+    """Bytes nested too deeply or not UTF-8 are one counted skip in a corpus
+    and one error line in a config or model file, never a traceback."""
+
+    def _partition_with(self, workspace, line):
+        good = workspace["corpus"].read_bytes()
+        workspace["corpus"].write_bytes(good + line + b"\n")
+        result = stage_process(workspace, "partition")
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 0, result.stderr
+        summary = read_json(workspace["out"] / "partition_summary.json")
+        counts = {k: summary["counts"][k] for k in ("IR", "OR", "PC_IR", "PC_OR", "unlabeled")}
+        assert counts == {"IR": 80, "OR": 120, "PC_IR": 5, "PC_OR": 5, "unlabeled": 60}
+        assert summary["counts"]["skipped"] == 1
+        return good.count(b"\n") + 1, summary["warnings"]
+
+    def test_deeply_nested_corpus_line_is_one_skip(self, workspace):
+        n, warnings = self._partition_with(workspace, DEEP)
+        assert warnings == [f"line {n}: malformed JSON: nested too deeply"]
+
+    def test_non_utf8_corpus_record_is_one_skip(self, workspace):
+        n, warnings = self._partition_with(workspace, NOT_UTF8)
+        assert warnings == [f"line {n}: {NOT_UTF8_REASON}"]
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(DEEP, "malformed JSON: nested too deeply"), (NOT_UTF8, NOT_UTF8_REASON)],
+        ids=["nested", "not-utf8"],
+    )
+    def test_bad_config_is_one_error_line(self, workspace, content, reason):
+        workspace["config"].write_bytes(content)
+        result = stage_process(workspace, "partition")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: config {workspace['config']}: {reason}"]
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(DEEP, "malformed JSON: nested too deeply"), (NOT_UTF8, NOT_UTF8_REASON)],
+        ids=["nested", "not-utf8"],
+    )
+    def test_bad_model_file_is_one_error_line(self, workspace, content, reason):
+        assert run(workspace, "partition") == 0
+        model = workspace["root"] / "model.json"
+        model.write_bytes(content)
+        result = stage_process(workspace, "classify", "--model", str(model))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: {reason}"]
 
 
 # The crisislang modules each stage process loads, beyond the package itself,

@@ -185,6 +185,30 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             enumerate_combinations(data, seed=4, repeats=repeats, folds=2)
 
+    @pytest.mark.parametrize(
+        "folds, message",
+        [
+            (2.5, "folds must be a whole number, got 2.5"),
+            (1, "folds must be at least 2, got 1"),
+            (0, "folds must be at least 2, got 0"),
+        ],
+    )
+    def test_bad_folds_rejected(self, folds, message):
+        data = separable_labeled_set(n=20, seed=7)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cross_validate(data, U, repeats=1, folds=folds)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_combinations(data, seed=4, repeats=1, folds=folds)
+
+    def test_whole_float_folds_runs_as_int(self):
+        data = separable_labeled_set(n=20, seed=7)
+        assert cross_validate(data, U, repeats=1, folds=3.0).readings == (
+            cross_validate(data, U, repeats=1, folds=3).readings
+        )
+        assert enumerate_combinations(data, seed=4, repeats=1, folds=3.0).to_dict() == (
+            enumerate_combinations(data, seed=4, repeats=1, folds=3).to_dict()
+        )
+
     def test_csv_has_fifteen_rows_plus_mean(self):
         data = separable_labeled_set(n=60, seed=6)
         report = cross_validate(data, U, seed=2)

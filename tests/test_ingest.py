@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import random
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crisislang import ingest
-from crisislang.cli import _write_json, _write_text
+from crisislang.cli import _write_text
 from crisislang.ingest import (
     MAX_REPORTED_ERRORS,
     GeoPoint,
@@ -27,6 +28,7 @@ from crisislang.ingest import (
     load_corpus,
     parse_tweet_record,
     tweet_to_record,
+    write_json,
     write_jsonl,
 )
 from crisislang.model import IR, OR, save_model, train_naive_bayes
@@ -54,6 +56,7 @@ VALID_RECORD = {
     "ptb_tags": ["IN", "NNP"],
     "chunk_tags": ["B-PP", "B-NP"],
 }
+NOT_UTF8_RECORD = b'{"id": "e", "text": "caf\xe9", "created_at": "2013-04-15T19:30:00Z"}'
 
 
 class TestParseTweetRecord:
@@ -332,28 +335,71 @@ class TestLoadCorpus:
         write_jsonl(dst, map(tweet_to_record, tweets))
         assert [tweet for _, tweet in iter_jsonl(dst, Skips())] == tweets
 
+    def _records(self, *ids):
+        return [
+            json.dumps({"id": i, "text": "x", "created_at": "2013-04-15T19:30:00Z"}).encode()
+            for i in ids
+        ]
 
-# One corpus line: a valid record (its id drawn from a pool small enough to
-# repeat; 7 and "7" are the same id), a malformed line, or a blank one.
+    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+        lines = self._records("a", "b", "c")
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes(b"".join(line + b"\n" for line in lines))
+        crlf.write_bytes(b"".join(line + b"\r\n" for line in lines))
+        lf_skips, crlf_skips = Skips(), Skips()
+        assert list(iter_jsonl(crlf, crlf_skips)) == list(iter_jsonl(lf, lf_skips))
+        assert crlf_skips == lf_skips == Skips()
+        assert load_corpus(crlf, BOSTON_REGION, CRISIS).counts()["unlabeled"] == 3
+
+    def test_lone_cr_does_not_end_a_line(self, tmp_path):
+        a, b, c = self._records("a", "b", "c")
+        path = tmp_path / "cr.jsonl"
+        path.write_bytes(a + b"\n" + b + b"\r" + c + b"\n")
+        skips = Skips()
+        assert [(n, t.id) for n, t in iter_jsonl(path, skips)] == [(1, "a")]
+        assert (skips.count, skips.reasons) == (1, ["line 2: malformed JSON: Extra data"])
+
+    def test_non_utf8_line_is_one_skip(self, tmp_path):
+        a, c = self._records("a", "c")
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(a + b"\n" + NOT_UTF8_RECORD + b"\n" + c + b"\n")
+        skips = Skips()
+        assert [(n, t.id) for n, t in iter_jsonl(path, skips)] == [(1, "a"), (3, "c")]
+        at = NOT_UTF8_RECORD.index(b"\xe9")
+        assert skips.reasons == [f"line 2: not UTF-8 (invalid continuation byte at byte {at})"]
+        assert skips.count == 1
+
+
+# One corpus line, as bytes without b"\n": a valid record (its id drawn from a
+# pool small enough to repeat; 7 and "7" are the same id), a malformed line,
+# any bytes at all, or a blank one.
 RECORD_LINES = st.builds(
     lambda tweet_id, text, created_at, geo: json.dumps(
         {"id": tweet_id, "text": text, "created_at": created_at,
          **({"geo": geo} if geo is not None else {})}
-    ),
+    ).encode(),
     st.sampled_from(["a", "b", "c", 7, "7"]),
     st.sampled_from(["x", "safe in boston", "hello world"]),
     st.sampled_from(["2013-04-15T19:30:00Z", "2013-04-09T15:00:00Z", "2013-04-01T00:00:00Z"]),
     st.sampled_from([None, {"lat": 42.35, "lon": -71.08}, {"lat": 40.75, "lon": -73.99}]),
 )
 MALFORMED_LINES = st.sampled_from([
-    "not json",
-    "[1, 2]",
-    '{"id": "a", "created_at": "2013-04-15T19:30:00Z"}',
-    '{"id": true, "text": "x", "created_at": "2013-04-15T19:30:00Z"}',
-    '{"id": "b", "text": "x", "created_at": "2013-04-15T19:30:00Z", "geo": {"lat": 91, "lon": 0}}',
+    b"not json",
+    b"[1, 2]",
+    b'{"id": "a", "created_at": "2013-04-15T19:30:00Z"}',
+    b'{"id": true, "text": "x", "created_at": "2013-04-15T19:30:00Z"}',
+    b'{"id": "b", "text": "x", "created_at": "2013-04-15T19:30:00Z", "geo": {"lat": 91, "lon": 0}}',
+    b"[" * 200_000,
+    NOT_UTF8_RECORD,
+    "\u00a0".encode(),  # not ASCII whitespace, so not blank
 ])
 CORPUS_LINES = st.lists(
-    st.one_of(RECORD_LINES, MALFORMED_LINES, st.sampled_from(["", "   ", "\t"])),
+    st.one_of(
+        RECORD_LINES,
+        MALFORMED_LINES,
+        st.binary().map(lambda line: line.replace(b"\n", b"")),
+        st.sampled_from([b"", b"   ", b"\t", b"\r"]),
+    ),
     max_size=MAX_REPORTED_ERRORS,
 )
 
@@ -366,10 +412,10 @@ def test_corpus_record_rule(lines):
         if not line.strip():
             blank.append(number)
             continue
-        try:
-            valid.append((number, parse_tweet_record(line)))
-        except RecordError:
-            malformed.append(number)
+        try:  # each line as the reader hands it over, ending included
+            valid.append((number, parse_tweet_record(line + b"\n")))
+        except RecordError as exc:
+            malformed.append((number, f"line {number}: {exc}"))
     firsts: dict[str, RawTweet] = {}
     for _, tweet in valid:
         firsts.setdefault(tweet.id, tweet)
@@ -377,7 +423,7 @@ def test_corpus_record_rule(lines):
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
         corpus = load_corpus(path, BOSTON_REGION, CRISIS, PRE_CRISIS)
         skips = Skips()
         read = list(iter_corpus(path, skips))
@@ -388,10 +434,37 @@ def test_corpus_record_rule(lines):
     assert counts["duplicates"] == corpus.duplicates == len(valid) - len(firsts)
     assert read == list(firsts.values())
     assert (skips.count, skips.duplicates) == (len(malformed) + len(repeats), len(repeats))
-    assert [r for r in skips.reasons if "duplicate" in r] == [
-        f"line {n}: duplicate id {tweet_id}" for n, tweet_id in repeats
-    ]
+    duplicates = [(n, f"line {n}: duplicate id {tweet_id}") for n, tweet_id in repeats]
+    assert skips.reasons == [reason for _, reason in sorted(malformed + duplicates)]
     assert corpus.skips == skips
+
+
+def _json_loads_in(node) -> bool:
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "loads" and getattr(n.value, "id", "") == "json"
+        for n in ast.walk(node)
+    )
+
+
+def test_json_is_decoded_only_in_ingest():
+    """One function turns bytes into JSON (ingest.json_value), and model
+    reads and writes its file through ingest without importing json."""
+    modules, functions, imports = set(), set(), set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "crisislang").glob("*.py")):
+        tree = ast.parse(path.read_bytes(), path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and _json_loads_in(node):
+                functions.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
+                imports.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                imports.add(path.stem)
+                modules.add(path.stem)
+        if _json_loads_in(tree):
+            modules.add(path.stem)
+    assert modules == {"ingest"}
+    assert functions == {"ingest.json_value"}
+    assert "model" not in imports
 
 
 class TestTypeInvariants:
@@ -411,7 +484,7 @@ class TestTypeInvariants:
 
 _WRITERS = {
     "write_jsonl": lambda path: write_jsonl(path, [{"id": "new", "n": 1}] * 3),
-    "_write_json": lambda path: _write_json(path, {"new": [1, 2, 3]}),
+    "_write_json": lambda path: write_json(path, {"new": [1, 2, 3]}),
     "_write_text": lambda path: _write_text(path, "new text\n" * 3),
     "save_model": lambda path: save_model(
         path, train_naive_bayes([({"UNIGRAM:a": 1}, IR), ({"UNIGRAM:b": 1}, OR)])

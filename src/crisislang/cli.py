@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -33,7 +32,6 @@ from crisislang.features import (
     feature_classes,
     missing_classes,
     split_feature,
-    vector_to_json,
     vectorize,
 )
 from crisislang.ingest import (
@@ -43,13 +41,13 @@ from crisislang.ingest import (
     Region,
     Skips,
     TimeWindow,
-    atomic_open,
     iter_corpus,
     iter_jsonl,
     json_value,
     load_corpus,
     parse_timestamp,
     tweet_to_record,
+    write_csv,
     write_json,
     write_jsonl,
 )
@@ -247,17 +245,12 @@ def _run_config(doc: dict, overrides: dict) -> RunConfig:
     )
 
 
-def _write_text(path: Path, text: str) -> None:
-    with atomic_open(path) as handle:
-        handle.write(text)
-
-
 def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
-    """Write a report's to_csv() and to_dict() as stem.csv and stem.json in
+    """Write a report's rows() and to_dict() as stem.csv and stem.json in
     the output dir; returns their paths."""
     csv_path = config.output_dir / f"{stem}.csv"
     json_path = config.output_dir / f"{stem}.json"
-    _write_text(csv_path, report.to_csv())
+    write_csv(csv_path, report.rows())
     write_json(json_path, report.to_dict())
     return {"csv": str(csv_path), "json": str(json_path)}
 
@@ -561,14 +554,13 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
     data = _labeled_data(config, config.balance, skips, config.feature_classes)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     model = mdl.train_logreg(vectors, config.logreg)
-    lines = ["class,rank,feature,weight"]
+    rows: list[list] = [["class", "rank", "feature", "weight"]]
     for cls in config.feature_classes:
         ranked = mdl.top_features(model, k, cls)
         for rank, (fid, weight) in enumerate(ranked, start=1):
-            key = split_feature(fid)[1].replace('"', '""')
-            lines.append(f'{cls.value},{rank},"{key}",{weight!r}')
+            rows.append([cls.value, rank, split_feature(fid)[1], weight])
     csv_path = config.output_dir / "top_features.csv"
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    write_csv(csv_path, rows)
     return {
         "warnings": skips.reasons,
         "k": k,
@@ -642,7 +634,7 @@ def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
             for cls in present:
                 coverage[cls.value] += 1
             vector = vectorize(tagged, present) if present else {}
-            yield {"id": tweet.id, "features": vector_to_json(vector)}
+            yield {"id": tweet.id, "features": vector}
 
     summary = _stream(source, config.output_dir / "vectors.jsonl", {}, docs)
     return {**summary, "class_coverage": coverage}
@@ -713,11 +705,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary = {"schema_version": SCHEMA_VERSION, "command": args.command}
         summary.update(args.run(config, args))
         stem = args.command.replace("-", "_")
-        write_json(config.output_dir / f"{stem}_summary.json", summary)
+        text = write_json(config.output_dir / f"{stem}_summary.json", summary)
     except (ValueError, OSError) as exc:  # ConfigError and TrainingDiverged among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    sys.stdout.write(text)
     return 0
 
 

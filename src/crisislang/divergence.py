@@ -30,11 +30,9 @@ class DivergenceMatrix:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_csv(self) -> str:
-        lines = ["," + ",".join(self.labels)]
-        for label, row in zip(self.labels, self.values):
-            lines.append(label + "," + ",".join(repr(v) for v in row))
-        return "\n".join(lines) + "\n"
+    def rows(self) -> list[list]:
+        table = zip(self.labels, self.values)
+        return [["", *self.labels]] + [[label, *row] for label, row in table]
 
 
 def word_distribution(tweets: Iterable[TaggedTweet]) -> dict[str, float]:

@@ -38,6 +38,8 @@ from crisislang.text import TaggedTweet
 
 LabeledTweet = tuple[TaggedTweet, str]
 
+TEST_FRACTION = 0.2  # the share of each label imbalance_sweep holds out to test
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -158,15 +160,12 @@ class CvReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_csv(self) -> str:
-        lines = ["reading,accuracy,precision,recall,f1,degenerate_flags"]
-        for i, m in enumerate(self.readings, start=1):
-            flags = ";".join(m.degenerate_flags)
-            lines.append(f"{i},{m.accuracy!r},{m.precision!r},{m.recall!r},{m.f1!r},{flags}")
-        m = self.mean
-        flags = ";".join(m.degenerate_flags)
-        lines.append(f"mean,{m.accuracy!r},{m.precision!r},{m.recall!r},{m.f1!r},{flags}")
-        return "\n".join(lines) + "\n"
+    def rows(self) -> list[list]:
+        numbered = [*enumerate(self.readings, start=1), ("mean", self.mean)]
+        return [["reading", "accuracy", "precision", "recall", "f1", "degenerate_flags"]] + [
+            [i, m.accuracy, m.precision, m.recall, m.f1, ";".join(m.degenerate_flags)]
+            for i, m in numbered
+        ]
 
 
 def _vectorize_by_class(
@@ -273,11 +272,11 @@ def _subset_readings(
     folds: int,
     seed: int,
     alpha: float,
-) -> list[list[Metrics]]:
+) -> list[CvReport]:
     """Repeated stratified CV of NB on every subset of classes (index tuples
     into classes), each fold scored by _held_out_scores from one whole-set
     count per class, which is folds / (folds - 1) times a fold's training side.
-    """
+    One report per subset, carrying the repeats and folds checked here."""
     folds = checked(folds, int, "folds", *FOLDS_RANGE)
     if len(data) < folds:
         raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
@@ -297,13 +296,10 @@ def _subset_readings(
             for subset_scores, subset_readings in zip(scores, readings):
                 predicted = [IR if score >= 0.0 else OR for score in subset_scores]
                 subset_readings.append(compute_metrics(predicted, truth))
-    return readings
-
-
-def _cv_report(readings: list[Metrics], seed: int, repeats: int, folds: int) -> CvReport:
-    return CvReport(
-        readings=readings, mean=mean_metrics(readings), seed=seed, repeats=repeats, folds=folds
-    )
+    return [
+        CvReport(readings=r, mean=mean_metrics(r), seed=seed, repeats=repeats, folds=folds)
+        for r in readings
+    ]
 
 
 def cross_validate(
@@ -320,10 +316,9 @@ def cross_validate(
     repeats x folds readings plus their arithmetic mean.
     """
     classes = list(dict.fromkeys(classes))
-    [readings] = _subset_readings(
+    return _subset_readings(
         data, classes, [tuple(range(len(classes)))], repeats, folds, seed, alpha
-    )
-    return _cv_report(readings, seed, repeats, folds)
+    )[0]
 
 
 def roc_auc(scores: Sequence[float], truth: Sequence[str]) -> float:
@@ -359,11 +354,8 @@ class ImbalanceSweep:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_csv(self) -> str:
-        lines = ["ratio,auc"]
-        for ratio, auc in zip(self.ratios, self.auc_per_ratio):
-            lines.append(f"{ratio!r},{auc!r}")
-        return "\n".join(lines) + "\n"
+    def rows(self) -> list[list]:
+        return [["ratio", "auc"], *map(list, zip(self.ratios, self.auc_per_ratio))]
 
 
 def _test_split(
@@ -387,14 +379,14 @@ def imbalance_sweep(
     ratios: Sequence[float] = DEFAULT_IMBALANCE_RATIOS,
     seed: int = 0,
     alpha: float = 1.0,
-    test_fraction: float = 0.2,
 ) -> ImbalanceSweep:
     """AUC of NB margins at each IR fraction, on a held-out split.
 
     For each ratio, after its range and size checks and before alpha's, the
-    largest dataset the two pools can support is drawn and split 80/20
-    stratified. Its test split is the held-out side of _held_out_scores, so
-    each margin is the one a model of the training split would give.
+    largest dataset the two pools can support is drawn and split stratified
+    (TEST_FRACTION of each label to test). Its test split is the held-out side
+    of _held_out_scores, so each margin is the one a model of the training
+    split would give.
     """
     if not ratios:
         raise ValueError("at least one ratio is required")
@@ -415,7 +407,7 @@ def imbalance_sweep(
         rng = random.Random(seed * 1000003 + step)
         sample = rng.sample(ir_vectors, k_ir) + rng.sample(or_vectors, k_or)
         labels = [IR] * k_ir + [OR] * k_or
-        test = _test_split({IR: range(k_ir), OR: range(k_ir, len(sample))}, test_fraction, rng)
+        test = _test_split({IR: range(k_ir), OR: range(k_ir, len(sample))}, TEST_FRACTION, rng)
         alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
         whole = [nb_counts(zip(sample, labels))]
         [scores] = _held_out_scores(whole, [[v] for v in sample], labels, test, [(0,)], alpha)
@@ -457,14 +449,12 @@ class CombinationReport:
             ],
         }
 
-    def to_csv(self) -> str:
-        lines = ["rank,classes,accuracy,precision,recall,f1"]
+    def rows(self) -> list[list]:
+        rows: list[list] = [["rank", "classes", "accuracy", "precision", "recall", "f1"]]
         for rank, e in enumerate(self.ranked(), start=1):
             m = e.report.mean
-            lines.append(
-                f"{rank},{e.class_names()},{m.accuracy!r},{m.precision!r},{m.recall!r},{m.f1!r}"
-            )
-        return "\n".join(lines) + "\n"
+            rows.append([rank, e.class_names(), m.accuracy, m.precision, m.recall, m.f1])
+        return rows
 
 
 def enumerate_combinations(
@@ -493,13 +483,10 @@ def enumerate_combinations(
     for size in range(1, len(available) + 1):
         subsets.extend(itertools.combinations(range(len(available)), size))
 
-    readings = _subset_readings(data, available, subsets, repeats, folds, seed, alpha)
+    reports = _subset_readings(data, available, subsets, repeats, folds, seed, alpha)
     entries = [
-        CombinationEntry(
-            classes=tuple(available[k] for k in subset),
-            report=_cv_report(subset_readings, seed, repeats, folds),
-        )
-        for subset, subset_readings in zip(subsets, readings)
+        CombinationEntry(classes=tuple(available[k] for k in subset), report=report)
+        for subset, report in zip(subsets, reports)
     ]
     return CombinationReport(entries=entries, excluded_classes=excluded)
 

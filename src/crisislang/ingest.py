@@ -1,4 +1,5 @@
-"""Corpus ingestion and geo/time partitioning, plus the one JSON decode rule and writer.
+"""Corpus ingestion and geo/time partitioning, plus the one JSON decode rule
+and every output encoder: JSON documents, JSON lines and CSV tables.
 
 One message per line: {"id", "text", "created_at", optional "geo" {lat, lon},
 optional "ark_tags"/"ptb_tags"/"chunk_tags"}. Geotagged messages inside the
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -350,19 +351,31 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_json(path: str | Path, obj: dict) -> None:
-    """Write obj as one JSON document (keys sorted, indent 2) through atomic_open."""
+def write_json(path: str | Path, obj: dict) -> str:
+    """Write obj as JSON (keys sorted, indent 2) through atomic_open; returns the text."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     with atomic_open(path) as handle:
-        handle.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        handle.write(text)
+    return text
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Write JSON objects one per line, keys sorted, through atomic_open;
-    returns the record count."""
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write JSON objects one per line, keys sorted, through atomic_open."""
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
-    written = 0
     with atomic_open(path) as handle:
         for record in records:
             handle.write(encode(record) + "\n")
-            written += 1
-    return written
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write rows (header first) as CSV through atomic_open: LF line ends, a
+    cell quoted only when it holds a comma, a quote or a line break (CR or
+    LF), and a float cell as its repr."""
+    import csv  # here, so the stages that write no table never load it
+
+    with atomic_open(path) as handle:
+        class Rows:  # csv quotes a lone CR only if rows end in one: end them in CRLF, keep LF
+            def write(self, row: str) -> None:
+                handle.write(row[:-2] + "\n")
+
+        csv.writer(Rows(), lineterminator="\r\n").writerows(rows)

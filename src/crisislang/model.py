@@ -300,14 +300,12 @@ def model_to_dict(
         doc["kind"] = "nb"
         doc["alpha"] = model.alpha
         doc["class_log_prior"] = dict(model.class_log_prior)
-        doc["feature_log_likelihood"] = {
-            label: dict(sorted(table.items()))
-            for label, table in model.feature_log_likelihood.items()
-        }
+        tables = model.feature_log_likelihood
+        doc["feature_log_likelihood"] = {label: dict(table) for label, table in tables.items()}
     else:
         doc["kind"] = "logreg"
         doc["bias"] = model.bias
-        doc["weights"] = dict(sorted(model.weights.items()))
+        doc["weights"] = dict(model.weights)
         doc["hyperparameters"] = dataclasses.asdict(model.params)
     return doc
 

@@ -207,7 +207,7 @@ def logreg_params_in_range(params) -> bool:
     """Whether LogRegParams hold the types and ranges the README's settings
     table states, each float finite."""
     return (
-        type(params.max_epochs) is int and params.max_epochs >= 1
+        type(params.max_epochs) is int and 1 <= params.max_epochs <= 100_000
         and all(type(v) is float and math.isfinite(v) for v in
                 (params.learning_rate, params.l2, params.tolerance))
         and params.learning_rate > 0 and params.l2 >= 0 and params.tolerance >= 0

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -144,6 +145,8 @@ class TestConfig:
             ("logreg", {"max_epochs": 0}, ["partition"]),
             ("logreg", {"tolerance": -1.0}, ["partition"]),
             ("model", {"alpha": 0}, ["partition"]),
+            ("cv", {"repeats": 1e18}, ["partition"]),
+            ("logreg", {"max_epochs": 1e18}, ["partition"]),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
@@ -234,7 +237,7 @@ def test_any_json_value_in_any_config_field_loads_or_is_config_error(field, valu
     assert -1440 <= config.timezone_offset_minutes <= 1440
     assert config.region.radius_km > 0
     assert all(math.isfinite(number) for number in _floats(config))
-    assert config.alpha > 0 and config.cv_repeats >= 1 and config.cv_folds >= 2
+    assert config.alpha > 0 and 1 <= config.cv_repeats <= 1000 and config.cv_folds >= 2
     assert all(0 < ratio < 1 for ratio in config.imbalance_ratios)
     assert logreg_params_in_range(config.logreg)
     assert all(type(n) is int for n in (config.seed, config.cv_repeats, config.cv_folds))
@@ -383,6 +386,22 @@ class TestDivergence:
         assert doc["values"][0][1] == doc["values"][1][0] > 0.0
         csv_text = (workspace["out"] / "divergence_regional.csv").read_text()
         assert csv_text.splitlines()[0] == ",boston,nyc"
+
+    def test_regional_names_with_commas_quotes_and_line_breaks_read_back(self, workspace):
+        doc = read_json(workspace["config"])
+        boston, nyc = doc["regions"]["boston"], doc["regions"]["nyc"]
+        names = ["Boston, MA", 'New "York"', "Down\rtown"]
+        doc["regions"] = dict(zip(names, [boston, nyc, dict(boston, radius_km=5.0)]))
+        doc["primary_region"] = names[0]
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        assert run(workspace, "divergence", "--mode", "regional") == 0
+        matrix = read_json(workspace["out"] / "divergence_regional.json")
+        assert matrix["labels"] == names
+        with open(workspace["out"] / "divergence_regional.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["", *matrix["labels"]]
+        assert [row[0] for row in rows[1:]] == matrix["labels"]
+        assert [[float(v) for v in row[1:]] for row in rows[1:]] == matrix["values"]
 
     def test_hourly_matrix(self, tmp_path):
         from synthdata import hourly_shift_tweets
@@ -1240,7 +1259,7 @@ class TestTopFeatures:
         lines = read_lines(workspace["out"] / "top_features.csv")
         assert lines[0] == "class,rank,feature,weight"
         first_unigram = next(l for l in lines[1:] if l.startswith("UNIGRAM,1,"))
-        assert '"qz1"' in first_unigram
+        assert next(csv.reader([first_unigram]))[2] == "qz1"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from crisislang.divergence import (
     regional_divergence_matrix,
     word_distribution,
 )
+from crisislang.ingest import write_csv
 from oracles import jsd_brute
 from synthdata import tweet_from_text
 
@@ -140,9 +141,10 @@ class TestPairwiseMatrix:
         assert min(flat) == 0.0
         assert max(flat) == 1.0 or all(v == 0.0 for v in flat)
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         m = DivergenceMatrix(["x", "y"], [[0.0, 0.5], [0.5, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
-        lines = m.to_csv().strip().splitlines()
+        write_csv(tmp_path / "m.csv", m.rows())
+        lines = (tmp_path / "m.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == ",x,y"
         assert lines[1].startswith("x,")
 

@@ -18,6 +18,7 @@ from crisislang.evaluation import (
     stratified_fold_indices,
 )
 from crisislang.features import FeatureClass, MissingLayerError, vectorize
+from crisislang.ingest import write_csv
 from crisislang.model import IR, OR, nb_counts, predict_nb, select_all_baseline
 from crisislang.text import attach_tags
 from oracles import auc_pairwise, confusion_metrics, reference_train_naive_bayes
@@ -201,18 +202,24 @@ class TestCrossValidate:
             enumerate_combinations(data, seed=4, repeats=1, folds=folds)
 
     def test_whole_float_folds_runs_as_int(self):
+        """Whole floats run as ints, and the reports carry the ints that ran:
+        compared as JSON, where 2.0 and 2 differ."""
         data = separable_labeled_set(n=20, seed=7)
-        assert cross_validate(data, U, repeats=1, folds=3.0).readings == (
-            cross_validate(data, U, repeats=1, folds=3).readings
+        assert json.dumps(cross_validate(data, U, repeats=2.0, folds=3.0).to_dict()) == (
+            json.dumps(cross_validate(data, U, repeats=2, folds=3).to_dict())
         )
-        assert enumerate_combinations(data, seed=4, repeats=1, folds=3.0).to_dict() == (
-            enumerate_combinations(data, seed=4, repeats=1, folds=3).to_dict()
+        as_float = enumerate_combinations(data, seed=4, repeats=2.0, folds=3.0)
+        as_int = enumerate_combinations(data, seed=4, repeats=2, folds=3)
+        assert as_float.to_dict() == as_int.to_dict()
+        assert [json.dumps(e.report.to_dict()) for e in as_float.entries] == (
+            [json.dumps(e.report.to_dict()) for e in as_int.entries]
         )
 
-    def test_csv_has_fifteen_rows_plus_mean(self):
+    def test_csv_has_fifteen_rows_plus_mean(self, tmp_path):
         data = separable_labeled_set(n=60, seed=6)
         report = cross_validate(data, U, seed=2)
-        lines = report.to_csv().strip().splitlines()
+        write_csv(tmp_path / "cv.csv", report.rows())
+        lines = (tmp_path / "cv.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 17
         assert lines[-1].startswith("mean,")
 

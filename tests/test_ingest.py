@@ -1,4 +1,5 @@
 import ast
+import csv
 import errno
 import json
 import random
@@ -11,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crisislang import ingest
-from crisislang.cli import _write_text
 from crisislang.ingest import (
     MAX_REPORTED_ERRORS,
     GeoPoint,
@@ -28,6 +28,7 @@ from crisislang.ingest import (
     load_corpus,
     parse_tweet_record,
     tweet_to_record,
+    write_csv,
     write_json,
     write_jsonl,
 )
@@ -447,24 +448,51 @@ def _json_loads_in(node) -> bool:
 
 
 def test_json_is_decoded_only_in_ingest():
-    """One function turns bytes into JSON (ingest.json_value), and model
-    reads and writes its file through ingest without importing json."""
-    modules, functions, imports = set(), set(), set()
+    """One function turns bytes into JSON (ingest.json_value), and every
+    output byte is encoded in ingest: no other module imports json or csv or
+    names atomic_open."""
+    modules, functions, encoders = set(), set(), set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "crisislang").glob("*.py")):
         tree = ast.parse(path.read_bytes(), path.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and _json_loads_in(node):
                 functions.add(f"{path.stem}.{node.name}")
-            elif isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
-                imports.add(path.stem)
-            elif isinstance(node, ast.ImportFrom) and node.module == "json":
-                imports.add(path.stem)
+            elif isinstance(node, ast.Import) and any(a.name in ("json", "csv") for a in node.names):
+                encoders.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
+                encoders.add(path.stem)
                 modules.add(path.stem)
+            elif "atomic_open" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+                isinstance(node, ast.ImportFrom) and any(a.name == "atomic_open" for a in node.names)
+            ):
+                encoders.add(path.stem)
         if _json_loads_in(tree):
             modules.add(path.stem)
     assert modules == {"ingest"}
     assert functions == {"ingest.json_value"}
-    assert "model" not in imports
+    assert encoders == {"ingest"}
+
+
+_CSV_CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=6), max_size=6))
+@example(rows=[["", "Boston, MA", 'New "York"', "a\rb", "c\r\nd"], ["x", 1, 0.1, -0.0, ""]])
+def test_csv_cells_read_back_as_their_str(rows):
+    """write_csv's table read by csv.reader gives back str of each cell,
+    which for a float is its repr, whatever commas, quotes or line breaks
+    a text cell holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, rows)
+        with open(path, encoding="utf-8", newline="") as handle:
+            read = list(csv.reader(handle))
+    assert read == [[str(cell) for cell in row] for row in rows]
 
 
 class TestTypeInvariants:
@@ -485,7 +513,7 @@ class TestTypeInvariants:
 _WRITERS = {
     "write_jsonl": lambda path: write_jsonl(path, [{"id": "new", "n": 1}] * 3),
     "_write_json": lambda path: write_json(path, {"new": [1, 2, 3]}),
-    "_write_text": lambda path: _write_text(path, "new text\n" * 3),
+    "write_csv": lambda path: write_csv(path, [["new", "text"], [1, 2.5]] * 3),
     "save_model": lambda path: save_model(
         path, train_naive_bayes([({"UNIGRAM:a": 1}, IR), ({"UNIGRAM:b": 1}, OR)])
     ),

@@ -5,8 +5,8 @@ cloud, tag, vectors. A single JSON config file carries the corpus paths,
 region/window constants, feature classes, model settings, and seed; a few
 global flags override it. Every command is deterministic given config, seed,
 and inputs, and writes a JSON summary next to its outputs. The model,
-evaluation, divergence, text and logging modules are imported only inside the
-functions that use them, so a stage process loads only what its stage runs.
+evaluation, divergence and text modules are imported only inside the functions
+that use them, so a stage process loads only what its stage runs.
 """
 
 from __future__ import annotations
@@ -250,8 +250,8 @@ def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
     the output dir; returns their paths."""
     csv_path = config.output_dir / f"{stem}.csv"
     json_path = config.output_dir / f"{stem}.json"
-    write_csv(csv_path, report.rows())
     write_json(json_path, report.to_dict())
+    write_csv(csv_path, report.rows())
     return {"csv": str(csv_path), "json": str(json_path)}
 
 
@@ -355,22 +355,6 @@ def _labeled_data(
     return [(t, mdl.IR) for t in ir] + [(t, mdl.OR) for t in or_pool]
 
 
-def _load_model(
-    config: RunConfig, path: Path
-) -> tuple[mdl.NaiveBayesModel | mdl.LogisticRegressionModel, list[FeatureClass]]:
-    """The model at path and its feature classes, or the config's when the
-    model file does not name them."""
-    from crisislang import model as mdl
-
-    model, classes = mdl.load_model(path)
-    if classes is None:
-        import logging
-
-        logging.getLogger(__name__).warning("model file lacks feature_classes; falling back to config")
-        classes = config.feature_classes
-    return model, classes
-
-
 def cmd_partition(config: RunConfig) -> dict:
     corpus = load_corpus(
         config.input, config.region, config.crisis_window, config.pre_crisis_window
@@ -452,12 +436,11 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
     }
 
 
-def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
+def cmd_train(config: RunConfig) -> dict:
     from crisislang import model as mdl
 
-    do_balance = config.balance if balance is None else balance
     skips = Skips()
-    data = _labeled_data(config, do_balance, skips, config.feature_classes)
+    data = _labeled_data(config, config.balance, skips, config.feature_classes)
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     if config.model_kind == "nb":
         model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel = mdl.train_naive_bayes(
@@ -475,7 +458,7 @@ def cmd_train(config: RunConfig, balance: bool | None = None) -> dict:
         "model": str(model_path),
         "kind": config.model_kind,
         "seed": config.seed,
-        "balanced": do_balance,
+        "balanced": config.balance,
         "class_counts": {mdl.IR: labels.count(mdl.IR), mdl.OR: labels.count(mdl.OR)},
         "vocabulary_size": vocab_size,
         "feature_classes": [c.value for c in config.feature_classes],
@@ -532,7 +515,7 @@ def cmd_evaluate(config: RunConfig, mode: str) -> dict:
 def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -> dict:
     from crisislang import model as mdl
 
-    model, classes = _load_model(config, model_path)
+    model, classes = mdl.load_model(model_path)
     source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
     tally = dict.fromkeys(("classified", "classified_ir"), 0)
 
@@ -578,7 +561,7 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     ir_tagged = _tagged_partition(config, PartitionLabel.IR, skips, ())
     geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
 
-    model, classes = _load_model(config, model_path)
+    model, classes = mdl.load_model(model_path)
     pool = (t for _, t in iter_jsonl(_partition_path(config, UNLABELED_FILE), skips))
     tally = {"model_additions": 0}
 
@@ -660,10 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=lambda config, args: cmd_divergence(config, args.mode))
 
     p = sub.add_parser("train", help="train a classifier on the labeled partitions")
-    p.add_argument("--no-balance", action="store_true", help="skip 50/50 balanced sampling")
-    p.set_defaults(
-        run=lambda config, args: cmd_train(config, balance=False if args.no_balance else None)
-    )
+    p.set_defaults(run=lambda config, args: cmd_train(config))
 
     p = sub.add_parser("evaluate", help="run the evaluation protocol")
     p.add_argument("--mode", choices=["single", "combos", "imbalance"], required=True)

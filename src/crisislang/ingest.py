@@ -352,16 +352,19 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_json(path: str | Path, obj: dict) -> str:
-    """Write obj as JSON (keys sorted, indent 2) through atomic_open; returns the text."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Write obj as JSON (keys sorted, indent 2) through atomic_open; returns the
+    text. ValueError, and nothing written, if obj holds NaN or an infinity."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with atomic_open(path) as handle:
         handle.write(text)
     return text
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """Write JSON objects one per line, keys sorted, through atomic_open."""
-    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
+    """Write JSON objects one per line, keys sorted, through atomic_open;
+    ValueError, and path left as it was, if a record holds NaN or an infinity."""
+    # json.dumps would build this encoder again for every record.
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
     with atomic_open(path) as handle:
         for record in records:
             handle.write(encode(record) + "\n")

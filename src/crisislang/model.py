@@ -290,12 +290,10 @@ def select_all_baseline(vector: FeatureVector) -> Prediction:
 
 
 def model_to_dict(
-    model: NaiveBayesModel | LogisticRegressionModel,
-    feature_classes: Sequence[FeatureClass] | None = None,
+    model: NaiveBayesModel | LogisticRegressionModel, feature_classes: Sequence[FeatureClass]
 ) -> dict:
     doc: dict = {"version": MODEL_SCHEMA_VERSION}
-    if feature_classes is not None:
-        doc["feature_classes"] = [c.value for c in feature_classes]
+    doc["feature_classes"] = [c.value for c in feature_classes]
     if isinstance(model, NaiveBayesModel):
         doc["kind"] = "nb"
         doc["alpha"] = model.alpha
@@ -337,17 +335,14 @@ def _check_ids(ids: Iterable[FeatureId]) -> None:
         split_feature(fid)
 
 
-def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:
-    """Rebuild a model; ValueError on a bad version, kind, feature class, or a
-    field that is missing or of the wrong shape."""
+def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass]]:
+    """Rebuild a model and the feature classes it was trained on; ValueError
+    on a bad version, kind, feature class, or a field that is missing or of
+    the wrong shape."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')!r}")
-    raw_classes = doc.get("feature_classes")
-    classes = None
-    if raw_classes is not None:
-        classes = feature_classes(raw_classes, "model field feature_classes")
     try:
         if doc["kind"] == "nb":
             name = "feature_log_likelihood"
@@ -383,6 +378,7 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
             )
         else:
             raise ValueError(f"unknown model kind: {doc.get('kind')!r}")
+        classes = feature_classes(doc["feature_classes"], "model field feature_classes")
     except KeyError as exc:
         raise ValueError(f"model document lacks field {exc}") from None
     return model, classes
@@ -391,12 +387,12 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
 def save_model(
     path: str | Path,
     model: NaiveBayesModel | LogisticRegressionModel,
-    feature_classes: Sequence[FeatureClass] | None = None,
+    feature_classes: Sequence[FeatureClass],
 ) -> None:
     write_json(path, model_to_dict(model, feature_classes))
 
 
-def load_model(path: str | Path) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass] | None]:
+def load_model(path: str | Path) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass]]:
     return model_from_dict(json_value(Path(path).read_bytes()))
 
 

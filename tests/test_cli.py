@@ -625,9 +625,18 @@ class TestTrainClassify:
         assert summary["balanced"] is True
         assert summary["class_counts"]["IR"] == summary["class_counts"]["OR"] == 80
 
-    def test_no_balance_flag(self, workspace):
+    def test_no_balance_flag(self, workspace, capsys):
+        """The balance config key is the one switch: train --no-balance is a
+        usage error, and "balance": false trains on the natural ratio."""
         run(workspace, "partition")
-        assert run(workspace, "train", "--no-balance") == 0
+        with pytest.raises(SystemExit) as exit_info:
+            run(workspace, "train", "--no-balance")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-balance" in capsys.readouterr().err
+        doc = read_json(workspace["config"])
+        doc["balance"] = False
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        assert run(workspace, "train") == 0
         summary = read_json(workspace["out"] / "train_summary.json")
         assert summary["balanced"] is False
         assert summary["class_counts"]["OR"] == 120
@@ -814,15 +823,21 @@ class TestTrainClassify:
         assert summary["class_counts"]["IR"] == n_lines
 
     @pytest.mark.parametrize("command", ["classify", "cloud"])
-    def test_model_without_feature_classes_logs_fallback(self, workspace, caplog, command):
-        from crisislang.model import save_model, train_naive_bayes
-
+    def test_model_without_feature_classes_is_one_error_line(self, workspace, capsys, command):
+        """The model file is the one source of the classes a model applies:
+        the config's are never taken in their place."""
         run(workspace, "partition")
-        model = train_naive_bayes([({"UNIGRAM:qz1": 1}, "IR"), ({"UNIGRAM:qz2": 1}, "OR")])
-        model_path = workspace["root"] / "bare_model.json"
-        save_model(model_path, model)
-        assert run(workspace, command, "--model", str(model_path)) == 0
-        assert "model file lacks feature_classes" in caplog.text
+        run(workspace, "train")
+        model_path = workspace["out"] / "model.json"
+        doc = read_json(model_path)
+        del doc["feature_classes"]
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, command, "--model", str(model_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model document lacks field 'feature_classes'"
+        ]
+        assert not (workspace["out"] / f"{command}_summary.json").exists()
 
     def test_train_misaligned_record_is_counted_skip(self, workspace):
         run(workspace, "partition")
@@ -880,6 +895,11 @@ class TestTrainClassify:
             (lambda doc: doc["feature_log_likelihood"]["OR"].update({"NOPE:x": -1.0}), "NOPE"),
             pytest.param(
                 lambda doc: doc.update(feature_classes=5), "feature_classes", id="classes-number"
+            ),
+            pytest.param(
+                lambda doc: doc.pop("feature_classes"),
+                "model document lacks field 'feature_classes'",
+                id="classes-missing",
             ),
             pytest.param(
                 lambda doc: doc.update(feature_log_likelihood=[]),
@@ -956,6 +976,27 @@ class TestTrainClassify:
         assert run(workspace, "classify", "--model", str(model_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    def test_non_finite_score_is_one_error_line(self, workspace, capsys, tmp_path):
+        """Finite but extreme log-likelihoods sum to NaN; classify then fails
+        with one error line and writes no classified.jsonl."""
+        run(workspace, "partition")
+        run(workspace, "train")
+        model_path = workspace["out"] / "model.json"
+        doc = read_json(model_path)
+        tables = doc["feature_log_likelihood"]
+        tables["IR"].update({"UNIGRAM:big": 1e308, "UNIGRAM:small": -1e308})
+        tables["OR"].update({"UNIGRAM:big": -1e308, "UNIGRAM:small": 1e308})
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        tweets = tmp_path / "tweets.jsonl"
+        record = {"id": "x", "text": "big small", "created_at": "2013-04-15T19:30:00Z"}
+        tweets.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, "classify", "--model", str(model_path), "--input", str(tweets)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: Out of range float values are not JSON compliant"]
+        assert not (workspace["out"] / "classified.jsonl").exists()
+        assert not (workspace["out"] / "classify_summary.json").exists()
 
     def test_partition_warns_on_malformed_lines(self, workspace):
         with open(workspace["corpus"], "a", encoding="utf-8") as handle:
@@ -1708,6 +1749,8 @@ STAGE_MODULES = [
     (["tag"], ["text"]),
     (["vectors"], ["text"]),
     (["train"], ["text", "model", "evaluation"]),
+    (["top-features"], ["text", "model", "evaluation"]),
+    (["cloud", "--model", "MODEL"], ["text", "model", "evaluation"]),
 ]
 STAGE_IDS = [a[0] + ("-hourly" if "hourly" in a else "") for a, _ in STAGE_MODULES]
 
@@ -1746,17 +1789,16 @@ class TestImportBudget:
         assert own == {*base, *(f"crisislang.{m}" for m in modules)}
         assert "logging" not in imported
 
-    def test_classify_fallback_warning_reaches_stderr(self, workspace):
-        from crisislang.model import save_model, train_naive_bayes
-
+    def test_downsampling_warning_reaches_stderr(self, workspace):
+        """train with an OR pool smaller than IR warns as the bare message."""
         run(workspace, "partition")
-        model = train_naive_bayes([({"UNIGRAM:qz1": 1}, "IR"), ({"UNIGRAM:qz2": 1}, "OR")])
-        model_path = workspace["root"] / "bare_model.json"
-        save_model(model_path, model)
-        imported, err = run_stage_process(workspace, "classify", "--model", str(model_path))
-        assert err == ["model file lacks feature_classes; falling back to config"]
+        or_path = workspace["out"] / "partitions" / "or.jsonl"
+        or_path.write_text("".join(l + "\n" for l in read_lines(or_path)[:50]), encoding="utf-8")
+        imported, err = run_stage_process(workspace, "train")
+        assert err == ["OR pool (50) smaller than IR (80); downsampling IR"]
         assert "logging" in imported
-        assert read_json(workspace["out"] / "classify_summary.json")["classified"] > 0
+        counts = read_json(workspace["out"] / "train_summary.json")["class_counts"]
+        assert counts == {"IR": 50, "OR": 50}
 
     def test_every_export_is_its_home_module_object(self):
         import importlib

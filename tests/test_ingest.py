@@ -2,6 +2,7 @@ import ast
 import csv
 import errno
 import json
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crisislang import ingest
+from crisislang.features import FeatureClass
 from crisislang.ingest import (
     MAX_REPORTED_ERRORS,
     GeoPoint,
@@ -473,6 +475,16 @@ def test_json_is_decoded_only_in_ingest():
     assert encoders == {"ingest"}
 
 
+def test_cli_never_imports_logging():
+    """cli names no warning path of its own: it never imports logging."""
+    path = Path(__file__).resolve().parents[1] / "src" / "crisislang" / "cli.py"
+    for node in ast.walk(ast.parse(path.read_bytes(), path.name)):
+        if isinstance(node, ast.Import):
+            assert "logging" not in {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "logging"
+
+
 _CSV_CELLS = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",))),
     st.integers(),
@@ -515,7 +527,9 @@ _WRITERS = {
     "_write_json": lambda path: write_json(path, {"new": [1, 2, 3]}),
     "write_csv": lambda path: write_csv(path, [["new", "text"], [1, 2.5]] * 3),
     "save_model": lambda path: save_model(
-        path, train_naive_bayes([({"UNIGRAM:a": 1}, IR), ({"UNIGRAM:b": 1}, OR)])
+        path,
+        train_naive_bayes([({"UNIGRAM:a": 1}, IR), ({"UNIGRAM:b": 1}, OR)]),
+        [FeatureClass.UNIGRAM],
     ),
 }
 
@@ -535,6 +549,22 @@ class TestAtomicWrites:
         records = [{"id": "a"}, {"id": "b"}, {"id": object()}]
         with pytest.raises(TypeError):
             write_jsonl(path, records)
+        assert path.read_bytes() == b"previous contents\n"
+        assert list(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path, value: write_json(path, {"a": {"score": value}}),
+            lambda path, value: write_jsonl(path, [{"score": 1.0}, {"score": value}]),
+        ],
+        ids=["write_json", "write_jsonl"],
+    )
+    def test_non_finite_number_is_never_written(self, tmp_path, write, value):
+        path = self._previous(tmp_path)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(path, value)
         assert path.read_bytes() == b"previous contents\n"
         assert list(path.parent.iterdir()) == [path]
 

@@ -490,15 +490,24 @@ class TestSerialization:
             model_from_dict({"version": 99, "kind": "nb"})
 
     def test_unknown_feature_class_rejected(self):
-        doc = model_to_dict(train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)]))
+        doc = model_to_dict(train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)]), [U])
         doc["feature_log_likelihood"][OR]["NOPE:x"] = -1.0
         with pytest.raises(ValueError, match="NOPE"):
             model_from_dict(doc)
 
     def test_missing_field_rejected(self):
-        doc = model_to_dict(train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)]))
+        doc = model_to_dict(train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)]), [U])
         del doc["feature_log_likelihood"]
         with pytest.raises(ValueError, match="feature_log_likelihood"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["nb", "logreg"])
+    def test_missing_feature_classes_rejected(self, kind):
+        data = [(uvec(x=1), IR), (uvec(y=1), OR)]
+        model = train_naive_bayes(data) if kind == "nb" else train_logreg(data)
+        doc = model_to_dict(model, [U])
+        del doc["feature_classes"]
+        with pytest.raises(ValueError, match="^model document lacks field 'feature_classes'$"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -512,7 +521,7 @@ class TestSerialization:
         ],
     )
     def test_out_of_range_hyperparameter_rejected(self, key, value):
-        doc = model_to_dict(LogisticRegressionModel({"UNIGRAM:a": 1.0}, 0.0, LogRegParams()))
+        doc = model_to_dict(LogisticRegressionModel({"UNIGRAM:a": 1.0}, 0.0, LogRegParams()), [U])
         doc["hyperparameters"][key] = value
         with pytest.raises(ValueError, match=f"model field hyperparameters.{key} must be"):
             model_from_dict(doc)

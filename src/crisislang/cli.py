@@ -12,9 +12,8 @@ that use them, so a stage process loads only what its stage runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import sys
-from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import chain, islice
 from pathlib import Path
@@ -77,7 +76,6 @@ class ConfigError(ValueError):
     """The run configuration is missing or inconsistent."""
 
 
-@dataclass
 class RunConfig:
     input: Path
     output_dir: Path
@@ -99,6 +97,11 @@ class RunConfig:
     divergence_day: date | None
     divergence_hours: list[int]
     divergence_window: str
+    __slots__ = tuple(__annotations__)  # one slot per setting above
+
+    def __init__(self, **settings) -> None:
+        for name in self.__slots__:  # KeyError on a missing setting
+            setattr(self, name, settings[name])
 
     @property
     def region(self) -> Region:
@@ -201,7 +204,7 @@ def _run_config(doc: dict, overrides: dict) -> RunConfig:
         doc["primary_region"], str, "primary_region", regions.__contains__, "a configured region"
     )
     pre = doc.get("pre_crisis_window")
-    known = {setting.name for setting in dataclasses.fields(LogRegParams)}
+    known = LogRegParams._fields
     try:
         logreg = LogRegParams(**{k: v for k, v in sections["logreg"].items() if k in known})
     except ValueError as exc:
@@ -521,6 +524,8 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
 
     def records(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
         for tweet, _, p in _predicted(_tagged(config, tweets, skips, classes), model, classes):
+            if not math.isfinite(p.score):  # JSON has no such number
+                raise ValueError(f"tweet {tweet.id}: score {p.score} is not finite")
             tally["classified"] += 1
             tally["classified_ir"] += p.label == mdl.IR
             yield dict(tweet_to_record(tweet), label=p.label, score=p.score)
@@ -598,8 +603,8 @@ def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None
         for tweet in tweets:
             if tweet.ark_tags is None:
                 tally["newly_tagged"] += 1
-                tweet = dataclasses.replace(
-                    tweet, ark_tags=tuple(txt.fallback_ark_tags(txt.tokenize(tweet.text)))
+                tweet = tweet._replace(
+                    ark_tags=tuple(txt.fallback_ark_tags(txt.tokenize(tweet.text)))
                 )
             yield tweet_to_record(tweet)
 

@@ -12,7 +12,6 @@ module only turns groups into matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from crisislang.features import count_ngrams
@@ -21,14 +20,14 @@ if TYPE_CHECKING:
     from crisislang.text import TaggedTweet
 
 
-@dataclass
 class DivergenceMatrix:
-    labels: list[str]
-    values: list[list[float]]
-    normalized_values: list[list[float]]
+    def __init__(self, labels, values, normalized_values) -> None:
+        self.labels: list[str] = labels
+        self.values: list[list[float]] = values
+        self.normalized_values: list[list[float]] = normalized_values
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def rows(self) -> list[list]:
         table = zip(self.labels, self.values)
@@ -84,9 +83,7 @@ def pairwise_matrix(
             d = js_divergence(distributions[i], distributions[j])
             values[i][j] = d
             values[j][i] = d
-    return DivergenceMatrix(
-        labels=list(labels), values=values, normalized_values=_min_max_normalize(values)
-    )
+    return DivergenceMatrix(list(labels), values, _min_max_normalize(values))
 
 
 def _matrix(

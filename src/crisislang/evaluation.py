@@ -15,8 +15,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from crisislang.features import (
     ALPHA_RANGE,
@@ -41,8 +40,7 @@ LabeledTweet = tuple[TaggedTweet, str]
 TEST_FRACTION = 0.2  # the share of each label imbalance_sweep holds out to test
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     accuracy: float
     precision: float
     recall: float
@@ -51,7 +49,7 @@ class Metrics:
 
     def to_dict(self) -> dict:
         # The flags as a list, so the dict equals the JSON read back.
-        return dict(asdict(self), degenerate_flags=list(self.degenerate_flags))
+        return dict(self._asdict(), degenerate_flags=list(self.degenerate_flags))
 
 
 def compute_metrics(predicted: Sequence[str], truth: Sequence[str]) -> Metrics:
@@ -149,16 +147,18 @@ def stratified_fold_indices(
     return assignments
 
 
-@dataclass
 class CvReport:
-    readings: list[Metrics]
-    mean: Metrics
-    seed: int
-    repeats: int
-    folds: int
+    def __init__(self, readings, mean, seed, repeats, folds) -> None:
+        self.readings: list[Metrics] = readings
+        self.mean: Metrics = mean
+        self.seed: int = seed
+        self.repeats: int = repeats
+        self.folds: int = folds
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Each Metrics as _asdict gives it, flags as a tuple: JSON writes both as lists.
+        readings = [m._asdict() for m in self.readings]
+        return dict(vars(self), readings=readings, mean=self.mean._asdict())
 
     def rows(self) -> list[list]:
         numbered = [*enumerate(self.readings, start=1), ("mean", self.mean)]
@@ -344,15 +344,15 @@ def roc_auc(scores: Sequence[float], truth: Sequence[str]) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass
 class ImbalanceSweep:
-    ratios: list[float]
-    auc_per_ratio: list[float]
-    summary_auc: float
-    seed: int
+    def __init__(self, ratios, auc_per_ratio, summary_auc, seed) -> None:
+        self.ratios: list[float] = ratios
+        self.auc_per_ratio: list[float] = auc_per_ratio
+        self.summary_auc: float = summary_auc
+        self.seed: int = seed
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def rows(self) -> list[list]:
         return [["ratio", "auc"], *map(list, zip(self.ratios, self.auc_per_ratio))]
@@ -412,27 +412,22 @@ def imbalance_sweep(
         whole = [nb_counts(zip(sample, labels))]
         [scores] = _held_out_scores(whole, [[v] for v in sample], labels, test, [(0,)], alpha)
         aucs.append(roc_auc(scores, [labels[i] for i in test]))
-    return ImbalanceSweep(
-        ratios=list(ratios),
-        auc_per_ratio=aucs,
-        summary_auc=sum(aucs) / len(aucs),
-        seed=seed,
-    )
+    return ImbalanceSweep(list(ratios), aucs, sum(aucs) / len(aucs), seed)
 
 
-@dataclass
 class CombinationEntry:
-    classes: tuple[FeatureClass, ...]
-    report: CvReport
+    def __init__(self, classes, report) -> None:
+        self.classes: tuple[FeatureClass, ...] = classes
+        self.report: CvReport = report
 
     def class_names(self) -> str:
         return "+".join(c.value for c in self.classes)
 
 
-@dataclass
 class CombinationReport:
-    entries: list[CombinationEntry]
-    excluded_classes: list[FeatureClass] = field(default_factory=list)
+    def __init__(self, entries, excluded_classes) -> None:
+        self.entries: list[CombinationEntry] = entries
+        self.excluded_classes: list[FeatureClass] = excluded_classes
 
     def ranked(self) -> list[CombinationEntry]:
         return sorted(

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from crisislang.text import TaggedTweet
@@ -113,26 +112,35 @@ REPEATS_RANGE = _between(1, 1000)
 FOLDS_RANGE = (lambda folds: folds >= 2, "at least 2")
 
 
-@dataclass(frozen=True)
-class LogRegParams:
+class _LogRegParams(NamedTuple):
     learning_rate: float = 0.1
     l2: float = 1e-4
     max_epochs: int = 500
     tolerance: float = 1e-6
 
-    def __post_init__(self) -> None:
-        """Each setting through checked, stored as the type of its default:
-        ValueError naming the first one of another type or out of its range."""
-        for name, ok, rule in (
-            ("learning_rate", lambda rate: rate > 0, "positive"),
-            ("l2", lambda l2: l2 >= 0, "at least 0"),
+
+class LogRegParams(_LogRegParams):
+    """Logistic-regression settings, each through checked, stored as the type of
+    its default: ValueError naming the first one of another type or range."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> LogRegParams:
+        given = super().__new__(cls, *args, **kwargs)  # bound to fields, unchecked
+        ranges = (
+            (lambda rate: rate > 0, "positive"),
+            (lambda l2: l2 >= 0, "at least 0"),
             # An epoch of top-features on 400 tweets costs about 0.11 ms, so
             # 100000 epochs take about 11 s there.
-            ("max_epochs", *_between(1, 100_000)),
-            ("tolerance", lambda tolerance: tolerance >= 0, "at least 0"),
-        ):
-            kind = type(getattr(LogRegParams, name))
-            object.__setattr__(self, name, checked(getattr(self, name), kind, name, ok, rule))
+            _between(1, 100_000),
+            (lambda tolerance: tolerance >= 0, "at least 0"),
+        )
+        values = (
+            checked(value, type(cls._field_defaults[name]), name, *rule)
+            for name, value, rule in zip(cls._fields, given, ranges)
+        )
+        return super().__new__(cls, *values)
 
 
 def feature_classes(raw, name: str) -> list[FeatureClass]:

@@ -13,11 +13,10 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -30,47 +29,47 @@ class RecordError(ValueError):
     """A single corpus record failed parsing or validation."""
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    lat: float
-    lon: float
+class GeoPoint(NamedTuple("GeoPoint", [("lat", float), ("lon", float)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise RecordError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise RecordError(f"longitude out of range: {self.lon}")
+    def __new__(cls, lat: float, lon: float) -> GeoPoint:
+        if not -90.0 <= lat <= 90.0:
+            raise RecordError(f"latitude out of range: {lat}")
+        if not -180.0 <= lon <= 180.0:
+            raise RecordError(f"longitude out of range: {lon}")
+        return super().__new__(cls, lat, lon)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple("Region", [("epicenter", GeoPoint), ("radius_km", float)])):
     """Geographic disc: epicenter plus radius in kilometers."""
 
-    epicenter: GeoPoint
-    radius_km: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not self.radius_km > 0:  # NaN too
-            raise ValueError(f"radius_km must be positive, got {self.radius_km}")
+    def __new__(cls, epicenter: GeoPoint, radius_km: float) -> Region:
+        if not radius_km > 0:  # NaN too
+            raise ValueError(f"radius_km must be positive, got {radius_km}")
+        return super().__new__(cls, epicenter, radius_km)
 
     def contains(self, point: GeoPoint) -> bool:
         # Boundary-inclusive: a point exactly on the disc edge counts as inside.
         return haversine_km(self.epicenter, point) <= self.radius_km
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(NamedTuple("TimeWindow", [("start", datetime), ("end", datetime)])):
     """Half-open UTC interval [start, end)."""
 
-    start: datetime
-    end: datetime
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        for name, value in (("start", self.start), ("end", self.end)):
+    def __new__(cls, start: datetime, end: datetime) -> TimeWindow:
+        for name, value in (("start", start), ("end", end)):
             if value.tzinfo is None:
                 raise ValueError(f"{name} must be timezone-aware")
-        if not self.start < self.end:
+        if not start < end:
             raise ValueError("window start must precede end")
+        return super().__new__(cls, start, end)
 
     def contains(self, instant: datetime) -> bool:
         return self.start <= instant < self.end
@@ -84,8 +83,7 @@ class PartitionLabel(str, Enum):
     UNASSIGNED = "UNASSIGNED"
 
 
-@dataclass(frozen=True, slots=True)
-class RawTweet:
+class RawTweet(NamedTuple):
     id: str
     text: str
     created_at: datetime
@@ -126,10 +124,15 @@ def _parse_tag_layer(obj: dict, name: str) -> tuple[str, ...] | None:
 def json_value(data: bytes | str):
     """The JSON value data holds; bytes are read as strict UTF-8 (never
     guessed as UTF-16/32). Any failure is one ValueError whose text is the
-    reason: "malformed JSON: …" or "not UTF-8 (… at byte N)"."""
+    reason: "malformed JSON: …" or "not UTF-8 (… at byte N)", the latter
+    read without trailing line breaks, so it is the same with or without."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
+        try:  # good lines never get here
+            data.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError as without_breaks:
+            exc = without_breaks
         raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except RecursionError:
         raise ValueError("malformed JSON: nested too deeply") from None
@@ -211,14 +214,17 @@ def assign_partition(
     return PartitionLabel.UNASSIGNED
 
 
-@dataclass
 class Skips:
     """Skip ledger: counts every skip and keeps the first MAX_REPORTED_ERRORS
     reasons, in order. duplicates counts the repeated ids among them."""
 
-    count: int = 0
-    reasons: list[str] = field(default_factory=list)
-    duplicates: int = 0
+    def __init__(self) -> None:
+        self.count = 0
+        self.reasons: list[str] = []
+        self.duplicates = 0
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Skips) and vars(self) == vars(other)
 
     def add(self, reason: str) -> None:
         self.count += 1
@@ -226,15 +232,13 @@ class Skips:
             self.reasons.append(reason)
 
 
-@dataclass
 class Corpus:
     """A loaded, partitioned corpus. Immutable by convention after loading."""
 
-    groups: dict[PartitionLabel, list[RawTweet]] = field(
-        default_factory=lambda: {label: [] for label in PartitionLabel}
-    )
-    unlabeled: list[RawTweet] = field(default_factory=list)
-    skips: Skips = field(default_factory=Skips)
+    def __init__(self) -> None:
+        self.groups: dict[PartitionLabel, list[RawTweet]] = {label: [] for label in PartitionLabel}
+        self.unlabeled: list[RawTweet] = []
+        self.skips = Skips()
 
     @property
     def duplicates(self) -> int:

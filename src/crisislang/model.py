@@ -13,12 +13,10 @@ inside the logistic-regression functions, so the NB path never loads it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from crisislang.features import (
     ALPHA_RANGE,
@@ -53,18 +51,17 @@ class TrainingDiverged(ValueError):
         super().__init__(f"non-finite loss at epoch {epoch}; lower the learning rate")
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
+class Prediction(NamedTuple):
     label: str
     score: float
 
 
-@dataclass
 class NaiveBayesModel:
-    class_log_prior: dict[str, float]
-    feature_log_likelihood: dict[str, dict[FeatureId, float]]
-    vocabulary: frozenset[FeatureId]
-    alpha: float
+    def __init__(self, class_log_prior, feature_log_likelihood, vocabulary, alpha) -> None:
+        self.class_log_prior: dict[str, float] = class_log_prior
+        self.feature_log_likelihood: dict[str, dict[FeatureId, float]] = feature_log_likelihood
+        self.vocabulary: frozenset[FeatureId] = vocabulary
+        self.alpha: float = alpha
 
     @cached_property
     def log_ratio(self) -> tuple[float, dict[FeatureId, float]]:
@@ -78,8 +75,7 @@ class NaiveBayesModel:
         return margin, {fid: ll_ir[fid] - ll_or[fid] for fid in ll_ir}
 
 
-@dataclass
-class LogisticRegressionModel:
+class LogisticRegressionModel(NamedTuple):
     weights: dict[FeatureId, float]
     bias: float
     params: LogRegParams
@@ -111,12 +107,7 @@ def train_naive_bayes(data: Sequence[LabeledVector], alpha: float = 1.0) -> Naiv
         values = {pair[slot] for pair in counts.values()}
         table = nb_log_likelihoods(values, totals[slot], v, alpha)
         loglik[label] = {fid: table[pair[slot]] for fid, pair in counts.items()}
-    return NaiveBayesModel(
-        class_log_prior=class_log_prior,
-        feature_log_likelihood=loglik,
-        vocabulary=frozenset(counts),
-        alpha=alpha,
-    )
+    return NaiveBayesModel(class_log_prior, loglik, frozenset(counts), alpha)
 
 
 def nb_log_likelihoods(
@@ -170,7 +161,7 @@ def predict_nb(model: NaiveBayesModel, vector: FeatureVector) -> Prediction:
         term = lookup(fid)
         if term is not None:
             score += count * term
-    return Prediction(label=IR if score >= 0.0 else OR, score=score)
+    return Prediction(IR if score >= 0.0 else OR, score)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -184,8 +175,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SparseDesign:
+class SparseDesign(NamedTuple):
     """The non-zero cells of a count matrix as (row, col, value) triples,
     row by row with columns ascending."""
 
@@ -256,11 +246,8 @@ def train_logreg(
             break
     if not (np.all(np.isfinite(weights)) and math.isfinite(bias)):
         raise TrainingDiverged(params.max_epochs)
-    return LogisticRegressionModel(
-        weights={fid: float(w) for fid, w in zip(vocab, weights)},
-        bias=float(bias),
-        params=params,
-    )
+    weight_by_id = {fid: float(w) for fid, w in zip(vocab, weights)}
+    return LogisticRegressionModel(weight_by_id, float(bias), params)
 
 
 def predict_lr(model: LogisticRegressionModel, vector: FeatureVector) -> Prediction:
@@ -304,7 +291,7 @@ def model_to_dict(
         doc["kind"] = "logreg"
         doc["bias"] = model.bias
         doc["weights"] = dict(model.weights)
-        doc["hyperparameters"] = dataclasses.asdict(model.params)
+        doc["hyperparameters"] = model.params._asdict()
     return doc
 
 
@@ -329,16 +316,20 @@ def _weight_table(value, name: str) -> dict[FeatureId, float]:
     return table
 
 
-def _check_ids(ids: Iterable[FeatureId]) -> None:
-    """ValueError on the first id of no feature class."""
+def _check_ids(ids: Iterable[FeatureId]) -> list[FeatureClass]:
+    """The feature classes of ids; ValueError on the first id of no class."""
+    used: list[FeatureClass] = []
     for fid in ids:
-        split_feature(fid)
+        cls = split_feature(fid)[0]
+        if cls not in used:  # a list, since hashing an Enum member runs Python code
+            used.append(cls)
+    return used
 
 
 def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass]]:
     """Rebuild a model and the feature classes it was trained on; ValueError
     on a bad version, kind, feature class, or a field that is missing or of
-    the wrong shape."""
+    the wrong shape, and when the classes miss one the feature ids use."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != MODEL_SCHEMA_VERSION:
@@ -349,38 +340,33 @@ def model_from_dict(doc: dict) -> tuple[NaiveBayesModel | LogisticRegressionMode
             loglik = _per_label(doc[name], f"model field {name}", _weight_table)
             ll_ir, ll_or = loglik[IR], loglik[OR]
             # Each id is checked once: the IR table's, then any only OR holds.
-            _check_ids(ll_ir)
+            used = _check_ids(ll_ir)
             if ll_ir.keys() != ll_or.keys():
                 _check_ids(fid for fid in ll_or if fid not in ll_ir)
                 raise ValueError(f"model tables {name}.IR and {name}.OR hold different ids")
             alpha = checked(doc["alpha"], float, "model field alpha", *ALPHA_RANGE)
+            prior = _per_label(doc["class_log_prior"], "model field class_log_prior", _number)
             model: NaiveBayesModel | LogisticRegressionModel = NaiveBayesModel(
-                class_log_prior=_per_label(
-                    doc["class_log_prior"], "model field class_log_prior", _number
-                ),
-                feature_log_likelihood=loglik,
-                vocabulary=frozenset(ll_ir),
-                alpha=alpha,
+                prior, loglik, frozenset(ll_ir), alpha
             )
         elif doc["kind"] == "logreg":
             hp = checked(doc["hyperparameters"], dict, "model field hyperparameters")
-            values = {field.name: hp[field.name] for field in dataclasses.fields(LogRegParams)}
+            values = {name: hp[name] for name in LogRegParams._fields}
             try:
                 params = LogRegParams(**values)
             except ValueError as exc:
                 raise ValueError(f"model field hyperparameters.{exc}") from None
             weights = _weight_table(doc["weights"], "model field weights")
-            _check_ids(weights)
-            model = LogisticRegressionModel(
-                weights=weights,
-                bias=_number(doc["bias"], "model field bias"),
-                params=params,
-            )
+            used = _check_ids(weights)
+            bias = _number(doc["bias"], "model field bias")
+            model = LogisticRegressionModel(weights, bias, params)
         else:
             raise ValueError(f"unknown model kind: {doc.get('kind')!r}")
         classes = feature_classes(doc["feature_classes"], "model field feature_classes")
     except KeyError as exc:
         raise ValueError(f"model document lacks field {exc}") from None
+    if missing := ", ".join(cls.value for cls in used if cls not in classes):
+        raise ValueError(f"model field feature_classes lacks {missing}, which its feature ids use")
     return model, classes
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from crisislang.ingest import RawTweet
 
@@ -99,8 +99,7 @@ class AlignmentError(ValueError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TaggedTweet:
+class TaggedTweet(NamedTuple):
     """Tokens and tag layers as parallel tuples; an absent layer is None."""
 
     tweet_id: str

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -244,16 +243,30 @@ def test_any_json_value_in_any_config_field_loads_or_is_config_error(field, valu
 
 
 def _floats(value):
-    """Every float held in value, through dataclasses, dicts and lists."""
-    if dataclasses.is_dataclass(value):
-        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    """Every float held in value, through a RunConfig's slots, named tuples
+    (Region, GeoPoint, LogRegParams), dicts and lists."""
+    if isinstance(value, cli.RunConfig):
+        value = [getattr(value, name) for name in cli.RunConfig.__slots__]
     elif isinstance(value, dict):
         value = list(value.values())
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         for item in value:
             yield from _floats(item)
     elif isinstance(value, float):
         yield value
+
+
+def test_floats_reaches_every_float_of_a_run_config(workspace):
+    doc = read_json(workspace["config"])
+    doc["regions"]["elsewhere"] = {"lat": 1.5, "lon": -2.5, "radius_km": 3.5}
+    doc["logreg"] = {"learning_rate": 0.25, "l2": 0.125, "tolerance": 0.0625}
+    doc["imbalance_ratios"] = [0.375]
+    workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+    config = load_config(workspace["config"])
+    regions = [(*r.epicenter, r.radius_km) for r in config.regions.values()]
+    expected = [config.alpha, 0.25, 0.125, 0.0625, 0.375, *(x for r in regions for x in r)]
+    assert sorted(_floats(config)) == sorted(expected)
+    assert {1.5, -2.5, 3.5} <= set(expected)
 
 
 @pytest.mark.parametrize(
@@ -745,7 +758,8 @@ class TestTrainClassify:
         from crisislang.features import FeatureClass
         from crisislang.model import save_model, train_naive_bayes
 
-        model = train_naive_bayes([({"UNIGRAM:a": 1}, "IR"), ({"UNIGRAM:b": 1}, "OR")])
+        ids = [f"{classes[0]}:a", f"{classes[0]}:b"]  # the model's ids are of its classes
+        model = train_naive_bayes([({ids[0]: 1}, "IR"), ({ids[1]: 1}, "OR")])
         model_path = tmp_path / "model.json"
         save_model(model_path, model, feature_classes=[FeatureClass(c) for c in classes])
         at = "2013-04-15T20:00:00Z"
@@ -838,6 +852,26 @@ class TestTrainClassify:
             "error: model document lacks field 'feature_classes'"
         ]
         assert not (workspace["out"] / f"{command}_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "cloud"])
+    def test_model_whose_classes_miss_its_ids_is_one_error_line(self, workspace, capsys, command):
+        """A model file listing fewer classes than its feature ids use would
+        score every tweet from the prior alone, so it is refused."""
+        run(workspace, "partition")
+        run(workspace, "train")
+        model_path = workspace["out"] / "model.json"
+        doc = read_json(model_path)
+        assert doc["feature_classes"] == ["UNIGRAM", "BIGRAM"]
+        doc["feature_classes"] = ["UNIGRAM"]
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, command, "--model", str(model_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model field feature_classes lacks BIGRAM, which its feature ids use"
+        ]
+        assert not (workspace["out"] / f"{command}_summary.json").exists()
+        assert not (workspace["out"] / "classified.jsonl").exists()
+        assert not (workspace["out"] / "cloud_combined.json").exists()
 
     def test_train_misaligned_record_is_counted_skip(self, workspace):
         run(workspace, "partition")
@@ -979,7 +1013,7 @@ class TestTrainClassify:
 
     def test_non_finite_score_is_one_error_line(self, workspace, capsys, tmp_path):
         """Finite but extreme log-likelihoods sum to NaN; classify then fails
-        with one error line and writes no classified.jsonl."""
+        with one error line naming the tweet and writes no classified.jsonl."""
         run(workspace, "partition")
         run(workspace, "train")
         model_path = workspace["out"] / "model.json"
@@ -994,7 +1028,7 @@ class TestTrainClassify:
         capsys.readouterr()
         assert run(workspace, "classify", "--model", str(model_path), "--input", str(tweets)) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: Out of range float values are not JSON compliant"]
+        assert err == ["error: tweet x: score nan is not finite"]
         assert not (workspace["out"] / "classified.jsonl").exists()
         assert not (workspace["out"] / "classify_summary.json").exists()
 
@@ -1745,6 +1779,8 @@ STAGE_MODULES = [
     (["classify", "--model", "MODEL"], ["text", "model"]),
     (["divergence", "--mode", "regional"], ["text", "divergence"]),
     (["evaluate", "--mode", "single"], ["text", "model", "evaluation"]),
+    (["evaluate", "--mode", "combos"], ["text", "model", "evaluation"]),
+    (["evaluate", "--mode", "imbalance"], ["text", "model", "evaluation"]),
     (["divergence", "--mode", "hourly"], ["text", "divergence"]),
     (["tag"], ["text"]),
     (["vectors"], ["text"]),
@@ -1752,7 +1788,10 @@ STAGE_MODULES = [
     (["top-features"], ["text", "model", "evaluation"]),
     (["cloud", "--model", "MODEL"], ["text", "model", "evaluation"]),
 ]
-STAGE_IDS = [a[0] + ("-hourly" if "hourly" in a else "") for a, _ in STAGE_MODULES]
+STAGE_IDS = [
+    "-".join([a[0], *(mode for mode in ("hourly", "combos", "imbalance") if mode in a)])
+    for a, _ in STAGE_MODULES
+]
 
 # Every name crisislang exports, by the module that defines it.
 PACKAGE_EXPORTS = {
@@ -1774,8 +1813,8 @@ PACKAGE_EXPORTS = {
 
 
 class TestImportBudget:
-    """A stage process loads only the modules its stage runs, and logging
-    only when it warns."""
+    """A stage process loads only the modules its stage runs, logging only
+    when it warns, and neither dataclasses nor (but for numpy's) inspect."""
 
     @pytest.mark.parametrize("argv, modules", STAGE_MODULES, ids=STAGE_IDS)
     def test_stage_loads_only_the_modules_it_runs(self, workspace, argv, modules):
@@ -1788,6 +1827,10 @@ class TestImportBudget:
         base = ["crisislang", "crisislang.cli", "crisislang.ingest", "crisislang.features"]
         assert own == {*base, *(f"crisislang.{m}" for m in modules)}
         assert "logging" not in imported
+        # dataclasses loads inspect, ast, dis and tokenize, about 13 ms of a
+        # process; numpy loads inspect itself, and only top-features imports it.
+        assert "dataclasses" not in imported
+        assert ("inspect" in imported) == ("numpy" in imported) == (argv[0] == "top-features")
 
     def test_downsampling_warning_reaches_stderr(self, workspace):
         """train with an OR pool smaller than IR warns as the bare message."""
@@ -1797,6 +1840,7 @@ class TestImportBudget:
         imported, err = run_stage_process(workspace, "train")
         assert err == ["OR pool (50) smaller than IR (80); downsampling IR"]
         assert "logging" in imported
+        assert "dataclasses" not in imported and "inspect" not in imported
         counts = read_json(workspace["out"] / "train_summary.json")["class_counts"]
         assert counts == {"IR": 50, "OR": 50}
 

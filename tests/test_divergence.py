@@ -141,6 +141,15 @@ class TestPairwiseMatrix:
         assert min(flat) == 0.0
         assert max(flat) == 1.0 or all(v == 0.0 for v in flat)
 
+    def test_to_dict_holds_every_field_in_order(self):
+        m = DivergenceMatrix(["x", "y"], [[0.0, 0.5], [0.5, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
+        want = {
+            "labels": ["x", "y"],
+            "values": [[0.0, 0.5], [0.5, 0.0]],
+            "normalized_values": [[0.0, 1.0], [1.0, 0.0]],
+        }
+        assert repr(m.to_dict()) == repr(want)
+
     def test_csv_shape(self, tmp_path):
         m = DivergenceMatrix(["x", "y"], [[0.0, 0.5], [0.5, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
         write_csv(tmp_path / "m.csv", m.rows())

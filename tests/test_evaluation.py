@@ -101,6 +101,28 @@ class TestComputeMetrics:
         assert metrics.degenerate_flags
         assert json.loads(json.dumps(metrics.to_dict())) == metrics.to_dict()
 
+    def test_report_dicts_keep_their_shape(self):
+        """Each to_dict, key order and value types included: the flags are a
+        list in Metrics.to_dict and a tuple inside a CvReport's dict."""
+        m = evaluation.Metrics(0.5, 0.25, 1.0, 0.4, ("precision", "f1"))
+        flat = {"accuracy": 0.5, "precision": 0.25, "recall": 1.0, "f1": 0.4}
+        assert m.to_dict() == {**flat, "degenerate_flags": ["precision", "f1"]}
+        nested = {**flat, "degenerate_flags": ("precision", "f1")}
+        report = evaluation.CvReport([m, m], m, seed=3, repeats=1, folds=2)
+        want = {"readings": [nested, nested], "mean": nested, "seed": 3, "repeats": 1, "folds": 2}
+        assert repr(report.to_dict()) == repr(want)
+        sweep = evaluation.ImbalanceSweep([0.1, 0.5], [0.6, 0.7], 0.65, 4)
+        want = {"ratios": [0.1, 0.5], "auc_per_ratio": [0.6, 0.7], "summary_auc": 0.65, "seed": 4}
+        assert repr(sweep.to_dict()) == repr(want)
+        combos = evaluation.CombinationReport(
+            [evaluation.CombinationEntry((FeatureClass.UNIGRAM,), report)], [FeatureClass.BIGRAM]
+        )
+        want = {
+            "excluded_classes": ["BIGRAM"],
+            "entries": [{"classes": "UNIGRAM", "mean": m.to_dict()}],
+        }
+        assert repr(combos.to_dict()) == repr(want)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_metrics([IR], [IR, OR])

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 from datetime import datetime, timezone
@@ -27,6 +28,7 @@ from crisislang.ingest import (
     haversine_km,
     iter_corpus,
     iter_jsonl,
+    json_value,
     load_corpus,
     parse_tweet_record,
     tweet_to_record,
@@ -372,6 +374,18 @@ class TestLoadCorpus:
         assert skips.reasons == [f"line 2: not UTF-8 (invalid continuation byte at byte {at})"]
         assert skips.count == 1
 
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b""], ids=["lf", "crlf", "none"])
+    def test_not_utf8_reason_does_not_depend_on_the_line_ending(self, tmp_path, ending):
+        """A character cut short at the end of a line reads the same whether
+        the line ends in LF, in CRLF or, as a file's last line, in nothing."""
+        path = tmp_path / "cut.jsonl"
+        path.write_bytes(self._records("a")[0] + b"\n" + b'{"id": "\xc2' + ending)
+        skips = Skips()
+        assert [t.id for _, t in iter_jsonl(path, skips)] == ["a"]
+        assert skips.reasons == ["line 2: not UTF-8 (unexpected end of data at byte 8)"]
+        with pytest.raises(ValueError, match=r"^not UTF-8 \(unexpected end of data at byte 0\)$"):
+            json_value(b"\xc2" + ending)
+
 
 # One corpus line, as bytes without b"\n": a valid record (its id drawn from a
 # pool small enough to repeat; 7 and "7" are the same id), a malformed line,
@@ -475,14 +489,29 @@ def test_json_is_decoded_only_in_ingest():
     assert encoders == {"ingest"}
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level names of the modules a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_bytes(), path.name)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[0])
+    return names
+
+
 def test_cli_never_imports_logging():
     """cli names no warning path of its own: it never imports logging."""
     path = Path(__file__).resolve().parents[1] / "src" / "crisislang" / "cli.py"
-    for node in ast.walk(ast.parse(path.read_bytes(), path.name)):
-        if isinstance(node, ast.Import):
-            assert "logging" not in {a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            assert (node.module or "").split(".")[0] != "logging"
+    assert "logging" not in _imported_modules(path)
+
+
+def test_no_module_imports_dataclasses():
+    """Importing dataclasses loads inspect, ast, dis and tokenize, about 13 ms
+    of every stage process, so no crisislang module imports it."""
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "crisislang").glob("*.py"))
+    assert len(paths) > 5
+    assert [path.name for path in paths if "dataclasses" in _imported_modules(path)] == []
 
 
 _CSV_CELLS = st.one_of(
@@ -520,6 +549,32 @@ class TestTypeInvariants:
     def test_longitude_range(self):
         with pytest.raises(RecordError):
             GeoPoint(0.0, 181.0)
+
+    @pytest.mark.parametrize(
+        "valid, change, error, message",
+        [
+            (BOSTON, {"lat": 90.5}, RecordError, "latitude out of range: 90.5"),
+            (BOSTON, {"lon": -181.0}, RecordError, "longitude out of range: -181.0"),
+            (BOSTON_REGION, {"radius_km": 0.0}, ValueError, "radius_km must be positive, got 0.0"),
+            (BOSTON_REGION, {"radius_km": math.nan}, ValueError, "radius_km must be positive, got nan"),
+            (CRISIS, {"start": datetime(2013, 4, 15)}, ValueError, "start must be timezone-aware"),
+            (CRISIS, {"end": datetime(2013, 4, 16)}, ValueError, "end must be timezone-aware"),
+            (CRISIS, {"end": CRISIS.start}, ValueError, "window start must precede end"),
+        ],
+    )
+    def test_every_way_to_build_is_checked(self, valid, change, error, message):
+        """A call, _make and _replace all check the values, with one message."""
+        values = {**valid._asdict(), **change}
+        builds = (
+            lambda: type(valid)(**values),
+            lambda: type(valid)(*values.values()),
+            lambda: type(valid)._make(values.values()),
+            lambda: valid._replace(**change),
+        )
+        for build in builds:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build()
+        assert type(valid)._make(valid) == valid
 
 
 _WRITERS = {

@@ -46,6 +46,8 @@ from oracles import (
 from synthdata import logreg_params_in_range
 
 U = FeatureClass.UNIGRAM
+B = FeatureClass.BIGRAM
+CS = FeatureClass.CRISIS_SENSITIVE
 
 
 def uf(key):
@@ -442,9 +444,9 @@ class TestSerialization:
         model = train_naive_bayes(
             [({**uvec(x=1, y=2), PP_IN: 1}, IR), ({**uvec(y=1), WT: 2}, OR)], alpha=0.5
         )
-        doc = model_to_dict(model, feature_classes=[U])
+        doc = model_to_dict(model, feature_classes=[U, CS])
         restored, classes = model_from_dict(doc)
-        assert classes == [U]
+        assert classes == [U, CS]
         assert restored.class_log_prior == model.class_log_prior
         assert restored.feature_log_likelihood == model.feature_log_likelihood
         assert restored.vocabulary == model.vocabulary
@@ -455,9 +457,9 @@ class TestSerialization:
         data = [({**uvec(a=1), PP_IN: 1}, IR)] * 5 + [({**uvec(b=1), WT: 1}, OR)] * 5
         model = train_logreg(data)
         path = tmp_path / "model.json"
-        save_model(path, model, feature_classes=[U])
+        save_model(path, model, feature_classes=[U, CS])
         restored, classes = load_model(path)
-        assert classes == [U]
+        assert classes == [U, CS]
         assert restored.weights == model.weights
         assert restored.bias == model.bias
 
@@ -475,7 +477,7 @@ class TestSerialization:
         with tempfile.TemporaryDirectory() as tmp:
             restored = []
             for name, model in (("nb.json", nb), ("lr.json", lr)):
-                save_model(Path(tmp) / name, model, feature_classes=[U])
+                save_model(Path(tmp) / name, model, feature_classes=[U, B, CS])
                 restored.append(load_model(Path(tmp) / name)[0])
         for query in [{}, *queries]:
             assert predict_nb(restored[0], query) == predict_nb(nb, query)
@@ -526,10 +528,57 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"model field hyperparameters.{key} must be"):
             model_from_dict(doc)
 
+    def test_classes_that_miss_an_id_class_rejected(self):
+        """A vocabulary of BIGRAM ids saved with [UNIGRAM] would score every
+        tweet from the prior alone."""
+        model = train_naive_bayes([({"BIGRAM:a b": 1}, IR), ({"BIGRAM:c d": 1}, OR)])
+        message = "^model field feature_classes lacks BIGRAM, which its feature ids use$"
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(model_to_dict(model, [U]))
+        weights = {"UNIGRAM:a": 1.0, "PTB_POS:NN": 0.5, "BIGRAM:a b": -1.0, "PTB_POS:VB": 2.0}
+        doc = model_to_dict(LogisticRegressionModel(weights, 0.0, LogRegParams()), [U])
+        with pytest.raises(ValueError, match="lacks PTB_POS, BIGRAM, which"):
+            model_from_dict(doc)
+        doc["feature_classes"] = ["BIGRAM", "PTB_POS", "UNIGRAM", "ARK_POS"]
+        assert model_from_dict(doc)[0].weights == weights
+
     @pytest.mark.parametrize("doc", [[], "nb", None])
     def test_non_object_document_rejected(self, doc):
         with pytest.raises(ValueError, match="must be a JSON object"):
             model_from_dict(doc)
+
+
+class TestLogRegParams:
+    def test_defaults_and_types_come_from_field_defaults(self):
+        defaults = {"learning_rate": 0.1, "l2": 1e-4, "max_epochs": 500, "tolerance": 1e-6}
+        assert LogRegParams._field_defaults == defaults
+        assert LogRegParams()._asdict() == defaults
+        params = LogRegParams(1, 0, 20.0, 0)
+        assert [type(v) for v in params] == [float, float, int, float]
+        assert params == LogRegParams(learning_rate=1.0, l2=0.0, max_epochs=20, tolerance=0.0)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+            ("l2", -1.0, "l2 must be at least 0, got -1.0"),
+            ("max_epochs", 2.5, "max_epochs must be a whole number, got 2.5"),
+            ("max_epochs", 100_001, "max_epochs must be at most 100000, got 100001"),
+            ("tolerance", math.inf, "tolerance must be finite, got inf"),
+            ("learning_rate", True, "learning_rate must be a number, got True"),
+        ],
+    )
+    def test_every_way_to_build_is_checked(self, key, value, message):
+        """A call, _make and _replace all check each setting, with one message."""
+        values = {**LogRegParams()._asdict(), key: value}
+        for build in (
+            lambda: LogRegParams(**values),
+            lambda: LogRegParams(*values.values()),
+            lambda: LogRegParams._make(values.values()),
+            lambda: LogRegParams()._replace(**{key: value}),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 def _valid_documents():

@@ -2,11 +2,11 @@
 
 Subcommands: partition, divergence, train, evaluate, classify, top-features,
 cloud, tag, vectors. A single JSON config file carries the corpus paths,
-region/window constants, feature classes, model settings, and seed; a few
-global flags override it. Every command is deterministic given config, seed,
-and inputs, and writes a JSON summary next to its outputs. The model,
-evaluation, divergence and text modules are imported only inside the functions
-that use them, so a stage process loads only what its stage runs.
+region/window constants, feature classes, model settings, and seed, and no
+flag overrides it. Every command is deterministic given config, seed, and
+inputs, and writes a JSON summary next to its outputs. The model, evaluation,
+divergence and text modules are imported only inside the functions that use
+them, so a stage process loads only what its stage runs.
 """
 
 from __future__ import annotations
@@ -76,28 +76,107 @@ class ConfigError(ValueError):
     """The run configuration is missing or inconsistent."""
 
 
+def _checks(kind: type, ok: Callable | None = None, rule: str | Callable = "") -> Callable:
+    """The parser of a key that takes one value of kind, in ok's range (see checked)."""
+    return lambda raw, key: checked(raw, kind, key, ok, rule)
+
+
+def _named(prefix: str, make: Callable, *args, **kwargs):
+    """make(*args, **kwargs), with prefix put before the message of a ValueError
+    it raises."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
+def _parse_path(raw, key: str) -> Path:
+    return Path(checked(raw, str, key))
+
+
+def _parse_regions(raw, key: str) -> dict[str, Region]:
+    regions = {}
+    for name, region in checked(raw, dict, key).items():
+        where = f"{key}.{name}"
+        region = checked(region, dict, where)
+        lat, lon, radius_km = (
+            checked(region.get(k), float, f"{where}.{k}") for k in ("lat", "lon", "radius_km")
+        )
+        regions[name] = _named(f"{where}: ", lambda: Region(GeoPoint(lat, lon), radius_km))
+    return regions
+
+
+def _parse_window(raw, key: str) -> TimeWindow:
+    raw = checked(raw, dict, key)
+    start, end = (checked(raw.get(k), str, f"{key}.{k}") for k in ("start", "end"))
+    return _named(f"{key}: ", lambda: TimeWindow(parse_timestamp(start), parse_timestamp(end)))
+
+
+def _parse_ratios(raw, key: str) -> list[float]:
+    ratios = checked(raw, list, key, bool, "a non-empty list")
+    return [checked(ratio, float, key, lambda r: 0 < r < 1, "in (0, 1)") for ratio in ratios]
+
+
+def _parse_hours(raw, key: str) -> list[int]:
+    checked(raw, list, key, lambda hours: len(hours) == 2, "a [first, last] pair")
+    first, last = (checked(hour, int, key) for hour in raw)
+    if not 0 <= first <= last <= 23:
+        raise ValueError(f"{key} must be 0 <= first <= last <= 23, got {raw}")
+    return list(range(first, last + 1))
+
+
+_REQUIRED = object()  # the default of a key every config must give
+
+# Every config key: its RunConfig field, its dotted key, the JSON value an absent
+# key stands for (None: the setting is None), and its parser, which takes the
+# raw value and the key and raises ValueError("<key> …") on a bad value. The
+# logreg keys are LogRegParams' fields.
+_SETTINGS = (
+    ("input", "input", _REQUIRED, _parse_path),
+    ("output_dir", "output_dir", "out", _parse_path),
+    ("seed", "seed", 0, _checks(int)),
+    (
+        "timezone_offset_minutes", "timezone_offset_minutes", 0,
+        _checks(int, lambda minutes: -1440 <= minutes <= 1440, "within ±1440"),
+    ),
+    ("regions", "regions", _REQUIRED, _parse_regions),
+    ("primary_region", "primary_region", _REQUIRED, _checks(str)),
+    ("crisis_window", "crisis_window", _REQUIRED, _parse_window),
+    (
+        "pre_crisis_window", "pre_crisis_window", None,
+        lambda raw, key: None if raw is None else _parse_window(raw, key),
+    ),
+    ("feature_classes", "feature_classes", ["UNIGRAM", "BIGRAM"], feature_classes),
+    (
+        "model_kind", "model.kind", "nb",
+        _checks(str, lambda kind: kind in ("nb", "logreg"), "nb or logreg"),
+    ),
+    ("alpha", "model.alpha", 1.0, _checks(float, *ALPHA_RANGE)),
+    (
+        "logreg", "logreg", {},
+        lambda raw, key: _named(f"{key}.", LogRegParams, **checked(raw, dict, key)),
+    ),
+    ("cv_repeats", "cv.repeats", 3, _checks(int, *REPEATS_RANGE)),
+    ("cv_folds", "cv.folds", 5, _checks(int, *FOLDS_RANGE)),
+    ("imbalance_ratios", "imbalance_ratios", list(DEFAULT_IMBALANCE_RATIOS), _parse_ratios),
+    ("balance", "balance", True, _checks(bool)),
+    ("fallback_tags", "fallback_tags", True, _checks(bool)),
+    (
+        "divergence_day", "divergence.day", None,
+        lambda raw, key: _named(f"{key}: ", date.fromisoformat, checked(raw, str, key)),
+    ),
+    ("divergence_hours", "divergence.hours", None, _parse_hours),
+    (
+        "divergence_window", "divergence.window", "crisis",
+        _checks(str, lambda window: window in ("crisis", "pre_crisis"), "crisis or pre_crisis"),
+    ),
+)
+
+
 class RunConfig:
-    input: Path
-    output_dir: Path
-    regions: dict[str, Region]
-    primary_region: str
-    crisis_window: TimeWindow
-    pre_crisis_window: TimeWindow | None
-    timezone_offset_minutes: int
-    feature_classes: list[FeatureClass]
-    model_kind: str
-    alpha: float
-    logreg: LogRegParams
-    cv_repeats: int
-    cv_folds: int
-    imbalance_ratios: list[float]
-    balance: bool
-    fallback_tags: bool
-    seed: int
-    divergence_day: date | None
-    divergence_hours: list[int]
-    divergence_window: str
-    __slots__ = tuple(__annotations__)  # one slot per setting above
+    """A run's settings: one slot per _SETTINGS row."""
+
+    __slots__ = tuple(field for field, *_ in _SETTINGS)
 
     def __init__(self, **settings) -> None:
         for name in self.__slots__:  # KeyError on a missing setting
@@ -111,54 +190,7 @@ class RunConfig:
         return self.output_dir / "partitions"
 
 
-# Every scalar setting: its RunConfig field, its dotted config key, its type, its
-# default, and the range it must lie in with the rule that says so (see checked).
-_SETTINGS = (
-    ("input", "input", str, None, None, ""),
-    ("output_dir", "output_dir", str, "out", None, ""),
-    ("seed", "seed", int, 0, None, ""),
-    (
-        "timezone_offset_minutes", "timezone_offset_minutes", int, 0,
-        lambda minutes: -1440 <= minutes <= 1440, "within ±1440",
-    ),
-    ("model_kind", "model.kind", str, "nb", lambda kind: kind in ("nb", "logreg"), "nb or logreg"),
-    ("alpha", "model.alpha", float, 1.0, *ALPHA_RANGE),
-    ("cv_repeats", "cv.repeats", int, 3, *REPEATS_RANGE),
-    ("cv_folds", "cv.folds", int, 5, *FOLDS_RANGE),
-    ("balance", "balance", bool, True, None, ""),
-    ("fallback_tags", "fallback_tags", bool, True, None, ""),
-    (
-        "divergence_window", "divergence.window", str, "crisis",
-        lambda window: window in ("crisis", "pre_crisis"), "crisis or pre_crisis",
-    ),
-)
-
-
-def _parse_window(raw, name: str) -> TimeWindow:
-    raw = checked(raw, dict, name)
-    start, end = (checked(raw.get(key), str, f"{name}.{key}") for key in ("start", "end"))
-    try:
-        return TimeWindow(parse_timestamp(start), parse_timestamp(end))
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _parse_region(raw, name: str) -> Region:
-    raw = checked(raw, dict, name)
-    lat, lon, radius_km = (
-        checked(raw.get(key), float, f"{name}.{key}") for key in ("lat", "lon", "radius_km")
-    )
-    try:
-        return Region(GeoPoint(lat, lon), radius_km)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def load_config(
-    path: str | Path,
-    seed: int | None = None,
-    output_dir: str | None = None,
-) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     try:
         doc = json_value(Path(path).read_bytes())
     except OSError as exc:
@@ -168,7 +200,7 @@ def load_config(
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     try:
-        config = _run_config(doc, {"seed": seed, "output_dir": output_dir})
+        config = _run_config(doc)
     except ValueError as exc:  # each message starts with the key at fault
         raise ConfigError(str(exc)) from None
     try:
@@ -180,72 +212,32 @@ def load_config(
     return config
 
 
-def _run_config(doc: dict, overrides: dict) -> RunConfig:
+def _run_config(doc: dict) -> RunConfig:
     """The RunConfig a config document describes; ValueError on the first key
-    that is missing, of the wrong type or out of its range."""
-    for key in ("input", "regions", "primary_region", "crisis_window"):
-        if key not in doc:
-            raise ValueError(f"config is missing required key: {key}")
+    that is unknown, missing, of the wrong type or out of its range."""
     sections = {"": doc}  # keyed by what precedes a dotted key's last dot
     for name in ("model", "logreg", "cv", "divergence"):
         sections[name] = checked(doc.get(name, {}), dict, name)
+    known = {key.rpartition(".")[::2] for _, key, *_ in _SETTINGS}  # (section, name)
+    known.update(("", name) for name in sections if name)
+    known.update(("logreg", name) for name in LogRegParams._fields)
+    for section, values in sections.items():
+        for name in values:
+            if (section, name) not in known:
+                key = f"{section}.{name}" if section else name
+                raise ValueError(f"{key} is not a config key")
     settings = {}
-    for field, key, kind, default, ok, rule in _SETTINGS:
-        section, _, last = key.rpartition(".")
-        value = overrides.get(field)
-        value = sections[section].get(last, default) if value is None else value
-        settings[field] = checked(value, kind, key, ok, rule)
-    for field in ("input", "output_dir"):
-        settings[field] = Path(settings[field])
-
-    regions = checked(doc["regions"], dict, "regions")
-    regions = {name: _parse_region(raw, f"regions.{name}") for name, raw in regions.items()}
-    primary = checked(
-        doc["primary_region"], str, "primary_region", regions.__contains__, "a configured region"
-    )
-    pre = doc.get("pre_crisis_window")
-    known = LogRegParams._fields
-    try:
-        logreg = LogRegParams(**{k: v for k, v in sections["logreg"].items() if k in known})
-    except ValueError as exc:
-        raise ValueError(f"logreg.{exc}") from None
-    ratios = checked(
-        doc.get("imbalance_ratios", list(DEFAULT_IMBALANCE_RATIOS)),
-        list, "imbalance_ratios", bool, "a non-empty list",
-    )
-    div_doc = sections["divergence"]
-    div_day = None
-    if "day" in div_doc:
-        day = checked(div_doc["day"], str, "divergence.day")
-        try:
-            div_day = date.fromisoformat(day)
-        except ValueError as exc:
-            raise ValueError(f"divergence.day: {exc}") from None
-    div_hours: list[int] = []
-    if "hours" in div_doc:
-        hours = div_doc["hours"]
-        checked(hours, list, "divergence.hours", lambda h: len(h) == 2, "a [first, last] pair")
-        first, last = (checked(hour, int, "divergence.hours") for hour in hours)
-        if not 0 <= first <= last <= 23:
-            raise ValueError(f"divergence.hours must be 0 <= first <= last <= 23, got {hours}")
-        div_hours = list(range(first, last + 1))
-    return RunConfig(
-        regions=regions,
-        primary_region=primary,
-        crisis_window=_parse_window(doc["crisis_window"], "crisis_window"),
-        pre_crisis_window=None if pre is None else _parse_window(pre, "pre_crisis_window"),
-        feature_classes=feature_classes(
-            doc.get("feature_classes", ["UNIGRAM", "BIGRAM"]), "feature_classes"
-        ),
-        logreg=logreg,
-        imbalance_ratios=[
-            checked(ratio, float, "imbalance_ratios", lambda r: 0 < r < 1, "in (0, 1)")
-            for ratio in ratios
-        ],
-        divergence_day=div_day,
-        divergence_hours=div_hours,
-        **settings,
-    )
+    for field, key, default, parse in _SETTINGS:
+        section, _, name = key.rpartition(".")
+        if name in sections[section]:
+            settings[field] = parse(sections[section][name], key)
+        elif default is _REQUIRED:
+            raise ValueError(f"config is missing required key: {key}")
+        else:
+            settings[field] = None if default is None else parse(default, key)
+    primary, regions = settings["primary_region"], settings["regions"]
+    checked(primary, str, "primary_region", regions.__contains__, "a configured region")
+    return RunConfig(**settings)
 
 
 def _write_tables(config: RunConfig, stem: str, report) -> dict[str, str]:
@@ -327,6 +319,7 @@ def _predicted(
         predictions = [mdl.predict(model, vectorize(t, classes)) for _, t in batch]
         for (tweet, t), prediction in zip(batch, predictions):
             yield tweet, t, prediction
+        del batch, predictions  # or both would live on while the next batch is read
 
 
 def _partition_path(config: RunConfig, filename: str) -> Path:
@@ -636,8 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Locate crisis-region tweets from their language alone.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--output-dir", default=None, help="override the config output dir")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("partition", help="split the corpus into IR/OR/PC-IR/PC-OR/unlabeled")
@@ -686,7 +677,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     output dir and to stdout. Returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed=args.seed, output_dir=args.output_dir)
+        config = load_config(args.config)
         summary = {"schema_version": SCHEMA_VERSION, "command": args.command}
         summary.update(args.run(config, args))
         stem = args.command.replace("-", "_")

@@ -278,13 +278,14 @@ def _subset_readings(
     count per class, which is folds / (folds - 1) times a fold's training side.
     One report per subset, carrying the repeats and folds checked here."""
     folds = checked(folds, int, "folds", *FOLDS_RANGE)
-    if len(data) < folds:
-        raise ValueError(f"{len(data)} instances cannot fill {folds} folds")
+    labels = [label for _, label in data]
+    label_counts = Counter(labels)
+    if max(label_counts.values(), default=0) < folds:  # each fold gets one of the largest label
+        n_ir, n_or = label_counts[IR], label_counts[OR]
+        raise ValueError(f"{len(data)} instances ({n_ir} IR, {n_or} OR) cannot fill {folds} folds")
     rows = _vectorize_by_class(data, classes)
     repeats = checked(repeats, int, "repeats", *REPEATS_RANGE)
     alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
-    labels = [label for _, label in data]
-    label_counts = Counter(labels)
     whole = [nb_counts(zip((row[k] for row in rows), labels)) for k in range(len(classes))]
     readings: list[list[Metrics]] = [[] for _ in subsets]
     for repeat in range(repeats):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from crisislang import cli
 from crisislang.cli import ConfigError, load_config, main
+from crisislang.features import LogRegParams
 from crisislang.text import tokenize
 from synthdata import JSON_VALUES, logreg_params_in_range, pipeline_corpus_lines, write_config
 
@@ -87,10 +88,70 @@ class TestConfig:
             '{"l2": 0.0001, "learning_rate": 1.0, "max_epochs": 500, "tolerance": 1e-06}'
         )
 
-    def test_overrides(self, workspace):
-        config = load_config(workspace["config"], seed=99, output_dir="elsewhere")
-        assert config.seed == 99
-        assert config.output_dir == Path("elsewhere")
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("cv.repeat", lambda doc: doc["cv"].update(repeat=10)),
+            ("model.alpa", lambda doc: doc["model"].update(alpa=0.5)),
+            ("logreg.rate", lambda doc: doc.update(logreg={"rate": 0.5})),
+            ("fallback_tag", lambda doc: doc.update(fallback_tag=False)),
+        ],
+        ids=["cv", "model", "logreg", "top-level"],
+    )
+    def test_unknown_key_is_one_error_line(self, workspace, capsys, key, edit):
+        doc = read_json(workspace["config"])
+        edit(doc)
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        assert run(workspace, "partition") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {key} is not a config key"]
+        assert not workspace["out"].exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--output-dir", "{root}/elsewhere")])
+    def test_no_flag_overrides_the_config(self, workspace, capsys, flag, value):
+        value = value.format(root=workspace["root"])
+        with pytest.raises(SystemExit) as exited:
+            main(["--config", str(workspace["config"]), flag, value, "partition"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: crisislang")
+        assert not workspace["out"].exists() and not (workspace["root"] / "elsewhere").exists()
+
+    def test_required_keys_alone_load_the_readme_defaults(self, workspace):
+        """A config of the four required keys loads, and writing any README
+        default into it changes no setting; a "none" default loads as None."""
+        doc = read_json(workspace["config"])
+        minimal = {key: doc[key] for key in REQUIRED_KEYS}
+        workspace["config"].write_text(json.dumps(minimal), encoding="utf-8")
+        defaults = load_config(workspace["config"])
+        settings = {key: field for field, key, *_ in cli._SETTINGS}
+        required = {key for _, key, default, _ in cli._SETTINGS if default is cli._REQUIRED}
+        assert required == set(REQUIRED_KEYS)
+        for key, default in _readme_defaults():
+            if default == "required":
+                assert key in REQUIRED_KEYS
+            elif default == "none":
+                assert getattr(defaults, settings[key]) is None
+            else:
+                section, _, name = key.rpartition(".")
+                given = json.loads(json.dumps(minimal))
+                (given.setdefault(section, {}) if section else given)[name] = json.loads(default)
+                workspace["config"].write_text(json.dumps(given), encoding="utf-8")
+                config = load_config(workspace["config"])
+                for slot in cli.RunConfig.__slots__:
+                    assert getattr(config, slot) == getattr(defaults, slot), (key, slot)
+
+    def test_no_default_is_shared_between_loads(self, workspace):
+        first = load_config(workspace["config"])
+        first.feature_classes.clear()
+        first.imbalance_ratios.clear()
+        second = load_config(workspace["config"])
+        assert second.feature_classes and second.imbalance_ratios
+
+    def test_readme_settings_table_names_every_config_key(self):
+        keys = [key for key, _ in _readme_defaults()]
+        logreg = [key.partition(".")[2] for key in keys if key.startswith("logreg.")]
+        assert sorted(logreg) == sorted(LogRegParams._fields)
+        table = {"logreg" if key.startswith("logreg.") else key for key in keys}
+        assert sorted(table) == sorted(key for _, key, *_ in cli._SETTINGS)
 
     def test_bad_exit_code(self, workspace, capsys):
         assert main(["--config", str(workspace["root"] / "nope.json"), "partition"]) == 1
@@ -197,6 +258,22 @@ class TestConfig:
         assert run(workspace, "partition") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
+
+
+REQUIRED_KEYS = ("input", "regions", "primary_region", "crisis_window")
+
+
+def _readme_defaults():
+    """(key, default) per key of the README's settings table, the default as
+    its cell gives it with backticks dropped; a cell of two keys has one
+    default per key. regions.<name> reads as regions."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | type | default | range |\n")[1].split("\n\n")[0]
+    for line in table.splitlines()[1:]:
+        cells = [cell.strip().replace("`", "") for cell in line.strip(" |").split(" | ")]
+        keys = cells[0].replace(".<name>", "").split(", ")
+        defaults = cells[2].split("; ")
+        yield from zip(keys, defaults if len(keys) > 1 else defaults[:1])
 
 
 CONFIG_FIELDS = [
@@ -1196,8 +1273,12 @@ def _synthetic_tweets(path, n, seed):
 
 class TestClassifyMemory:
     # A classify run holds one batch at a time, so 8x the input may add only
-    # this much to its tracemalloc peak: about 65 KB was measured here, while
-    # holding every tweet's RawTweet and Prediction added about 1.6 MB.
+    # this much to its tracemalloc peak. The difference read -2 to 8 KB in 15
+    # runs of this test alone and about 3 KB in each of three full tier-1
+    # runs, while holding every tweet's RawTweet and Prediction added about
+    # 1.6 MB. The peak also counts CPython's tuple free lists: when a full
+    # garbage collection has just emptied them, the large run refills them
+    # with traced blocks, and the difference reads about 180 KB.
     SLACK_BYTES = 256 * 1024
 
     def test_peak_does_not_grow_with_the_input(self, workspace, tmp_path):
@@ -1299,6 +1380,20 @@ class TestEvaluate:
         sweep = read_json(workspace["out"] / "imbalance.json")
         assert len(sweep["auc_per_ratio"]) == 3
         assert all(a >= 0.9 for a in sweep["auc_per_ratio"])
+
+    @pytest.mark.parametrize("mode", ["single", "combos"])
+    def test_folds_beyond_each_label_count_are_one_error_line(self, workspace, capsys, mode):
+        # Three IR tweets balance to six instances: enough for five folds in
+        # all, but not for a tweet of the larger label in each of them.
+        run(workspace, "partition")
+        ir = workspace["out"] / "partitions" / "ir.jsonl"
+        ir.write_text("".join(line + "\n" for line in read_lines(ir)[:3]), encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, "evaluate", "--mode", mode) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 6 instances (3 IR, 3 OR) cannot fill 5 folds"
+        ]
+        assert not (workspace["out"] / "evaluate_summary.json").exists()
 
 
 @pytest.mark.parametrize("alpha", [5e-324, 1e308])

@@ -185,6 +185,20 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(data, U, folds=5)
 
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda data: cross_validate(data, U, folds=5),
+            lambda data: enumerate_combinations(data, seed=0, folds=5),
+        ],
+        ids=["cross_validate", "enumerate_combinations"],
+    )
+    def test_folds_beyond_each_label_count_are_named(self, search):
+        """Six instances reach five folds, but three of a label leave two empty."""
+        data = separable_labeled_set(n=6, seed=5)
+        with pytest.raises(ValueError, match=r"^6 instances \(3 IR, 3 OR\) cannot fill 5 folds$"):
+            search(data)
+
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_nonfinite_alpha_rejected(self, alpha):
         data = separable_labeled_set(n=20, seed=7)

@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from datetime import date, timedelta
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -28,6 +28,7 @@ from crisislang.features import (
     LogRegParams,
     REPEATS_RANGE,
     checked,
+    count_ngrams,
     feature_classes,
     missing_classes,
     split_feature,
@@ -225,6 +226,8 @@ def _run_config(doc: dict) -> RunConfig:
         for name in values:
             if (section, name) not in known:
                 key = f"{section}.{name}" if section else name
+                if not name.isidentifier():  # quoted, or it reads as another key
+                    key = f"{section or 'top-level'} key {name!r}"
                 raise ValueError(f"{key} is not a config key")
     settings = {}
     for field, key, default, parse in _SETTINGS:
@@ -274,21 +277,21 @@ def _stream(source: Path, target: Path, tally: dict[str, int], records: Callable
 
 
 def _tagged(
-    config: RunConfig,
     tweets: Iterable[RawTweet],
     skips: Skips,
     classes: Sequence[FeatureClass],
+    fallback: bool,
 ) -> Iterator[tuple[RawTweet, TaggedTweet]]:
-    """Each tweet with its tags, lazily. A tweet whose tag layers are
-    misaligned, that has no tokens, or that lacks a layer one of classes
-    needs goes into skips instead. Raises ConfigError at the end when some
-    tweets lacked layers and none was usable."""
+    """Each tweet with its tags, lazily, with fallback ARK tags if fallback. A
+    tweet whose tag layers are misaligned, that has no tokens, or that lacks a
+    layer one of classes needs goes into skips instead. Raises ConfigError at
+    the end when some tweets lacked layers and none was usable."""
     from crisislang import text as txt
 
     lacking = usable = False
     for tweet in tweets:
         try:
-            tagged = txt.tag_raw_tweet(tweet, use_fallback=config.fallback_tags)
+            tagged = txt.tag_raw_tweet(tweet, use_fallback=fallback)
         except txt.AlignmentError as exc:
             skips.add(str(exc))
             continue
@@ -329,11 +332,17 @@ def _partition_path(config: RunConfig, filename: str) -> Path:
     return path
 
 
+def _partition_tweets(config: RunConfig, filename: str, skips: Skips) -> Iterator[RawTweet]:
+    """The tweets of a partition file, lazily; ConfigError at once if it is missing."""
+    path = _partition_path(config, filename)
+    return (tweet for _, tweet in iter_jsonl(path, skips))
+
+
 def _tagged_partition(
     config: RunConfig, label: PartitionLabel, skips: Skips, classes: Sequence[FeatureClass]
 ) -> list[TaggedTweet]:
-    tweets = (t for _, t in iter_jsonl(_partition_path(config, PARTITION_FILES[label]), skips))
-    return [tagged for _, tagged in _tagged(config, tweets, skips, classes)]
+    tweets = _partition_tweets(config, PARTITION_FILES[label], skips)
+    return [tagged for _, tagged in _tagged(tweets, skips, classes, config.fallback_tags)]
 
 
 def _labeled_data(
@@ -371,8 +380,9 @@ def cmd_partition(config: RunConfig) -> dict:
 
 
 def cmd_divergence(config: RunConfig, mode: str) -> dict:
-    """Read the corpus once, tag each tweet that groups_of(tweet) puts in
-    some group through _tagged, and build the mode's matrix from the groups."""
+    """Read the corpus once, tokenize each tweet that groups_of(tweet) puts in
+    some group, count its words into each of those groups' word counts, and
+    build the mode's matrix from the counts. No tweet is held once counted."""
     from crisislang import divergence as div
 
     if mode == "hourly":
@@ -380,7 +390,7 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
         if day is None or not config.divergence_hours:
             raise ConfigError("hourly mode needs divergence.day and divergence.hours in the config")
         offset = timedelta(minutes=config.timezone_offset_minutes)
-        groups: dict = {hour: [] for hour in config.divergence_hours}
+        groups: dict = {hour: {} for hour in config.divergence_hours}
         build = div.hourly_divergence_matrix
 
         def groups_of(tweet: RawTweet) -> list:
@@ -400,7 +410,7 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
         )
         if window is None:
             raise ConfigError("divergence window 'pre_crisis' requires pre_crisis_window")
-        groups = {name: [] for name in config.regions}
+        groups = {name: {} for name in config.regions}
         build = div.regional_divergence_matrix
 
         def groups_of(tweet: RawTweet) -> list:
@@ -411,7 +421,7 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
     skips = Skips()
-    homes: dict[str, list] = {}  # id -> groups of each selected tweet until it is tagged
+    homes: dict[str, list] = {}  # id -> groups of the selected tweet until it is counted
 
     def selected() -> Iterator[RawTweet]:
         for tweet in iter_corpus(config.input, skips):
@@ -419,9 +429,9 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
                 homes[tweet.id] = names
                 yield tweet
 
-    for tweet, tagged in _tagged(config, selected(), skips, ()):
+    for tweet, tagged in _tagged(selected(), skips, (), False):
         for name in homes.pop(tweet.id):
-            groups[name].append(tagged)
+            count_ngrams(groups[name], "", tagged.words, 1)
     matrix, warnings = build(groups)
     return {
         "warnings": list(warnings) + skips.reasons,
@@ -516,7 +526,8 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
     tally = dict.fromkeys(("classified", "classified_ir"), 0)
 
     def records(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
-        for tweet, _, p in _predicted(_tagged(config, tweets, skips, classes), model, classes):
+        tagged = _tagged(tweets, skips, classes, config.fallback_tags)
+        for tweet, _, p in _predicted(tagged, model, classes):
             if not math.isfinite(p.score):  # JSON has no such number
                 raise ValueError(f"tweet {tweet.id}: score {p.score} is not finite")
             tally["classified"] += 1
@@ -556,33 +567,30 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     from crisislang import model as mdl
 
     skips = Skips()
-    ir_tagged = _tagged_partition(config, PartitionLabel.IR, skips, ())
-    geotagged_cloud = ev.bigram_cloud(ir_tagged, k)
+    counts: dict[str, int] = {}  # the IR bigrams, then the model's additions' too
+    tally = dict.fromkeys(("geotagged_ir", "model_additions"), 0)
+    ir = _partition_tweets(config, PARTITION_FILES[PartitionLabel.IR], skips)
+    for _, tagged in _tagged(ir, skips, (), False):
+        tally["geotagged_ir"] += 1
+        count_ngrams(counts, "", tagged.words, 2)
+    geotagged_cloud = ev.bigram_cloud(counts, k)
 
     model, classes = mdl.load_model(model_path)
-    pool = (t for _, t in iter_jsonl(_partition_path(config, UNLABELED_FILE), skips))
-    tally = {"model_additions": 0}
-
-    def additions() -> Iterator[TaggedTweet]:
-        for _, tagged, p in _predicted(_tagged(config, pool, skips, classes), model, classes):
-            if p.label == mdl.IR:
-                tally["model_additions"] += 1
-                yield tagged
-
-    combined_cloud = ev.bigram_cloud(chain(ir_tagged, additions()), k)
+    pool = _tagged(
+        _partition_tweets(config, UNLABELED_FILE, skips), skips, classes, config.fallback_tags
+    )
+    for _, tagged, p in _predicted(pool, model, classes):
+        if p.label == mdl.IR:
+            tally["model_additions"] += 1
+            count_ngrams(counts, "", tagged.words, 2)
+    combined_cloud = ev.bigram_cloud(counts, k)
     files: dict[str, str] = {}
     for name, cloud in (("geotagged", geotagged_cloud), ("combined", combined_cloud)):
         path = config.output_dir / f"cloud_{name}.json"
         bigrams = [{"bigram": bigram, "count": count} for bigram, count in cloud]
         write_json(path, {"schema_version": SCHEMA_VERSION, "bigrams": bigrams})
         files[name] = str(path)
-    return {
-        "warnings": skips.reasons,
-        "k": k,
-        "geotagged_ir": len(ir_tagged),
-        **tally,
-        "files": files,
-    }
+    return {"warnings": skips.reasons, "k": k, **tally, "files": files}
 
 
 def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None) -> dict:
@@ -609,7 +617,7 @@ def cmd_vectors(config: RunConfig, input_path: Path | None) -> dict:
     coverage = {cls.value: 0 for cls in config.feature_classes}
 
     def docs(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
-        for tweet, tagged in _tagged(config, tweets, skips, ()):
+        for tweet, tagged in _tagged(tweets, skips, (), config.fallback_tags):
             absent = missing_classes(tagged, config.feature_classes)
             present = [cls for cls in config.feature_classes if cls not in absent]
             for cls in present:

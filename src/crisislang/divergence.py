@@ -2,22 +2,17 @@
 
 Jensen-Shannon divergence with base-2 logarithms, so values live in [0, 1].
 The mixture distribution covers the union support, so no smoothing is needed.
-A word distribution is a plain dict of token to relative frequency, counted
-with features.count_ngrams. Matrices come in two flavors: hour-by-hour within
-a region on one local day, and group-by-group across named regions. Either
-way the caller selects and tags the tweets and passes them in groups; this
-module only turns groups into matrices.
+A word distribution is a plain dict of token to relative frequency, made from
+a group's word counts. Matrices come in two flavors: hour-by-hour within a
+region on one local day, and group-by-group across named regions. Either way
+the caller selects the tweets and counts each one's words into its groups as
+it is read; this module only turns the groups' counts into matrices.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-from crisislang.features import count_ngrams
-
-if TYPE_CHECKING:
-    from crisislang.text import TaggedTweet
+from typing import Iterable, Mapping, Sequence
 
 
 class DivergenceMatrix:
@@ -34,11 +29,8 @@ class DivergenceMatrix:
         return [["", *self.labels]] + [[label, *row] for label, row in table]
 
 
-def word_distribution(tweets: Iterable[TaggedTweet]) -> dict[str, float]:
-    """Unigram relative frequencies over all tokens of all tweets."""
-    counts: dict[str, int] = {}
-    for tweet in tweets:
-        count_ngrams(counts, "", tweet.words, 1)
+def word_distribution(counts: Mapping[str, int]) -> dict[str, float]:
+    """Relative frequencies of word counts, in the counts' order."""
     total = sum(counts.values())
     if total == 0:
         raise ValueError("cannot build a distribution from zero tokens")
@@ -87,16 +79,16 @@ def pairwise_matrix(
 
 
 def _matrix(
-    groups: Iterable[tuple[str, Iterable[TaggedTweet]]], name: str, empty: str
+    groups: Iterable[tuple[str, Mapping[str, int]]], name: str, empty: str
 ) -> tuple[DivergenceMatrix, list[str]]:
-    """Pairwise JSD between (label, tweets) groups. A group with no tokens is
-    dropped with a warning that names it by name.format(label)."""
+    """Pairwise JSD between (label, word counts) groups. A group with no tokens
+    is dropped with a warning that names it by name.format(label)."""
     labels: list[str] = []
     distributions: list[dict[str, float]] = []
     warnings: list[str] = []
-    for label, tweets in groups:
+    for label, counts in groups:
         try:
-            distributions.append(word_distribution(tweets))
+            distributions.append(word_distribution(counts))
         except ValueError:
             warnings.append(f"{name.format(label)} has no tokens; dropped from the axis")
             continue
@@ -107,17 +99,17 @@ def _matrix(
 
 
 def hourly_divergence_matrix(
-    buckets: Mapping[int, Iterable[TaggedTweet]],
+    buckets: Mapping[int, Mapping[str, int]],
 ) -> tuple[DivergenceMatrix, list[str]]:
-    """Pairwise JSD between hourly word distributions, one bucket of tweets
-    per clock hour, in the mapping's order. Hours with no tokens are dropped
-    from the axis; the drop reasons come back as warnings."""
-    labelled = ((f"{hour:02d}:00", tweets) for hour, tweets in buckets.items())
+    """Pairwise JSD between hourly word distributions, one bucket of word
+    counts per clock hour, in the mapping's order. Hours with no tokens are
+    dropped from the axis; the drop reasons come back as warnings."""
+    labelled = ((f"{hour:02d}:00", counts) for hour, counts in buckets.items())
     return _matrix(labelled, "hour {}", "no hour in the range has any tokens")
 
 
 def regional_divergence_matrix(
-    groups: Mapping[str, Sequence[TaggedTweet]],
+    groups: Mapping[str, Mapping[str, int]],
 ) -> tuple[DivergenceMatrix, list[str]]:
-    """Pairwise JSD between named tweet groups (for example, cities)."""
+    """Pairwise JSD between named groups' word counts (for example, cities)."""
     return _matrix(groups.items(), "group {!r}", "no group has any tokens")

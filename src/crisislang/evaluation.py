@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from crisislang.features import (
     ALPHA_RANGE,
@@ -28,7 +28,6 @@ from crisislang.features import (
     MissingLayerError,
     REPEATS_RANGE,
     checked,
-    count_ngrams,
     missing_classes,
     vectorize,
 )
@@ -487,11 +486,8 @@ def enumerate_combinations(
     return CombinationReport(entries=entries, excluded_classes=excluded)
 
 
-def bigram_cloud(tweets: Iterable[TaggedTweet], k: int) -> list[tuple[str, int]]:
-    """Top-k word bigrams by count, ties broken lexicographically."""
+def bigram_cloud(counts: Mapping[str, int], k: int) -> list[tuple[str, int]]:
+    """Top-k word bigrams of bigram counts, ties broken lexicographically."""
     k = checked(k, int, "k", *K_RANGE)
-    counts: dict[str, int] = {}
-    for tweet in tweets:
-        count_ngrams(counts, "", tweet.words, 2)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ordered[:k]

@@ -39,6 +39,16 @@ def tweet_from_text(tweet_id: str, text: str) -> TaggedTweet:
     return attach_tags(tokenize(text), tweet_id=tweet_id)
 
 
+def word_counts(tweets: list[TaggedTweet], n: int = 1) -> dict[str, int]:
+    """The counts of the tweets' word n-grams, each space-joined and inserted
+    where it first occurs: what the CLI passes to divergence and clouds."""
+    counts: dict[str, int] = {}
+    for tweet in tweets:
+        for gram in map(" ".join, zip(*(tweet.words[k:] for k in range(n)))):
+            counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
 def _text(rng: random.Random, vocab: list[str], length: int) -> list[str]:
     return [rng.choice(vocab) for _ in range(length)]
 
@@ -127,12 +137,12 @@ def hourly_shift_tweets(
 
 def city_groups(
     crisis: bool, seed: int = 0, tweets_per_city: int = 300
-) -> dict[str, list[TaggedTweet]]:
-    """Four named city corpora; under crisis the affected cities mix in
-    crisis vocabulary at diverging rates."""
+) -> dict[str, dict[str, int]]:
+    """Four named city corpora as word counts; under crisis the affected
+    cities mix in crisis vocabulary at diverging rates."""
     rng = random.Random(seed)
     rates = {"boston": 0.35, "nyc": 0.2, "chicago": 0.05, "miami": 0.0}
-    groups: dict[str, list[TaggedTweet]] = {}
+    groups: dict[str, dict[str, int]] = {}
     for city, rate in rates.items():
         share = rate if crisis else 0.0
         tweets = []
@@ -142,7 +152,7 @@ def city_groups(
                 for _ in range(8)
             ]
             tweets.append(tweet_from_text(f"{city}{i}", " ".join(words)))
-        groups[city] = tweets
+        groups[city] = word_counts(tweets)
     return groups
 
 

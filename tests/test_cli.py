@@ -106,6 +106,23 @@ class TestConfig:
         assert capsys.readouterr().err.splitlines() == [f"error: {key} is not a config key"]
         assert not workspace["out"].exists()
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda doc: doc.update({"cv.repeats": 4}), "top-level key 'cv.repeats'"),
+            (lambda doc: doc.update({"": 4}), "top-level key ''"),
+            (lambda doc: doc["cv"].update({"re.peats": 4}), "cv key 're.peats'"),
+        ],
+        ids=["dotted", "empty", "dotted-in-section"],
+    )
+    def test_unknown_key_that_reads_as_another_is_quoted(self, workspace, capsys, edit, key):
+        doc = read_json(workspace["config"])
+        edit(doc)
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        assert run(workspace, "partition") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {key} is not a config key"]
+        assert not workspace["out"].exists()
+
     @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--output-dir", "{root}/elsewhere")])
     def test_no_flag_overrides_the_config(self, workspace, capsys, flag, value):
         value = value.format(root=workspace["root"])
@@ -1340,6 +1357,69 @@ class TestCloudMemory:
         small, small_additions = peak(n)
         large, large_additions = peak(8 * n)
         assert large_additions == 8 * small_additions > 0
+        assert large <= small + self.SLACK_BYTES, (small, large)
+
+
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCountingStagesMemory:
+    # divergence and cloud count each tagged tweet's words as it is read and
+    # keep no tweet, so growing their input 8x under fresh ids (the texts, and
+    # so the counts, stay put) may add only this much to the tracemalloc peak,
+    # beyond what divergence's duplicate-id set needs. The difference read
+    # -62 to +115 KB, the most in cloud, where CPython's tuple free lists
+    # refill; holding every selected tweet added 3.4 to 4.8 MB.
+    SLACK_BYTES = 256 * 1024
+
+    @pytest.mark.parametrize("mode", ["hourly", "regional"])
+    def test_divergence_peak_grows_only_by_the_id_set(self, workspace, mode):
+        from synthdata import hourly_shift_tweets
+
+        if mode == "hourly":
+            base = hourly_shift_tweets(seed=1, tweets_per_hour=10)
+        else:
+            base = [json.loads(line) for line in read_lines(workspace["corpus"])]
+        config = load_config(workspace["config"])
+        n = 1000
+
+        def peak(size):
+            _write_records(config.input, [dict(base[i % len(base)], id=f"r{i}") for i in range(size)])
+            return _peak_bytes(lambda: cli.cmd_divergence(config, mode))
+
+        def id_set(size):
+            return _peak_bytes(lambda: {f"r{i}" for i in range(size)})
+
+        cli.cmd_divergence(config, mode)  # one-off allocations
+        small, large = peak(n), peak(8 * n)
+        ids_growth = id_set(8 * n) - id_set(n)
+        assert large <= small + ids_growth + self.SLACK_BYTES, (small, large, ids_growth)
+
+    def test_cloud_peak_does_not_grow_with_the_ir_partition(self, workspace):
+        run(workspace, "partition")
+        run(workspace, "train")
+        config = load_config(workspace["config"])
+        model_path = config.output_dir / "model.json"
+        ir_path = config.partitions_dir() / cli.PARTITION_FILES[cli.PartitionLabel.IR]
+        ir = [json.loads(line) for line in read_lines(ir_path)]
+        n = 8 * len(ir)
+
+        def peak(size):
+            _write_records(ir_path, [dict(ir[i % len(ir)], id=f"g{i}") for i in range(size)])
+            summary = {}
+            top = _peak_bytes(lambda: summary.update(cli.cmd_cloud(config, model_path, 10)))
+            assert summary["geotagged_ir"] == size
+            return top
+
+        cli.cmd_cloud(config, model_path, 10)  # one-off allocations
+        small, large = peak(n), peak(8 * n)
         assert large <= small + self.SLACK_BYTES, (small, large)
 
 

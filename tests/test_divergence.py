@@ -14,7 +14,7 @@ from crisislang.divergence import (
 )
 from crisislang.ingest import write_csv
 from oracles import jsd_brute
-from synthdata import tweet_from_text
+from synthdata import tweet_from_text, word_counts
 
 
 def dist(**probs):
@@ -24,17 +24,17 @@ def dist(**probs):
 class TestWordDistribution:
     def test_relative_frequencies(self):
         tweets = [tweet_from_text("1", "a b"), tweet_from_text("2", "a")]
-        d = word_distribution(tweets)
+        d = word_distribution(word_counts(tweets))
         assert d == {"a": 2 / 3, "b": 1 / 3}
         assert len(d) == 2
 
     def test_single_token(self):
-        d = word_distribution([tweet_from_text("1", "x")])
+        d = word_distribution(word_counts([tweet_from_text("1", "x")]))
         assert d == {"x": 1.0}
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            word_distribution([])
+            word_distribution(word_counts([]))
 
     def test_probabilities_sum_to_one(self):
         rng = random.Random(4)
@@ -42,7 +42,7 @@ class TestWordDistribution:
             tweet_from_text(str(i), " ".join(rng.choice("abcde") for _ in range(8)))
             for i in range(20)
         ]
-        d = word_distribution(tweets)
+        d = word_distribution(word_counts(tweets))
         assert sum(d.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(p > 0 for p in d.values())
 
@@ -160,20 +160,22 @@ class TestPairwiseMatrix:
 
 class TestHourlyMatrix:
     def test_single_hour_is_one_by_one_zero(self):
-        matrix, warnings = hourly_divergence_matrix({10: [tweet_from_text("1", "a b c")]})
+        buckets = {10: word_counts([tweet_from_text("1", "a b c")])}
+        matrix, warnings = hourly_divergence_matrix(buckets)
         assert matrix.labels == ["10:00"]
         assert matrix.values == [[0.0]]
 
     def test_identical_hours_zero_off_diagonal(self):
         buckets = {
-            10: [tweet_from_text("1", "same words here")],
-            11: [tweet_from_text("2", "same words here")],
+            10: word_counts([tweet_from_text("1", "same words here")]),
+            11: word_counts([tweet_from_text("2", "same words here")]),
         }
         matrix, _ = hourly_divergence_matrix(buckets)
         assert matrix.values[0][1] == 0.0
 
     def test_empty_hour_dropped_with_warning(self):
-        matrix, warnings = hourly_divergence_matrix({10: [tweet_from_text("1", "a b")], 11: []})
+        buckets = {10: word_counts([tweet_from_text("1", "a b")]), 11: word_counts([])}
+        matrix, warnings = hourly_divergence_matrix(buckets)
         assert matrix.labels == ["10:00"]
         assert any("11:00" in w for w in warnings)
 
@@ -183,14 +185,14 @@ class TestHourlyMatrix:
 
     def test_no_tokens_anywhere_rejected(self):
         with pytest.raises(ValueError):
-            hourly_divergence_matrix({10: [], 11: []})
+            hourly_divergence_matrix({10: word_counts([]), 11: word_counts([])})
 
 
 class TestRegionalMatrix:
     def test_identical_groups_zero(self):
         groups = {
-            "boston": [tweet_from_text("1", "same text")],
-            "nyc": [tweet_from_text("2", "same text")],
+            "boston": word_counts([tweet_from_text("1", "same text")]),
+            "nyc": word_counts([tweet_from_text("2", "same text")]),
         }
         matrix, warnings = regional_divergence_matrix(groups)
         assert matrix.values[0][1] == 0.0
@@ -198,8 +200,8 @@ class TestRegionalMatrix:
 
     def test_empty_group_dropped(self):
         groups = {
-            "boston": [tweet_from_text("1", "words here")],
-            "ghost": [],
+            "boston": word_counts([tweet_from_text("1", "words here")]),
+            "ghost": word_counts([]),
         }
         matrix, warnings = regional_divergence_matrix(groups)
         assert matrix.labels == ["boston"]
@@ -208,10 +210,10 @@ class TestRegionalMatrix:
     def test_symmetry_and_diagonal_asserted(self):
         rng = random.Random(19)
         groups = {
-            name: [
+            name: word_counts([
                 tweet_from_text(f"{name}{i}", " ".join(rng.choice("abcdef") for _ in range(6)))
                 for i in range(10)
-            ]
+            ])
             for name in ("a", "b", "c")
         }
         matrix, _ = regional_divergence_matrix(groups)

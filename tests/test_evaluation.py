@@ -22,7 +22,7 @@ from crisislang.ingest import write_csv
 from crisislang.model import IR, OR, nb_counts, predict_nb, select_all_baseline
 from crisislang.text import attach_tags
 from oracles import auc_pairwise, confusion_metrics, reference_train_naive_bayes
-from synthdata import separable_labeled_set, tagged_labeled_set, tweet_from_text
+from synthdata import separable_labeled_set, tagged_labeled_set, tweet_from_text, word_counts
 
 U = [FeatureClass.UNIGRAM]
 ALL = list(FeatureClass)
@@ -693,12 +693,12 @@ class TestReferenceEquality:
 class TestBigramCloud:
     def test_dominant_bigram_first(self):
         tweets = [tweet_from_text("1", "in boston now"), tweet_from_text("2", "in boston")]
-        cloud = bigram_cloud(tweets, 10)
+        cloud = bigram_cloud(word_counts(tweets, 2), 10)
         assert cloud[0] == ("in boston", 2)
 
     def test_ties_lexicographic(self):
         tweets = [tweet_from_text("1", "b a"), tweet_from_text("2", "a b")]
-        assert bigram_cloud(tweets, 2) == [("a b", 1), ("b a", 1)]
+        assert bigram_cloud(word_counts(tweets, 2), 2) == [("a b", 1), ("b a", 1)]
 
     def test_k_zero_rejected(self):
         for k in (0, -1):
@@ -706,4 +706,4 @@ class TestBigramCloud:
                 bigram_cloud([], k)
 
     def test_fewer_than_k(self):
-        assert bigram_cloud([tweet_from_text("1", "a b")], 10) == [("a b", 1)]
+        assert bigram_cloud(word_counts([tweet_from_text("1", "a b")], 2), 10) == [("a b", 1)]

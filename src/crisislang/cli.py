@@ -280,14 +280,17 @@ def _tagged(
     tweets: Iterable[RawTweet],
     skips: Skips,
     classes: Sequence[FeatureClass],
-    fallback: bool,
+    fallback: bool = False,
 ) -> Iterator[tuple[RawTweet, TaggedTweet]]:
-    """Each tweet with its tags, lazily, with fallback ARK tags if fallback. A
-    tweet whose tag layers are misaligned, that has no tokens, or that lacks a
-    layer one of classes needs goes into skips instead. Raises ConfigError at
-    the end when some tweets lacked layers and none was usable."""
+    """Each tweet with its tags, lazily; every stage tags through here. With
+    fallback, a tweet without ARK tags gets fallback ones if one of classes
+    reads the ARK layer, or if classes is empty (the caller picks its classes
+    after tagging). A tweet whose tag layers are misaligned, that has no tokens,
+    or that lacks a layer one of classes needs goes into skips instead. Raises
+    ConfigError at the end when some tweets lacked layers and none was usable."""
     from crisislang import text as txt
 
+    fallback = fallback and (not classes or any(c.layer == "ark" for c in classes))
     lacking = usable = False
     for tweet in tweets:
         try:
@@ -429,7 +432,7 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
                 homes[tweet.id] = names
                 yield tweet
 
-    for tweet, tagged in _tagged(selected(), skips, (), False):
+    for tweet, tagged in _tagged(selected(), skips, ()):
         for name in homes.pop(tweet.id):
             count_ngrams(groups[name], "", tagged.words, 1)
     matrix, warnings = build(groups)
@@ -570,7 +573,7 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     counts: dict[str, int] = {}  # the IR bigrams, then the model's additions' too
     tally = dict.fromkeys(("geotagged_ir", "model_additions"), 0)
     ir = _partition_tweets(config, PARTITION_FILES[PartitionLabel.IR], skips)
-    for _, tagged in _tagged(ir, skips, (), False):
+    for _, tagged in _tagged(ir, skips, ()):
         tally["geotagged_ir"] += 1
         count_ngrams(counts, "", tagged.words, 2)
     geotagged_cloud = ev.bigram_cloud(counts, k)
@@ -594,19 +597,15 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
 
 
 def cmd_tag(config: RunConfig, input_path: Path | None, output_path: Path | None) -> dict:
-    from crisislang import text as txt
-
     source = input_path if input_path is not None else config.input
     target = output_path if output_path is not None else config.output_dir / "tagged.jsonl"
     tally = {"newly_tagged": 0}
 
     def filled(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
-        for tweet in tweets:
+        for tweet, tagged in _tagged(tweets, skips, (), True):
             if tweet.ark_tags is None:
                 tally["newly_tagged"] += 1
-                tweet = tweet._replace(
-                    ark_tags=tuple(txt.fallback_ark_tags(txt.tokenize(tweet.text)))
-                )
+                tweet = tweet._replace(ark_tags=tagged.ark)
             yield tweet_to_record(tweet)
 
     return _stream(source, target, tally, filled)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -1688,6 +1689,70 @@ class TestTaggingGate:
         ]
 
 
+# The stages that tag through the gate with the classes they vectorize.
+CLASS_GATED_STAGES = ["train", "single", "imbalance", "top-features", "classify", "cloud"]
+
+
+class TestFallbackTags:
+    """A stage that gates on its classes applies fallback ARK tags only when
+    one of them reads the ARK layer; no output byte depends on it."""
+
+    @staticmethod
+    def _outputs(workspace):
+        out = workspace["out"]
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize(
+        "classes", [["UNIGRAM", "BIGRAM"], ["UNIGRAM", "CRISIS_SENSITIVE"]], ids=["words", "ark"]
+    )
+    @pytest.mark.parametrize("stage", CLASS_GATED_STAGES)
+    def test_fallback_only_for_classes_that_read_ark(self, workspace, monkeypatch, stage, classes):
+        from crisislang import text
+
+        _set_classes(workspace, classes)
+        assert run(workspace, "partition") == 0
+        if stage in ("classify", "cloud"):
+            assert run(workspace, "train") == 0
+        argv = ["classify", "--model", "MODEL"] if stage == "classify" else GATED_STAGES[stage]
+        model = str(workspace["out"] / "model.json")
+        argv = [model if arg == "MODEL" else arg for arg in argv]
+        fallback_ark_tags, tag_raw_tweet = text.fallback_ark_tags, text.tag_raw_tweet
+        calls = []
+
+        def counted(tokens):
+            calls.append(tokens)
+            return fallback_ark_tags(tokens)
+
+        monkeypatch.setattr(text, "fallback_ark_tags", counted)
+        assert run(workspace, *argv) == 0
+        assert bool(calls) == ("CRISIS_SENSITIVE" in classes)
+        outputs = self._outputs(workspace)
+
+        def forced(tweet, use_fallback=False):
+            return tag_raw_tweet(tweet, use_fallback=True)
+
+        monkeypatch.setattr(text, "tag_raw_tweet", forced)
+        assert run(workspace, *argv) == 0
+        assert self._outputs(workspace) == outputs
+
+
+def test_cli_tags_only_through_the_gate():
+    """In cli only _tagged names tag_raw_tweet, and nothing names tokenize
+    or fallback_ark_tags: every stage tags a tweet through the one gate."""
+    path = Path(__file__).resolve().parents[1] / "src" / "crisislang" / "cli.py"
+    namers: dict[str, set[str]] = {}
+    for top in ast.parse(path.read_bytes(), path.name).body:
+        where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name.rpartition(".")[2] for alias in node.names]
+            for name in names:
+                if name in ("tag_raw_tweet", "tokenize", "fallback_ark_tags"):
+                    namers.setdefault(name, set()).add(where)
+    assert namers == {"tag_raw_tweet": {"_tagged"}}
+
+
 class TestTagAndVectors:
     def test_tag_fills_missing_ark(self, workspace):
         assert run(workspace, "tag") == 0
@@ -1706,6 +1771,24 @@ class TestTagAndVectors:
         assert run(workspace, "tag", "--input", str(src)) == 0
         rows = [json.loads(l) for l in read_lines(workspace["out"] / "tagged.jsonl")]
         assert rows[0]["ark_tags"] == ["P", "^"]
+
+    def test_tag_skips_the_records_every_stage_skips(self, workspace, tmp_path):
+        records = [
+            {"id": "a1", "text": "safe at home", "created_at": AT, "ptb_tags": ["NN"]},
+            {"id": "a2", "text": " \t ", "created_at": AT},
+            {"id": "a3", "text": "stay safe", "created_at": AT},
+        ]
+        source = _write_records(tmp_path / "three.jsonl", records)
+        assert run(workspace, "tag", "--input", str(source)) == 0
+        rows = [json.loads(l) for l in read_lines(workspace["out"] / "tagged.jsonl")]
+        assert [(r["id"], r["ark_tags"]) for r in rows] == [("a3", ["V", "A"])]
+        summary = read_json(workspace["out"] / "tag_summary.json")
+        assert (summary["total"], summary["skipped"], summary["newly_tagged"]) == (3, 2, 1)
+        assert summary["warnings"] == [
+            "tweet 'a1': ptb_tags has 1 tags for 3 tokens", "tweet a2: no tokens"
+        ]
+        assert run(workspace, "vectors", "--input", str(source)) == 0
+        assert read_json(workspace["out"] / "vectors_summary.json")["warnings"] == summary["warnings"]
 
     def test_vectors_emitted(self, workspace):
         assert run(workspace, "vectors") == 0

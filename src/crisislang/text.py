@@ -9,12 +9,16 @@ External taggers are out of scope. Corpora may carry pre-computed ARK, PTB,
 and IOB chunk layers; for untagged desk-scale data the rule-based fallback
 produces ARK-style tags only.
 
-Both ``tokenize`` and ``fallback_ark_tags`` take a fast path for the common
-plain token, with unchanged output. A whitespace piece that is alphanumeric
-holds no punctuation, sigil or URL prefix, so it is one token, lowercased.
-The tagger looks every token up in one merged lexicon first and sends an
-alphabetic miss straight to the suffix rules; only the rest go through the
-sigil, URL, punctuation and number checks.
+Both ``tokenize`` and ``fallback_ark_tags`` memoize their per-item work,
+because tweets repeat the same pieces and tokens. ``tokenize`` keys a dict
+by whitespace piece and stores the piece's tokens as a tuple; the tagger
+keys a dict by token and stores its tag, a string. An alphanumeric piece
+skips the memo: it holds no punctuation, sigil or URL prefix, so it is one
+token, lowercased, which costs less than a lookup. Each memo is
+process-wide and holds at most ``MEMO_ENTRIES`` (1,024) entries: it is
+emptied when an insert finds it full, so no input, not even one long text,
+can grow it further. Stored values are immutable and both functions return
+a fresh list, so a caller that mutates its result changes no later call.
 
 A tagged tweet is stored by column, not by token: ``words`` holds the tokens
 and ``ark``, ``ptb`` and ``chunk`` hold one tag per token each, as parallel
@@ -132,30 +136,47 @@ def _split_piece(piece: str) -> list[str]:
     return out
 
 
+# The bound on each memo below; an insert that finds a memo full empties it.
+MEMO_ENTRIES = 1024
+
+_PIECE_TOKENS: dict[str, tuple[str, ...]] = {}
+_TOKEN_TAGS: dict[str, str] = {}
+
+
+def _piece_tokens(piece: str) -> tuple[str, ...]:
+    """The tokens of one whitespace piece that is not alphanumeric."""
+    if _URL_RE.match(piece):
+        return (piece,)  # URLs verbatim, case preserved
+    piece = piece.lower()
+    if _SIGIL_RE.match(piece):
+        # Keep the @/# sigil attached; peel only trailing punctuation.
+        j = len(piece) - 1
+        trailing: list[str] = []
+        while j > 1 and _is_punct(piece[j]):
+            trailing.append(piece[j])
+            j -= 1
+        return (piece[: j + 1], *reversed(trailing))
+    return tuple(_split_piece(piece))
+
+
 def tokenize(text: str) -> list[str]:
     """Deterministic, lowercasing tokenization of one message."""
     tokens: list[str] = []
+    memo = _PIECE_TOKENS
     for piece in text.split():
         if piece.isalnum():
             # No alphanumeric character is punctuation, '@' or '#', nor does
-            # one lowercase to any, so the piece is one token.
+            # one lowercase to any, so the piece is one token. Lowercasing it
+            # costs less than a memo lookup.
             tokens.append(piece.lower())
             continue
-        if _URL_RE.match(piece):
-            tokens.append(piece)  # URLs verbatim, case preserved
-            continue
-        piece = piece.lower()
-        if _SIGIL_RE.match(piece):
-            # Keep the @/# sigil attached; peel only trailing punctuation.
-            j = len(piece) - 1
-            trailing: list[str] = []
-            while j > 1 and _is_punct(piece[j]):
-                trailing.append(piece[j])
-                j -= 1
-            tokens.append(piece[: j + 1])
-            tokens.extend(reversed(trailing))
-            continue
-        tokens.extend(_split_piece(piece))
+        piece_tokens = memo.get(piece)
+        if piece_tokens is None:
+            piece_tokens = _piece_tokens(piece)
+            if len(memo) >= MEMO_ENTRIES:
+                memo.clear()
+            memo[piece] = piece_tokens
+        tokens += piece_tokens
     return tokens
 
 
@@ -233,7 +254,17 @@ def _fallback_tag(token: str) -> str:
 
 def fallback_ark_tags(tokens: list[str]) -> list[str]:
     """Rule-based ARK-style tag per token; deterministic, list-driven."""
-    return [_fallback_tag(token) for token in tokens]
+    tags: list[str] = []
+    memo = _TOKEN_TAGS
+    for token in tokens:
+        tag = memo.get(token)
+        if tag is None:
+            tag = _fallback_tag(token)
+            if len(memo) >= MEMO_ENTRIES:
+                memo.clear()
+            memo[token] = tag
+        tags.append(tag)
+    return tags
 
 
 def tag_raw_tweet(tweet: RawTweet, use_fallback: bool = False) -> TaggedTweet:

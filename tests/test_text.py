@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crisislang import text as text_module
 from crisislang.text import (
     ADJECTIVE_LEXICON,
     ADVERB_LEXICON,
@@ -247,3 +248,125 @@ class TestReferenceEquality:
             for c in ch + ch.lower():
                 assert not unicodedata.category(c).startswith("P"), hex(cp)
                 assert c not in "@#", hex(cp)
+
+
+_ANY_WORD = st.one_of(_WORD, st.sampled_from(LEXICON_WORDS))
+_URL = st.tuples(
+    st.sampled_from(["hTtP://", "HTTPS://", "Www.", "http://T.co/"]),
+    st.text(st.characters(categories=["L", "N"]), max_size=6),
+    st.sampled_from(["", "!", "\u2026"]),
+).map("".join)
+
+# Pieces for the memo: the reference-equality pieces plus the ones whose
+# tokens or tags a stale or shared memo entry would most likely get wrong.
+_MEMO_PIECES = st.one_of(
+    _PIECES,
+    # Unicode punctuation on either side of a word.
+    st.tuples(
+        st.sampled_from(["\u00bf", "\u00a1", "\u2026", "\u00ab", "\u00ab\u00bb", ""]),
+        _ANY_WORD,
+        st.sampled_from(["?", "\u2026", "\u00bb", "\u00ab\u00bb", "!", ""]),
+    ).map("".join),
+    # URLs in mixed case, which stay as they are.
+    _URL,
+    # Sigils with trailing punctuation.
+    st.tuples(
+        st.sampled_from("@#"), _ANY_WORD, st.sampled_from(["!", "?!", ".\u2026", "\u00bb"])
+    ).map("".join),
+    # The same word or URL in several cases, as separate pieces.
+    st.one_of(_ANY_WORD, _URL).map(
+        lambda w: " ".join([w, w.lower(), w.upper(), w.title(), w.upper() + "!"])
+    ),
+    # Alphanumeric pieces that lowercase to something that is not.
+    st.tuples(st.sampled_from(["\u0130", "\u0130\u0130"]), _WORD, _PUNCT).map("".join),
+    st.sampled_from(
+        ["\u0130stanbul", "\u0130STANBUL!", "#\u0130stanbul", "\u00ab\u0130stanbul\u00bb"]
+    ),
+)
+# A text repeats pieces from a small pool, so later pieces hit the memo.
+_MEMO_TEXTS = (
+    st.lists(_MEMO_PIECES, min_size=1, max_size=6)
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=16))
+    .map(" ".join)
+)
+
+
+def _clear_memos():
+    text_module._PIECE_TOKENS.clear()
+    text_module._TOKEN_TAGS.clear()
+
+
+def _push_distinct(n):
+    """Send n new non-alphanumeric pieces, each one token, through both memos."""
+    fillers = [f"~{i}~" for i in range(n)]
+    assert tokenize(" ".join(fillers)) == fillers
+    fallback_ark_tags(fillers)
+
+
+class _Watched(dict):
+    """A memo stand-in that records its largest size after any insert."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+class TestMemo:
+    """tokenize and fallback_ark_tags memoize per piece and per token; the
+    memos must never change a result and never outgrow MEMO_ENTRIES."""
+
+    @staticmethod
+    def _check(text):
+        tokens = tokenize(text)
+        assert tokens == reference_tokenize(text)
+        assert fallback_ark_tags(tokens) == reference_fallback_ark_tags(tokens)
+        pieces = text.split()
+        assert fallback_ark_tags(pieces) == reference_fallback_ark_tags(pieces)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_MEMO_TEXTS)
+    def test_cold_warm_and_cleared_memo_match_reference(self, text):
+        _clear_memos()
+        self._check(text)  # cold
+        self._check(text)  # warm: every memo lookup hits
+        # Fill both memos to the bound, so the next miss empties them mid-text.
+        bound = text_module.MEMO_ENTRIES
+        _push_distinct(bound - len(text_module._PIECE_TOKENS))
+        fallback_ark_tags([f"~~{i}" for i in range(bound - len(text_module._TOKEN_TAGS))])
+        self._check(text)
+        # More than MEMO_ENTRIES distinct pieces later, the memos were emptied.
+        _push_distinct(bound + 1)
+        self._check(text)
+        self._check(text)
+
+    def test_mutating_a_result_changes_no_later_call(self):
+        text = "Explosion!! near @User #Boston\u2026 http://t.co/AbC \u00bfqu\u00e9? safe safe"
+        tokens = tokenize(text)
+        tags = fallback_ark_tags(tokens)
+        first_tokens, first_tags = list(tokens), list(tags)
+        for result in (tokens, tags):
+            result.reverse()
+            result[0] = "mutated"
+            result.append("extra")
+        assert tokenize(text) == first_tokens == reference_tokenize(text)
+        assert fallback_ark_tags(first_tokens) == first_tags
+        assert all(type(v) is tuple for v in text_module._PIECE_TOKENS.values())
+        assert all(type(v) is str for v in text_module._TOKEN_TAGS.values())
+
+    def test_memos_stay_bounded_within_one_call(self, monkeypatch):
+        pieces_memo, tags_memo = _Watched(), _Watched()
+        monkeypatch.setattr(text_module, "_PIECE_TOKENS", pieces_memo)
+        monkeypatch.setattr(text_module, "_TOKEN_TAGS", tags_memo)
+        bound = text_module.MEMO_ENTRIES
+        # Each piece is new and not alphanumeric, and it has one new token.
+        text = " ".join(f"w{i}." for i in range(10 * bound))
+        tokens = tokenize(text)
+        tags = fallback_ark_tags(tokens)
+        assert len(tokens) == 2 * 10 * bound
+        assert tokens == reference_tokenize(text)
+        assert tags == reference_fallback_ark_tags(tokens)
+        for memo in (pieces_memo, tags_memo):
+            assert memo.most == bound  # filled, and emptied rather than grown
+            assert 0 < len(memo) <= bound

@@ -429,6 +429,7 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
     def selected() -> Iterator[RawTweet]:
         for tweet in iter_corpus(config.input, skips):
             if names := groups_of(tweet):
+                homes.clear()  # _tagged skipped the one before, if it is still here
                 homes[tweet.id] = names
                 yield tweet
 

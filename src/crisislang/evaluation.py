@@ -2,11 +2,11 @@
 IR-perspective metrics, rank-based ROC AUC, the class-imbalance sweep, and
 the exhaustive search over the 63 feature-class combinations.
 
-No NB model is fitted here: CV, the subset search and the sweep all score
-held-out tweets through _held_out_scores, which subtracts the held-out side
-from counts taken once over the whole set. All randomness is derived from
-explicit integer seeds; repeat i of a cross-validation run uses seed + i, so
-each reading is individually reproducible.
+No NB model is fitted here: CV and the sweep score their classes as one
+vectorize column, the search one per class, and all score held-out rows
+through _held_out_scores, which subtracts them from counts taken once over
+the whole set. Randomness comes only from integer seeds; repeat i of a CV
+run uses seed + i, so each reading is individually reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from crisislang.features import (
     FeatureId,
     FeatureVector,
     K_RANGE,
-    MissingLayerError,
     REPEATS_RANGE,
     checked,
     missing_classes,
@@ -167,21 +166,6 @@ class CvReport:
         ]
 
 
-def _vectorize_by_class(
-    data: Sequence[LabeledTweet], classes: Sequence[FeatureClass]
-) -> list[list[FeatureVector]]:
-    """One vector per class per tweet, raising what vectorize(tweet, classes) would."""
-    if not classes:
-        raise ValueError("at least one feature class is required")
-    rows = []
-    for tweet, _ in data:
-        absent = missing_classes(tweet, classes)
-        if absent:
-            raise MissingLayerError(tweet.tweet_id, absent)
-        rows.append([vectorize(tweet, [cls]) for cls in classes])
-    return rows
-
-
 def _held_out_scores(
     whole: Sequence[tuple[dict[FeatureId, list[int]], list[int], list[int]]],
     rows: Sequence[Sequence[FeatureVector]],
@@ -192,9 +176,9 @@ def _held_out_scores(
 ) -> list[list[float]]:
     """Per subset of columns (index tuples), each held-out row's NB margin
     under a model of the other rows: predict_nb's score after
-    train_naive_bayes, bit for bit. whole[k] is nb_counts of column k over all
-    rows; training counts are it minus the held-out rows'. Column ids are
-    disjoint, so a subset's model is its columns' union. alpha comes checked.
+    train_naive_bayes on the union of the subset's columns, bit for bit
+    (column ids are disjoint). whole[k] is column k's nb_counts over all
+    rows; training counts are it minus the held-out rows'. alpha comes checked.
     """
     # A held-out feature's term depends only on its count in the row, its
     # training (n_IR, n_OR) pair and the subset's denominators. Per column,
@@ -264,28 +248,26 @@ def _held_out_scores(
 
 
 def _subset_readings(
-    data: Sequence[LabeledTweet],
-    classes: Sequence[FeatureClass],
+    rows: Sequence[Sequence[FeatureVector]],
+    labels: Sequence[str],
     subsets: Sequence[tuple[int, ...]],
     repeats: int,
     folds: int,
     seed: int,
     alpha: float,
 ) -> list[CvReport]:
-    """Repeated stratified CV of NB on every subset of classes (index tuples
-    into classes), each fold scored by _held_out_scores from one whole-set
-    count per class, which is folds / (folds - 1) times a fold's training side.
-    One report per subset, carrying the repeats and folds checked here."""
+    """Repeated stratified CV of NB on every subset of the rows' columns
+    (index tuples), each fold scored by _held_out_scores from one whole-set
+    count per column, which is folds / (folds - 1) times a fold's training
+    side. One report per subset, carrying the repeats and folds checked here."""
     folds = checked(folds, int, "folds", *FOLDS_RANGE)
-    labels = [label for _, label in data]
     label_counts = Counter(labels)
     if max(label_counts.values(), default=0) < folds:  # each fold gets one of the largest label
         n_ir, n_or = label_counts[IR], label_counts[OR]
-        raise ValueError(f"{len(data)} instances ({n_ir} IR, {n_or} OR) cannot fill {folds} folds")
-    rows = _vectorize_by_class(data, classes)
+        raise ValueError(f"{len(rows)} instances ({n_ir} IR, {n_or} OR) cannot fill {folds} folds")
     repeats = checked(repeats, int, "repeats", *REPEATS_RANGE)
     alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
-    whole = [nb_counts(zip((row[k] for row in rows), labels)) for k in range(len(classes))]
+    whole = [nb_counts(zip((row[k] for row in rows), labels)) for k in range(len(rows[0]))]
     readings: list[list[Metrics]] = [[] for _ in subsets]
     for repeat in range(repeats):
         rng = random.Random(seed + repeat)
@@ -310,15 +292,14 @@ def cross_validate(
     seed: int = 0,
     alpha: float = 1.0,
 ) -> CvReport:
-    """Repeated stratified k-fold CV of the NB classifier.
+    """Repeated stratified k-fold CV of NB, the classes scored as one column.
 
     Each repeat reshuffles with seed + repeat index; the report carries
     repeats x folds readings plus their arithmetic mean.
     """
-    classes = list(dict.fromkeys(classes))
-    return _subset_readings(
-        data, classes, [tuple(range(len(classes)))], repeats, folds, seed, alpha
-    )[0]
+    rows = [[vectorize(tweet, classes)] for tweet, _ in data]
+    labels = [label for _, label in data]
+    return _subset_readings(rows, labels, [(0,)], repeats, folds, seed, alpha)[0]
 
 
 def roc_auc(scores: Sequence[float], truth: Sequence[str]) -> float:
@@ -390,27 +371,27 @@ def imbalance_sweep(
     """
     if not ratios:
         raise ValueError("at least one ratio is required")
-    ir_vectors = [vectorize(t, classes) for t in ir]
-    or_vectors = [vectorize(t, classes) for t in or_pool]
+    ir_rows = [[vectorize(t, classes)] for t in ir]
+    or_rows = [[vectorize(t, classes)] for t in or_pool]
     aucs: list[float] = []
     for step, ratio in enumerate(ratios):
         if not 0.0 < ratio < 1.0:
             raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-        n_total = min(int(len(ir_vectors) / ratio), int(len(or_vectors) / (1.0 - ratio)))
-        k_ir = min(round(n_total * ratio), len(ir_vectors))
-        k_or = min(n_total - k_ir, len(or_vectors))
+        n_total = min(int(len(ir_rows) / ratio), int(len(or_rows) / (1.0 - ratio)))
+        k_ir = min(round(n_total * ratio), len(ir_rows))
+        k_or = min(n_total - k_ir, len(or_rows))
         if k_ir < 2 or k_or < 2:
             raise ValueError(
-                f"ratio {ratio} infeasible for pools of {len(ir_vectors)} IR / "
-                f"{len(or_vectors)} OR tweets"
+                f"ratio {ratio} infeasible for pools of {len(ir_rows)} IR / "
+                f"{len(or_rows)} OR tweets"
             )
         rng = random.Random(seed * 1000003 + step)
-        sample = rng.sample(ir_vectors, k_ir) + rng.sample(or_vectors, k_or)
+        sample = rng.sample(ir_rows, k_ir) + rng.sample(or_rows, k_or)
         labels = [IR] * k_ir + [OR] * k_or
         test = _test_split({IR: range(k_ir), OR: range(k_ir, len(sample))}, TEST_FRACTION, rng)
         alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
-        whole = [nb_counts(zip(sample, labels))]
-        [scores] = _held_out_scores(whole, [[v] for v in sample], labels, test, [(0,)], alpha)
+        whole = [nb_counts(zip((v for [v] in sample), labels))]
+        [scores] = _held_out_scores(whole, sample, labels, test, [(0,)], alpha)
         aucs.append(roc_auc(scores, [labels[i] for i in test]))
     return ImbalanceSweep(list(ratios), aucs, sum(aucs) / len(aucs), seed)
 
@@ -464,7 +445,7 @@ def enumerate_combinations(
     All subsets share the same fold seed, so rankings compare like-for-like.
     A class is extractable only when every tweet carries its tag layer;
     anything else is excluded and reported. All subsets are scored from one
-    count per class and fold (_subset_readings).
+    count per class column and fold (_subset_readings).
     """
     available = [
         cls
@@ -478,7 +459,9 @@ def enumerate_combinations(
     for size in range(1, len(available) + 1):
         subsets.extend(itertools.combinations(range(len(available)), size))
 
-    reports = _subset_readings(data, available, subsets, repeats, folds, seed, alpha)
+    rows = [[vectorize(tweet, [cls]) for cls in available] for tweet, _ in data]
+    labels = [label for _, label in data]
+    reports = _subset_readings(rows, labels, subsets, repeats, folds, seed, alpha)
     entries = [
         CombinationEntry(classes=tuple(available[k] for k in subset), report=report)
         for subset, report in zip(subsets, reports)

@@ -1,8 +1,10 @@
+import ast
 import itertools
 import json
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -395,13 +397,13 @@ def reference_readings(data, classes, repeats, folds, seed, alpha=1.0):
     return readings, scores
 
 
-def held_out_margins(data, subsets, repeats, folds, seed, alpha=1.0):
-    """Per subset of all six classes (index tuples), every held-out (tweet id,
-    margin) that evaluation._held_out_scores gives, in reference_readings'
-    order."""
-    rows = evaluation._vectorize_by_class(data, ALL)
+def held_out_margins(data, columns, subsets, repeats, folds, seed, alpha=1.0):
+    """Per subset of columns (index tuples), every held-out (tweet id, margin)
+    that evaluation._held_out_scores gives on rows of one vectorize(tweet,
+    classes) per class list in columns, in reference_readings' order."""
+    rows = [[vectorize(t, classes) for classes in columns] for t, _ in data]
     labels = [label for _, label in data]
-    whole = [nb_counts(zip((row[k] for row in rows), labels)) for k in range(len(ALL))]
+    whole = [nb_counts(zip((row[k] for row in rows), labels)) for k in range(len(columns))]
     margins = [[] for _ in subsets]
     for repeat in range(repeats):
         rng = random.Random(seed + repeat)
@@ -565,12 +567,16 @@ class TestReferenceEquality:
         report = enumerate_combinations(data, seed=3, repeats=3, folds=folds, alpha=alpha)
         assert len(report.entries) == 63
         subsets = [tuple(ALL.index(c) for c in entry.classes) for entry in report.entries]
-        margins = held_out_margins(data, subsets, 3, folds, seed=3, alpha=alpha)
+        columns = [[cls] for cls in ALL]
+        margins = held_out_margins(data, columns, subsets, 3, folds, seed=3, alpha=alpha)
         for entry, subset_margins in zip(report.entries, margins):
             classes = list(entry.classes)
             expected, scores = reference_readings(data, classes, 3, folds, seed=3, alpha=alpha)
             assert entry.report.readings == expected, entry.class_names()
             assert subset_margins == scores, entry.class_names()
+            # The subset's classes as one column, as cross_validate scores them.
+            [one_column] = held_out_margins(data, [classes], [(0,)], 3, folds, seed=3, alpha=alpha)
+            assert one_column == scores, entry.class_names()
             direct = cross_validate(data, classes, repeats=3, folds=folds, seed=3, alpha=alpha)
             assert direct.readings == expected, entry.class_names()
 
@@ -688,6 +694,35 @@ class TestReferenceEquality:
         classes = [FeatureClass.UNIGRAM, FeatureClass.ARK_POS, FeatureClass.PTB_POS]
         with pytest.raises(MissingLayerError, match="ARK_POS, PTB_POS"):
             cross_validate(untagged, classes, folds=2)
+        # The rows are vectorized before folds is checked.
+        with pytest.raises(MissingLayerError, match="ARK_POS, PTB_POS"):
+            cross_validate(untagged, classes, folds=1)
+
+
+def test_rows_are_built_only_through_vectorize():
+    """Only features.vectorize calls a class's extract, and every evaluation
+    function that hands rows to the scorer builds them with vectorize, so
+    vectorize's call count and timings cover every vector the scorer reads."""
+    namers: dict[str, set[str]] = {}  # a name, or .attribute, read -> where
+    for path in sorted(Path(evaluation.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_bytes(), path.name).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else f".{node.attr}"
+                    namers.setdefault(name, set()).add(where)
+    assert namers[".extract"] == {"features.vectorize"}
+    scorers = {"evaluation.cross_validate", "evaluation.imbalance_sweep",
+               "evaluation.enumerate_combinations"}
+    rows_handed = namers["_held_out_scores"] | namers["_subset_readings"]
+    assert rows_handed == scorers | {"evaluation._subset_readings"}
+    assert {w for w in namers["vectorize"] if w.startswith("evaluation.")} == scorers
+    assert not any(
+        w.startswith("evaluation.")
+        for name, where in namers.items()
+        if name.lstrip(".") == "count_ngrams" or name.lstrip(".").startswith("extract")
+        for w in where
+    )
 
 
 class TestBigramCloud:

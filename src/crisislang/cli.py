@@ -287,10 +287,13 @@ def _tagged(
     reads the ARK layer, or if classes is empty (the caller picks its classes
     after tagging). A tweet whose tag layers are misaligned, that has no tokens,
     or that lacks a layer one of classes needs goes into skips instead. Raises
-    ConfigError at the end when some tweets lacked layers and none was usable."""
+    ConfigError at the end when some tweets lacked layers and none was usable.
+    Each tweet is tested only for the distinct layers classes read, found once;
+    missing_classes names the absent classes of a tweet skipped for them."""
     from crisislang import text as txt
 
-    fallback = fallback and (not classes or any(c.layer == "ark" for c in classes))
+    layers = [layer for layer in dict.fromkeys(c.layer for c in classes) if layer is not None]
+    fallback = fallback and (not classes or "ark" in layers)
     lacking = usable = False
     for tweet in tweets:
         try:
@@ -300,9 +303,13 @@ def _tagged(
             continue
         if not tagged.words:
             skips.add(f"tweet {tweet.id}: no tokens")
-        elif absent := missing_classes(tagged, classes):
-            lacking = True
-            skips.add(f"tweet {tweet.id}: missing layers for {','.join(c.value for c in absent)}")
+            continue
+        for layer in layers:
+            if getattr(tagged, layer) is None:
+                lacking = True
+                absent = ",".join(c.value for c in missing_classes(tagged, classes))
+                skips.add(f"tweet {tweet.id}: missing layers for {absent}")
+                break
         else:
             usable = True
             yield tweet, tagged
@@ -318,11 +325,12 @@ def _predicted(
 ) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction]]:
     """Each (tweet, tagged) pair with the model's prediction, lazily.
     Vectorizes and predicts CLASSIFY_BATCH tagged tweets at a time and holds
-    only that batch."""
+    only that batch. The predictor of the model's kind is read once per call."""
     from crisislang import model as mdl
 
+    predict = mdl.predict_nb if isinstance(model, mdl.NaiveBayesModel) else mdl.predict_lr
     while batch := list(islice(tagged, CLASSIFY_BATCH)):
-        predictions = [mdl.predict(model, vectorize(t, classes)) for _, t in batch]
+        predictions = [predict(model, vectorize(t, classes)) for _, t in batch]
         for (tweet, t), prediction in zip(batch, predictions):
             yield tweet, t, prediction
         del batch, predictions  # or both would live on while the next batch is read
@@ -536,7 +544,9 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
                 raise ValueError(f"tweet {tweet.id}: score {p.score} is not finite")
             tally["classified"] += 1
             tally["classified_ir"] += p.label == mdl.IR
-            yield dict(tweet_to_record(tweet), label=p.label, score=p.score)
+            record = tweet_to_record(tweet)
+            record["label"], record["score"] = p.label, p.score
+            yield record
 
     summary = _stream(source, config.output_dir / "classified.jsonl", tally, records)
     return {"model": str(model_path), **summary}

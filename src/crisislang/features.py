@@ -8,8 +8,8 @@ word/tag form, the "in ... <noun>" prepositional pattern, and existential
 
 A feature id is the class-qualified string ``CLASS:key``, the same form the
 model file and vector dumps use, so textually identical keys from different
-classes never collide. Counts are raw frequencies. vectorize checks the tag
-layers, then every class's extractor counts into its one dict. Every n-gram,
+classes never collide. Counts are raw frequencies. vectorize checks each
+class's tag layer and has its extractor count into one dict. Every n-gram,
 of words, tags or chunk labels, is counted by count_ngrams, which the bigram
 clouds and the word distributions of the divergence module use too.
 """
@@ -203,14 +203,10 @@ def split_feature(fid: FeatureId) -> tuple[FeatureClass, str]:
     return cls, key
 
 
-def _has_layer(tweet: TaggedTweet, layer: str | None) -> bool:
-    """Whether the tweet carries the layer (None: the tokens alone). This
-    is the one rule; a tokenless tweet carries each layer it was given."""
-    return layer is None or getattr(tweet, layer) is not None
-
-
 def missing_classes(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> list[FeatureClass]:
-    return [c for c in classes if not _has_layer(tweet, c.layer)]
+    """The classes whose tag layer the tweet lacks (a layer of None is the
+    tokens, always there); a tokenless tweet carries each layer it was given."""
+    return [c for c in classes if c.layer is not None and getattr(tweet, c.layer) is None]
 
 
 def count_ngrams(counts: dict[str, int], prefix: str, seq: Sequence[str], n: int) -> None:
@@ -294,7 +290,7 @@ def _count_crisis_sensitive(tweet: TaggedTweet, counts: FeatureVector) -> None:
     ids are inserted in the order one scan per pattern would insert them.
     """
     words, tags = tweet.words, tweet.ark
-    ptb = tweet.ptb if _has_layer(tweet, "ptb") else None
+    ptb = tweet.ptb
     there_column, there_mark = (words, "there") if ptb is None else (ptb, "EX")
     n_tokens = len(words)
 
@@ -334,7 +330,7 @@ def _count_crisis_sensitive(tweet: TaggedTweet, counts: FeatureVector) -> None:
                 fid = template % words[i : i + width]
                 counts[fid] = counts.get(fid, 0) + 1
 
-    spans = chunk_spans(tweet) if in_at and _has_layer(tweet, "chunk") else None
+    spans = chunk_spans(tweet) if in_at and tweet.chunk is not None else None
     for i in in_at:
         j = i + 1
         while j < n_tokens and tags[j] in ("D", "A"):
@@ -370,7 +366,7 @@ def _ngram_extractor(
     return extract
 
 
-def vectorize(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> FeatureVector:
+def vectorize(tweet: TaggedTweet, classes: Sequence[FeatureClass]) -> FeatureVector:
     """Disjoint union of the requested per-class vectors, counted into one
     dict class by class. A class listed more than once counts once.
 
@@ -379,14 +375,17 @@ def vectorize(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> FeatureVec
     classes ask missing_classes first. A tokenless tweet vectorizes to {} in
     every class whose layer it carries.
     """
-    classes = list(dict.fromkeys(classes))
-    if not classes:
-        raise ValueError("at least one feature class is required")
-    if absent := missing_classes(tweet, classes):
-        raise MissingLayerError(tweet.tweet_id, absent)
     vector: FeatureVector = {}
+    seen: list[FeatureClass] = []
     for cls in classes:
+        if cls in seen:
+            continue
+        if (layer := cls.layer) is not None and getattr(tweet, layer) is None:
+            raise MissingLayerError(tweet.tweet_id, missing_classes(tweet, dict.fromkeys(classes)))
+        seen.append(cls)
         cls.extract(tweet, vector)
+    if not seen:
+        raise ValueError("at least one feature class is required")
     return vector
 
 

@@ -20,8 +20,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 EARTH_RADIUS_KM = 6371.0
 
-TAG_LAYER_FIELDS = ("ark_tags", "ptb_tags", "chunk_tags")
-
 MAX_REPORTED_ERRORS = 20  # skip reasons kept; every skip is still counted
 
 
@@ -321,17 +319,20 @@ def load_corpus(
 
 def tweet_to_record(tweet: RawTweet) -> dict:
     """Canonical JSON-serializable form of a tweet (schema fields only)."""
+    tweet_id, text, created_at, geo, ark_tags, ptb_tags, chunk_tags = tweet
     record: dict = {
-        "id": tweet.id,
-        "text": tweet.text,
-        "created_at": tweet.created_at.isoformat().replace("+00:00", "Z"),
+        "id": tweet_id,
+        "text": text,
+        "created_at": created_at.isoformat().replace("+00:00", "Z"),
     }
-    if tweet.geo is not None:
-        record["geo"] = {"lat": tweet.geo.lat, "lon": tweet.geo.lon}
-    for name in TAG_LAYER_FIELDS:
-        layer = getattr(tweet, name)
-        if layer is not None:
-            record[name] = list(layer)
+    if geo is not None:
+        record["geo"] = {"lat": geo.lat, "lon": geo.lon}
+    if ark_tags is not None:
+        record["ark_tags"] = list(ark_tags)
+    if ptb_tags is not None:
+        record["ptb_tags"] = list(ptb_tags)
+    if chunk_tags is not None:
+        record["chunk_tags"] = list(chunk_tags)
     return record
 
 
@@ -366,12 +367,18 @@ def write_json(path: str | Path, obj: dict) -> str:
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write JSON objects one per line, keys sorted, through atomic_open;
-    ValueError, and path left as it was, if a record holds NaN or an infinity."""
-    # json.dumps would build this encoder again for every record.
-    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    ValueError, and path left as it was, if a record holds NaN or an infinity.
+    JSONEncoder.encode builds its C encoder anew for each record: it is built
+    once here, with the arguments encode passes, and encode runs only without it."""
+    encoder = json.JSONEncoder(sort_keys=True, allow_nan=False)
+    chunks = lambda record, _: (encoder.encode(record),)  # noqa: E731
+    if (make := json.encoder.c_make_encoder) is not None:
+        chunks = make({}, encoder.default, json.encoder.encode_basestring_ascii, encoder.indent,
+                      encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+                      encoder.skipkeys, encoder.allow_nan)
     with atomic_open(path) as handle:
         for record in records:
-            handle.write(encode(record) + "\n")
+            handle.write("".join(chunks(record, 0)) + "\n")
 
 
 def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:

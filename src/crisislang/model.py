@@ -380,9 +380,3 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[NaiveBayesModel | LogisticRegressionModel, list[FeatureClass]]:
     return model_from_dict(json_value(Path(path).read_bytes()))
-
-
-def predict(model: NaiveBayesModel | LogisticRegressionModel, vector: FeatureVector) -> Prediction:
-    if isinstance(model, NaiveBayesModel):
-        return predict_nb(model, vector)
-    return predict_lr(model, vector)

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1758,6 +1760,112 @@ def test_cli_tags_only_through_the_gate():
     assert namers == {"tag_raw_tweet": {"_tagged"}}
 
 
+def _reference_tagged(tweets, skips, classes, fallback=False):
+    """What cli._tagged yields, as a list: its rule written out with
+    missing_classes deciding every tweet's layers."""
+    from crisislang import text
+    from crisislang.features import missing_classes
+
+    fallback = fallback and (not classes or any(c.layer == "ark" for c in classes))
+    lacking = usable = False
+    kept = []
+    for tweet in tweets:
+        try:
+            tagged = text.tag_raw_tweet(tweet, use_fallback=fallback)
+        except text.AlignmentError as exc:
+            skips.add(str(exc))
+            continue
+        if not tagged.words:
+            skips.add(f"tweet {tweet.id}: no tokens")
+        elif absent := missing_classes(tagged, classes):
+            lacking = True
+            skips.add(f"tweet {tweet.id}: missing layers for {','.join(c.value for c in absent)}")
+        else:
+            usable = True
+            kept.append((tweet, tagged))
+    if lacking and not usable:
+        names = ", ".join(c.value for c in classes)
+        raise ConfigError(f"no input tweet carries the tag layers the model needs ({names})")
+    return kept
+
+
+@st.composite
+def _gate_tweets(draw):
+    """A raw tweet, tokenless now and then, whose ark, ptb and chunk layers
+    are each absent, aligned with its tokens or one tag too long."""
+    from datetime import datetime, timezone
+
+    from crisislang.ingest import RawTweet
+
+    words = draw(st.lists(st.sampled_from(["in", "boston", "there", "is", "fire", "!"]), max_size=5))
+    text = " ".join(words) or draw(st.sampled_from([" ", "\t\n"]))
+    n_tokens = len(tokenize(text))
+    layers = []
+    for tags in (["N", "P", "V", "!"], ["NN", "IN", "EX", "VBZ"], ["B-NP", "I-NP", "B-PP", "O"]):
+        shape = draw(st.sampled_from(["absent", "aligned", "aligned", "long"]))
+        size = n_tokens + (shape == "long")
+        layer = draw(st.lists(st.sampled_from(tags), min_size=size, max_size=size))
+        layers.append(None if shape == "absent" else tuple(layer))
+    tweet_id = f"t{draw(st.integers(0, 10**6))}"
+    return RawTweet(tweet_id, text, datetime(2013, 4, 15, 20, tzinfo=timezone.utc), None, *layers)
+
+
+class TestTaggedFastPath:
+    """_tagged tests each tweet only for the distinct layers its classes read;
+    it yields and skips exactly what missing_classes decides, in the same
+    words, and raises the same ConfigError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tweets=st.lists(_gate_tweets(), max_size=6),
+        classes=st.lists(st.sampled_from(list(cli.FeatureClass)), max_size=5),
+        fallback=st.booleans(),
+    )
+    @example(tweets=[], classes=[cli.FeatureClass.UNIGRAM, cli.FeatureClass.BIGRAM], fallback=True)
+    def test_yields_and_skips_what_missing_classes_decides(self, tweets, classes, fallback):
+        got_skips, want_skips = cli.Skips(), cli.Skips()
+        try:
+            want = _reference_tagged(tweets, want_skips, classes, fallback)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                list(cli._tagged(tweets, got_skips, classes, fallback))
+        else:
+            assert list(cli._tagged(tweets, got_skips, classes, fallback)) == want
+        assert got_skips == want_skips
+
+    def test_repeated_classes_and_each_missing_layer(self):
+        """Each of ark, ptb and chunk missing, under repeated classes and
+        under classes that read no tag layer."""
+        from datetime import datetime, timezone
+
+        from crisislang.ingest import RawTweet
+
+        at = datetime(2013, 4, 15, 20, tzinfo=timezone.utc)
+        full = dict(ark_tags=("P", "N"), ptb_tags=("IN", "NN"), chunk_tags=("B-PP", "B-NP"))
+        tweets = [RawTweet("full", "in boston", at, None, **full)] + [
+            RawTweet(f"no-{name}", "in boston", at, None, **{**full, name: None}) for name in full
+        ]
+        FC = cli.FeatureClass
+        for classes in (
+            [FC.UNIGRAM, FC.BIGRAM, FC.UNIGRAM],
+            [FC.ARK_POS, FC.CRISIS_SENSITIVE, FC.ARK_POS],
+            [FC.PTB_POS, FC.SHALLOW_PARSE, FC.PTB_POS, FC.CRISIS_SENSITIVE],
+            list(FC) + list(FC),
+        ):
+            got_skips, want_skips = cli.Skips(), cli.Skips()
+            got = list(cli._tagged(tweets, got_skips, classes))
+            assert got == _reference_tagged(tweets, want_skips, classes)
+            assert got_skips == want_skips
+        assert got_skips.reasons == [
+            f"tweet no-{layer}: missing layers for {names}"
+            for layer, names in (
+                ("ark_tags", "ARK_POS,CRISIS_SENSITIVE,ARK_POS,CRISIS_SENSITIVE"),
+                ("ptb_tags", "PTB_POS,PTB_POS"),
+                ("chunk_tags", "SHALLOW_PARSE,SHALLOW_PARSE"),
+            )
+        ]
+
+
 class TestTagAndVectors:
     def test_tag_fills_missing_ark(self, workspace):
         assert run(workspace, "tag") == 0
@@ -1911,6 +2019,27 @@ class TestEndToEndDeterminism:
             assert first[name] == second[name], name
 
 
+class TestHashSeedDeterminism:
+    """No set or frozenset order reaches an output: partition, train and
+    classify, each its own process, write the same bytes under two hash
+    seeds, with classes that read the words and the ARK layer."""
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, workspace):
+        _set_classes(workspace, ["UNIGRAM", "ARK_POS", "CRISIS_SENSITIVE"])
+        out, model = workspace["out"], str(workspace["out"] / "model.json")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            if out.exists():
+                shutil.rmtree(out)
+            for argv in (["partition"], ["train"], ["classify", "--model", model]):
+                result = stage_process(workspace, *argv, env={"PYTHONHASHSEED": hash_seed})
+                assert result.returncode == 0, result.stderr
+            outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert read_json(out / "classify_summary.json")["classified"] > 0
+        assert len(outputs[0]) >= 10
+        assert outputs[0] == outputs[1]
+
+
 _NUMPY_PROBE = """
 import sys
 from crisislang.cli import main
@@ -1954,11 +2083,12 @@ class TestNumpyOnlyForLogisticRegression:
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
-def stage_process(workspace, *argv, flags=()):
-    """Run one stage as `python [flags] -m crisislang` and return the
-    finished process, its output as text."""
+def stage_process(workspace, *argv, flags=(), env=()):
+    """Run one stage as `python [flags] -m crisislang`, with the variables
+    env on top of this process's, and return the finished process, its
+    output as text."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-m", "crisislang", "--config", str(workspace["config"]), *argv],

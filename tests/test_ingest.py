@@ -577,6 +577,83 @@ class TestTypeInvariants:
         assert type(valid)._make(valid) == valid
 
 
+def _reference_record(tweet: RawTweet) -> dict:
+    """tweet_to_record written out field by field."""
+    record = {
+        "id": tweet.id,
+        "text": tweet.text,
+        "created_at": tweet.created_at.isoformat().replace("+00:00", "Z"),
+    }
+    if tweet.geo is not None:
+        record["geo"] = {"lat": tweet.geo.lat, "lon": tweet.geo.lon}
+    for name in ("ark_tags", "ptb_tags", "chunk_tags"):
+        if getattr(tweet, name) is not None:
+            record[name] = list(getattr(tweet, name))
+    return record
+
+
+@pytest.mark.parametrize("geo", [None, BOSTON], ids=["no-geo", "geo"])
+@pytest.mark.parametrize("ark", [None, ("P", "^")], ids=["no-ark", "ark"])
+@pytest.mark.parametrize("ptb", [None, ("IN", "NNP")], ids=["no-ptb", "ptb"])
+@pytest.mark.parametrize("chunk", [None, ("B-PP", "B-NP")], ids=["no-chunk", "chunk"])
+def test_tweet_to_record_equals_the_field_by_field_reference(geo, ark, ptb, chunk):
+    tweet = RawTweet("1", "in boston", CRISIS.start, geo, ark, ptb, chunk)
+    record = tweet_to_record(tweet)
+    assert list(record.items()) == list(_reference_record(tweet).items())
+    assert all(type(record[name]) is list for name in ("ark_tags", "ptb_tags", "chunk_tags")
+               if name in record)
+
+
+# Strings write_jsonl must escape as json.dumps does: non-ASCII text, lone
+# surrogates and control characters.
+_ENCODED_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9", "\U0001f600"]),
+    max_size=8,
+)
+_ENCODED_RECORDS = st.dictionaries(
+    _ENCODED_TEXT,
+    st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(2**64, 2**200)
+        | st.integers(-(2**200), -(2**64))
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([-0.0, 1e308, -1e308, 5e-324, -5e-324])
+        | _ENCODED_TEXT,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ENCODED_TEXT, inner, max_size=4),
+        max_leaves=10,
+    ),
+    max_size=5,
+)
+
+
+class TestWriteJsonl:
+    """write_jsonl builds the stdlib's C encoder once per file; each line is
+    still exactly what json.dumps gives, with or without the C encoder."""
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+    @settings(max_examples=100, deadline=None)
+    # Each record twice, the same objects again, as the one encoder meets them.
+    @given(records=st.lists(_ENCODED_RECORDS, max_size=4).map(lambda records: records * 2))
+    def test_each_line_is_json_dumps_of_its_record(self, c_encoder, records):
+        expected = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            if not c_encoder:
+                patch.setattr(json.encoder, "c_make_encoder", None)
+            path = Path(tmp) / "records.jsonl"
+            write_jsonl(path, iter(records))
+            assert path.read_bytes() == expected.encode("ascii")
+
+    def test_circular_record_is_value_error(self, tmp_path):
+        record: dict = {"id": "a"}
+        record["self"] = [record]
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            write_jsonl(tmp_path / "records.jsonl", [{"id": "b"}, record])
+        assert list(tmp_path.iterdir()) == []
+
+
 _WRITERS = {
     "write_jsonl": lambda path: write_jsonl(path, [{"id": "new", "n": 1}] * 3),
     "_write_json": lambda path: write_json(path, {"new": [1, 2, 3]}),

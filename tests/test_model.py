@@ -24,7 +24,6 @@ from crisislang.model import (
     logistic_loss_and_gradient,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_lr,
     Prediction,
     predict_nb,
@@ -634,8 +633,10 @@ class TestCorruptDocuments:
             return
         if isinstance(model, LogisticRegressionModel):
             assert logreg_params_in_range(model.params)
+            predict = predict_lr
         else:
             assert type(model.alpha) is float and 0 < model.alpha < math.inf
+            predict = predict_nb
         ids = model.vocabulary if hasattr(model, "vocabulary") else model.weights
         predict(model, {fid: 1 for fid in ids})
         predict(model, {})

@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from datetime import date, timedelta
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -58,14 +58,15 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
-PARTITION_FILES = {
+PARTITION_FILES: dict[PartitionLabel | None, str] = {
     PartitionLabel.IR: "ir.jsonl",
     PartitionLabel.OR: "or.jsonl",
     PartitionLabel.PC_IR: "pc_ir.jsonl",
     PartitionLabel.PC_OR: "pc_or.jsonl",
     PartitionLabel.UNASSIGNED: "unassigned.jsonl",
+    None: "unlabeled.jsonl",  # the tweets without geo
 }
-UNLABELED_FILE = "unlabeled.jsonl"
+UNLABELED_FILE = PARTITION_FILES[None]
 
 # Tagged tweets that classify and cloud vectorize and predict at a time (see
 # _predicted). Only one batch is held, so their memory is bounded by the model
@@ -266,11 +267,12 @@ def _stream(source: Path, target: Path, tally: dict[str, int], records: Callable
             tally["total"] += 1
             yield tweet
 
-    write_jsonl(target, records(tweets(), skips))
+    output = str(target)  # a str key costs write_jsonl no Python-level hash per record
+    write_jsonl([output], zip(repeat(output), records(tweets(), skips)))
     return {
         "warnings": skips.reasons,
         "input": str(source),
-        "output": str(target),
+        "output": output,
         **tally,
         "skipped": skips.count,
     }
@@ -372,21 +374,15 @@ def _labeled_data(
 
 
 def cmd_partition(config: RunConfig) -> dict:
-    corpus = load_corpus(
-        config.input, config.region, config.crisis_window, config.pre_crisis_window
-    )
     outdir = config.partitions_dir()
-    files: dict[str, str] = {}
-    for label, filename in PARTITION_FILES.items():
-        write_jsonl(outdir / filename, map(tweet_to_record, corpus.groups[label]))
-        files[label.value] = str(outdir / filename)
-    write_jsonl(outdir / UNLABELED_FILE, map(tweet_to_record, corpus.unlabeled))
-    files["unlabeled"] = str(outdir / UNLABELED_FILE)
+    files = {label: str(outdir / filename) for label, filename in PARTITION_FILES.items()}
+    corpus = load_corpus(config.input, config.region, config.crisis_window,
+                         config.pre_crisis_window, files=files)
     return {
         "warnings": corpus.skips.reasons,
         "counts": corpus.counts(),
         "imbalance_ratio": corpus.imbalance_ratio(),
-        "files": files,
+        "files": {"unlabeled" if label is None else label.value: f for label, f in files.items()},
     }
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -231,34 +231,27 @@ class Skips:
 
 
 class Corpus:
-    """A loaded, partitioned corpus. Immutable by convention after loading."""
+    """A partitioned corpus's record count per label (None: unlabeled) and skip ledger."""
 
     def __init__(self) -> None:
-        self.groups: dict[PartitionLabel, list[RawTweet]] = {label: [] for label in PartitionLabel}
-        self.unlabeled: list[RawTweet] = []
+        self.sizes: dict[PartitionLabel | None, int] = dict.fromkeys([*PartitionLabel, None], 0)
         self.skips = Skips()
 
     @property
     def duplicates(self) -> int:
         return self.skips.duplicates
 
-    @property
-    def lines(self) -> int:
-        """Non-blank input lines: each is partitioned, unlabeled or skipped."""
-        return sum(map(len, self.groups.values())) + len(self.unlabeled) + self.skips.count
-
     def counts(self) -> dict[str, int]:
-        summary = {label.value: len(tweets) for label, tweets in self.groups.items()}
-        summary["unlabeled"] = len(self.unlabeled)
+        summary = {label.value: self.sizes[label] for label in PartitionLabel}
+        summary["unlabeled"] = self.sizes[None]
         summary["skipped"] = self.skips.count
         summary["duplicates"] = self.duplicates
-        summary["lines"] = self.lines
+        summary["lines"] = sum(self.sizes.values()) + self.skips.count  # non-blank lines
         return summary
 
     def imbalance_ratio(self) -> float | None:
         """|IR| / (|IR| + |OR|), or None when both partitions are empty."""
-        n_ir = len(self.groups[PartitionLabel.IR])
-        n_or = len(self.groups[PartitionLabel.OR])
+        n_ir, n_or = self.sizes[PartitionLabel.IR], self.sizes[PartitionLabel.OR]
         if n_ir + n_or == 0:
             return None
         return n_ir / (n_ir + n_or)
@@ -301,19 +294,24 @@ def load_corpus(
     region: Region,
     crisis: TimeWindow,
     pre_crisis: TimeWindow | None = None,
+    *,
+    files: Mapping[PartitionLabel | None, str | Path],
 ) -> Corpus:
-    """Load and partition a JSON Lines corpus read through iter_corpus.
+    """Partition a JSON Lines corpus read through iter_corpus as it is read: each
+    tweet goes to files[label] (None: no geo) through one write_jsonl call.
 
-    Malformed records and duplicate ids are skipped and counted, never fatal.
-    Blank lines are ignored. Per-label counts plus unlabeled plus skipped
-    always sum to the number of non-blank input lines.
+    Malformed records and duplicate ids are skipped and counted, never fatal; blank
+    lines are ignored. The counts plus skips always sum to the non-blank input lines.
     """
     corpus = Corpus()
-    for tweet in iter_corpus(path, corpus.skips):
-        if tweet.geo is None:
-            corpus.unlabeled.append(tweet)
-        else:
-            corpus.groups[assign_partition(tweet, region, crisis, pre_crisis)].append(tweet)
+
+    def routed() -> Iterator[tuple[str | Path, dict]]:
+        for tweet in iter_corpus(path, corpus.skips):
+            label = None if tweet.geo is None else assign_partition(tweet, region, crisis, pre_crisis)
+            corpus.sizes[label] += 1
+            yield files[label], tweet_to_record(tweet)
+
+    write_jsonl(files.values(), routed())
     return corpus
 
 
@@ -365,9 +363,11 @@ def write_json(path: str | Path, obj: dict) -> str:
     return text
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """Write JSON objects one per line, keys sorted, through atomic_open;
-    ValueError, and path left as it was, if a record holds NaN or an infinity.
+def write_jsonl(paths: Iterable[str | Path], records: Iterable[tuple[str | Path, dict]]) -> None:
+    """Write each (path, record) pair's record to path as a JSON line, keys sorted.
+    Each of paths (distinct) is written through atomic_open, even with no record,
+    and all are flushed before any replaces its file: a failed write, or NaN or
+    an infinity in a record (ValueError), leaves every path as it was.
     JSONEncoder.encode builds its C encoder anew for each record: it is built
     once here, with the arguments encode passes, and encode runs only without it."""
     encoder = json.JSONEncoder(sort_keys=True, allow_nan=False)
@@ -376,9 +376,12 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
         chunks = make({}, encoder.default, json.encoder.encode_basestring_ascii, encoder.indent,
                       encoder.key_separator, encoder.item_separator, encoder.sort_keys,
                       encoder.skipkeys, encoder.allow_nan)
-    with atomic_open(path) as handle:
-        for record in records:
-            handle.write("".join(chunks(record, 0)) + "\n")
+    with ExitStack() as stack:
+        handles = {path: stack.enter_context(atomic_open(path)) for path in paths}
+        for path, record in records:
+            handles[path].write("".join(chunks(record, 0)) + "\n")
+        for handle in handles.values():
+            handle.flush()
 
 
 def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:

@@ -1,5 +1,7 @@
 import ast
 import csv
+import errno
+import gc
 import json
 import math
 import os
@@ -456,6 +458,34 @@ class TestPartition:
         assert summary["counts"]["skipped"] == 1
         assert len(summary["warnings"]) == 1
         assert summary["warnings"][0].startswith(f"line {n_lines + 1}: {reason}")
+
+    def test_disk_full_on_the_unlabeled_file_leaves_every_partition_file(
+        self, workspace, monkeypatch, capsys
+    ):
+        from crisislang import ingest
+
+        def full_on_unlabeled(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            if Path(file).name.startswith(f".{cli.UNLABELED_FILE}."):
+                write = handle.write
+
+                def write_half(text):
+                    write(text[: len(text) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                handle.write = write_half
+            return handle
+
+        assert run(workspace, "partition") == 0
+        parts = workspace["out"] / "partitions"
+        previous = {p.name: p.read_bytes() for p in parts.iterdir()}
+        assert len(previous) == 6
+        lines = read_lines(workspace["corpus"])
+        workspace["corpus"].write_text("\n".join(lines[::2]) + "\n", encoding="utf-8")
+        monkeypatch.setattr(ingest, "open", full_on_unlabeled, raising=False)
+        assert run(workspace, "partition") == 1
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in parts.iterdir()} == previous
 
     def test_empty_input(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
@@ -1298,7 +1328,8 @@ class TestClassifyMemory:
     # runs, while holding every tweet's RawTweet and Prediction added about
     # 1.6 MB. The peak also counts CPython's tuple free lists: when a full
     # garbage collection has just emptied them, the large run refills them
-    # with traced blocks, and the difference reads about 180 KB.
+    # with traced blocks, and the difference reads about 180 KB. So each
+    # measured run starts right after a full collection.
     SLACK_BYTES = 256 * 1024
 
     def test_peak_does_not_grow_with_the_input(self, workspace, tmp_path):
@@ -1317,6 +1348,7 @@ class TestClassifyMemory:
         n = 2 * cli.CLASSIFY_BATCH
 
         def peak(source):
+            gc.collect()  # the free lists in the same state for both runs
             tracemalloc.start()
             try:
                 cli.cmd_classify(config, model_path, source)
@@ -1364,7 +1396,9 @@ class TestCloudMemory:
 
 
 def _peak_bytes(call) -> int:
-    """The tracemalloc peak of call()."""
+    """The tracemalloc peak of call(), after a full collection, so every
+    measured run starts with CPython's free lists in the same state."""
+    gc.collect()
     tracemalloc.start()
     try:
         call()
@@ -1374,12 +1408,13 @@ def _peak_bytes(call) -> int:
 
 
 class TestCountingStagesMemory:
-    # divergence and cloud count each tagged tweet's words as it is read and
-    # keep no tweet, so growing their input 8x under fresh ids (the texts, and
-    # so the counts, stay put) may add only this much to the tracemalloc peak,
-    # beyond what divergence's duplicate-id set needs. The difference read
-    # -62 to +115 KB, the most in cloud, where CPython's tuple free lists
-    # refill; holding every selected tweet added 3.4 to 4.8 MB.
+    # divergence and cloud count each tagged tweet's words as it is read, and
+    # partition writes each record to its file as it is read; none keeps a
+    # tweet. So growing their input 8x under fresh ids (the texts, and so the
+    # counts, stay put) may add only this much to the tracemalloc peak, beyond
+    # what the duplicate-id set of divergence and partition needs. The
+    # difference read -62 to +115 KB, the most in cloud, where CPython's tuple
+    # free lists refill; holding every selected tweet added 3.4 to 4.8 MB.
     SLACK_BYTES = 256 * 1024
 
     @pytest.mark.parametrize("mode", ["hourly", "regional", "regional-misaligned"])
@@ -1396,16 +1431,30 @@ class TestCountingStagesMemory:
             base = [dict(r, ark_tags=["N"]) if i % 10 else r for i, r in enumerate(base)]
             mode = "regional"
         config = load_config(workspace["config"])
+        self._assert_peak_grows_only_by_the_id_set(config, base, lambda: cli.cmd_divergence(config, mode))
+
+    def test_partition_peak_grows_only_by_the_id_set(self, workspace):
+        base = [json.loads(line) for line in read_lines(workspace["corpus"])]
+        config = load_config(workspace["config"])
+        lines = []
+        self._assert_peak_grows_only_by_the_id_set(
+            config, base, lambda: lines.append(cli.cmd_partition(config)["counts"]["lines"])
+        )
+        assert lines[-2:] == [1000, 8000]
+
+    def _assert_peak_grows_only_by_the_id_set(self, config, base, stage):
+        """stage()'s peak grows from 1,000 to 8,000 input records, cycled from
+        base under fresh ids, by no more than their id set plus the slack."""
         n = 1000
 
         def peak(size):
             _write_records(config.input, [dict(base[i % len(base)], id=f"r{i}") for i in range(size)])
-            return _peak_bytes(lambda: cli.cmd_divergence(config, mode))
+            return _peak_bytes(stage)
 
         def id_set(size):
             return _peak_bytes(lambda: {f"r{i}" for i in range(size)})
 
-        cli.cmd_divergence(config, mode)  # one-off allocations
+        stage()  # one-off allocations
         small, large = peak(n), peak(8 * n)
         ids_growth = id_set(8 * n) - id_set(n)
         assert large <= small + ids_growth + self.SLACK_BYTES, (small, large, ids_growth)

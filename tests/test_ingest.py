@@ -245,6 +245,22 @@ class TestAssignPartition:
         assert not CRISIS.contains(CRISIS.end)
 
 
+def _partition_files(root):
+    """A path under root for each partition label and for the unlabeled pool (None)."""
+    return {label: root / f"{'unlabeled' if label is None else label.value}.jsonl"
+            for label in [*PartitionLabel, None]}
+
+
+def _load(path, pre_crisis=None):
+    """load_corpus(path), its partition files beside path in <stem>-parts/."""
+    files = _partition_files(path.parent / f"{path.stem}-parts")
+    return load_corpus(path, BOSTON_REGION, CRISIS, pre_crisis, files=files)
+
+
+def _ids(path):
+    return [json.loads(line)["id"] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 class TestLoadCorpus:
     def _write(self, path, lines):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -259,28 +275,36 @@ class TestLoadCorpus:
         ]
         path = tmp_path / "corpus.jsonl"
         self._write(path, lines)
-        corpus = load_corpus(path, BOSTON_REGION, CRISIS, PRE_CRISIS)
+        corpus = _load(path, PRE_CRISIS)
         counts = corpus.counts()
         assert counts["IR"] == 1
         assert counts["OR"] == 1
         assert counts["unlabeled"] == 1
         assert counts["skipped"] == 0
+        files = _partition_files(tmp_path / "corpus-parts")
+        assert {label: _ids(f) for label, f in files.items()} == {
+            PartitionLabel.IR: ["a"], PartitionLabel.OR: ["b"], PartitionLabel.PC_IR: [],
+            PartitionLabel.PC_OR: [], PartitionLabel.UNASSIGNED: [], None: ["c"],
+        }
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        corpus = load_corpus(path, BOSTON_REGION, CRISIS)
+        corpus = _load(path)
         assert all(v == 0 for v in corpus.counts().values())
         assert corpus.imbalance_ratio() is None
+        files = _partition_files(tmp_path / "empty-parts").values()
+        assert [f.read_bytes() for f in files] == [b""] * 6
 
     def test_duplicates_rejected_and_counted(self, tmp_path):
         record = json.dumps({"id": "a", "text": "x", "created_at": "2013-04-15T19:30:00Z"})
         path = tmp_path / "dup.jsonl"
         self._write(path, [record, record, record])
-        corpus = load_corpus(path, BOSTON_REGION, CRISIS)
+        corpus = _load(path)
         assert corpus.duplicates == 2
         assert corpus.skips.count == 2
-        assert len(corpus.unlabeled) == 1
+        assert corpus.counts()["unlabeled"] == 1
+        assert _ids(_partition_files(tmp_path / "dup-parts")[None]) == ["a"]
 
     def test_malformed_records_skipped_not_fatal(self, tmp_path):
         lines = [
@@ -290,10 +314,10 @@ class TestLoadCorpus:
         ]
         path = tmp_path / "dirty.jsonl"
         self._write(path, lines)
-        corpus = load_corpus(path, BOSTON_REGION, CRISIS)
+        corpus = _load(path)
         assert corpus.skips.count == 2
         assert len(corpus.skips.reasons) == 2
-        assert corpus.lines == 3
+        assert corpus.counts()["lines"] == 3
 
     def test_counts_sum_to_line_count(self, tmp_path):
         rng = random.Random(3)
@@ -310,10 +334,10 @@ class TestLoadCorpus:
             lines.append(json.dumps(doc))
         path = tmp_path / "mix.jsonl"
         self._write(path, lines)
-        corpus = load_corpus(path, BOSTON_REGION, CRISIS, PRE_CRISIS)
+        corpus = _load(path, PRE_CRISIS)
         counts = corpus.counts()
         total = sum(counts[label.value] for label in PartitionLabel)
-        assert total + counts["unlabeled"] + counts["skipped"] == corpus.lines == 200
+        assert total + counts["unlabeled"] + counts["skipped"] == counts["lines"] == 200
 
     def test_order_independence(self, tmp_path):
         lines = [
@@ -324,8 +348,8 @@ class TestLoadCorpus:
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         self._write(a, lines)
         self._write(b, list(reversed(lines)))
-        ca = load_corpus(a, BOSTON_REGION, CRISIS)
-        cb = load_corpus(b, BOSTON_REGION, CRISIS)
+        ca = _load(a)
+        cb = _load(b)
         assert ca.counts() == cb.counts()
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -337,7 +361,7 @@ class TestLoadCorpus:
         self._write(src, lines)
         tweets = [tweet for _, tweet in iter_jsonl(src, Skips())]
         dst = tmp_path / "dst.jsonl"
-        write_jsonl(dst, map(tweet_to_record, tweets))
+        write_jsonl([dst], ((dst, tweet_to_record(tweet)) for tweet in tweets))
         assert [tweet for _, tweet in iter_jsonl(dst, Skips())] == tweets
 
     def _records(self, *ids):
@@ -354,7 +378,7 @@ class TestLoadCorpus:
         lf_skips, crlf_skips = Skips(), Skips()
         assert list(iter_jsonl(crlf, crlf_skips)) == list(iter_jsonl(lf, lf_skips))
         assert crlf_skips == lf_skips == Skips()
-        assert load_corpus(crlf, BOSTON_REGION, CRISIS).counts()["unlabeled"] == 3
+        assert _load(crlf).counts()["unlabeled"] == 3
 
     def test_lone_cr_does_not_end_a_line(self, tmp_path):
         a, b, c = self._records("a", "b", "c")
@@ -441,15 +465,23 @@ def test_corpus_record_rule(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         path.write_bytes(b"".join(line + b"\n" for line in lines))
-        corpus = load_corpus(path, BOSTON_REGION, CRISIS, PRE_CRISIS)
+        corpus = _load(path, PRE_CRISIS)
         skips = Skips()
         read = list(iter_corpus(path, skips))
+        files = _partition_files(Path(tmp) / "corpus-parts")
+        written = {label: f.read_text(encoding="utf-8").splitlines() for label, f in files.items()}
 
     counts = corpus.counts()
     partitioned = sum(counts[label.value] for label in PartitionLabel) + counts["unlabeled"]
     assert partitioned + counts["skipped"] == len(lines) - len(blank)
     assert counts["duplicates"] == corpus.duplicates == len(valid) - len(firsts)
+    assert counts["lines"] == len(lines) - len(blank)
     assert read == list(firsts.values())
+    routed = {label: [] for label in files}  # each file holds its records in input order
+    for tweet in read:
+        label = None if tweet.geo is None else assign_partition(tweet, BOSTON_REGION, CRISIS, PRE_CRISIS)
+        routed[label].append(json.dumps(tweet_to_record(tweet), sort_keys=True))
+    assert written == routed
     assert (skips.count, skips.duplicates) == (len(malformed) + len(repeats), len(repeats))
     duplicates = [(n, f"line {n}: duplicate id {tweet_id}") for n, tweet_id in repeats]
     assert skips.reasons == [reason for _, reason in sorted(malformed + duplicates)]
@@ -629,8 +661,13 @@ _ENCODED_RECORDS = st.dictionaries(
 )
 
 
+def _one_file(path, records):
+    """write_jsonl's pairs for writing records to path alone."""
+    return [path], ((path, record) for record in records)
+
+
 class TestWriteJsonl:
-    """write_jsonl builds the stdlib's C encoder once per file; each line is
+    """write_jsonl builds the stdlib's C encoder once per call; each line is
     still exactly what json.dumps gives, with or without the C encoder."""
 
     @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
@@ -643,19 +680,54 @@ class TestWriteJsonl:
             if not c_encoder:
                 patch.setattr(json.encoder, "c_make_encoder", None)
             path = Path(tmp) / "records.jsonl"
-            write_jsonl(path, iter(records))
+            write_jsonl(*_one_file(path, records))
             assert path.read_bytes() == expected.encode("ascii")
 
     def test_circular_record_is_value_error(self, tmp_path):
         record: dict = {"id": "a"}
         record["self"] = [record]
         with pytest.raises(ValueError, match="^Circular reference detected$"):
-            write_jsonl(tmp_path / "records.jsonl", [{"id": "b"}, record])
+            write_jsonl(*_one_file(tmp_path / "records.jsonl", [{"id": "b"}, record]))
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_path_with_no_records_is_written_empty(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        b.write_bytes(b"previous contents\n")
+        write_jsonl([a, b], [(a, {"id": "x"})])
+        assert (a.read_bytes(), b.read_bytes()) == (b'{"id": "x"}\n', b"")
+        assert sorted(tmp_path.iterdir()) == [a, b]
+
+    def test_each_routed_path_keeps_input_order(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        routes = [a, b, b, a, a, b, a]
+        write_jsonl([a, b], [(path, {"id": str(n)}) for n, path in enumerate(routes)])
+        assert (_ids(a), _ids(b)) == (["0", "3", "4", "6"], ["1", "2", "5"])
+
+    @pytest.mark.parametrize("failing", ["a.jsonl", "b.jsonl"])
+    def test_a_failed_flush_leaves_every_path_as_it_was(self, tmp_path, monkeypatch, failing):
+        """No path is replaced until every file has flushed, whichever file
+        fails first as the paths are closed."""
+        def full_at_flush(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            if Path(file).name.startswith(f".{failing}."):
+                def flush():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                handle.flush = flush
+            return handle
+
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(b"previous a\n")
+        b.write_bytes(b"previous b\n")
+        monkeypatch.setattr(ingest, "open", full_at_flush, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_jsonl([a, b], [(a, {"id": "x"}), (b, {"id": "y"})])
+        assert (a.read_bytes(), b.read_bytes()) == (b"previous a\n", b"previous b\n")
+        assert sorted(tmp_path.iterdir()) == [a, b]
 
 
 _WRITERS = {
-    "write_jsonl": lambda path: write_jsonl(path, [{"id": "new", "n": 1}] * 3),
+    "write_jsonl": lambda path: write_jsonl(*_one_file(path, [{"id": "new", "n": 1}] * 3)),
     "_write_json": lambda path: write_json(path, {"new": [1, 2, 3]}),
     "write_csv": lambda path: write_csv(path, [["new", "text"], [1, 2.5]] * 3),
     "save_model": lambda path: save_model(
@@ -680,7 +752,7 @@ class TestAtomicWrites:
         path = self._previous(tmp_path)
         records = [{"id": "a"}, {"id": "b"}, {"id": object()}]
         with pytest.raises(TypeError):
-            write_jsonl(path, records)
+            write_jsonl(*_one_file(path, records))
         assert path.read_bytes() == b"previous contents\n"
         assert list(path.parent.iterdir()) == [path]
 
@@ -689,7 +761,7 @@ class TestAtomicWrites:
         "write",
         [
             lambda path, value: write_json(path, {"a": {"score": value}}),
-            lambda path, value: write_jsonl(path, [{"score": 1.0}, {"score": value}]),
+            lambda path, value: write_jsonl(*_one_file(path, [{"score": 1.0}, {"score": value}])),
         ],
         ids=["write_json", "write_jsonl"],
     )

@@ -58,15 +58,7 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
-PARTITION_FILES: dict[PartitionLabel | None, str] = {
-    PartitionLabel.IR: "ir.jsonl",
-    PartitionLabel.OR: "or.jsonl",
-    PartitionLabel.PC_IR: "pc_ir.jsonl",
-    PartitionLabel.PC_OR: "pc_or.jsonl",
-    PartitionLabel.UNASSIGNED: "unassigned.jsonl",
-    None: "unlabeled.jsonl",  # the tweets without geo
-}
-UNLABELED_FILE = PARTITION_FILES[None]
+PARTITION_FILES = {label: f"{label.value.lower()}.jsonl" for label in PartitionLabel}
 
 # Tagged tweets that classify and cloud vectorize and predict at a time (see
 # _predicted). Only one batch is held, so their memory is bounded by the model
@@ -338,23 +330,23 @@ def _predicted(
         del batch, predictions  # or both would live on while the next batch is read
 
 
-def _partition_path(config: RunConfig, filename: str) -> Path:
-    path = config.partitions_dir() / filename
+def _partition_path(config: RunConfig, label: PartitionLabel) -> Path:
+    path = config.partitions_dir() / PARTITION_FILES[label]
     if not path.exists():
         raise ConfigError(f"partition file {path} not found; run the partition command first")
     return path
 
 
-def _partition_tweets(config: RunConfig, filename: str, skips: Skips) -> Iterator[RawTweet]:
+def _partition_tweets(config: RunConfig, label: PartitionLabel, skips: Skips) -> Iterator[RawTweet]:
     """The tweets of a partition file, lazily; ConfigError at once if it is missing."""
-    path = _partition_path(config, filename)
+    path = _partition_path(config, label)
     return (tweet for _, tweet in iter_jsonl(path, skips))
 
 
 def _tagged_partition(
     config: RunConfig, label: PartitionLabel, skips: Skips, classes: Sequence[FeatureClass]
 ) -> list[TaggedTweet]:
-    tweets = _partition_tweets(config, PARTITION_FILES[label], skips)
+    tweets = _partition_tweets(config, label, skips)
     return [tagged for _, tagged in _tagged(tweets, skips, classes, config.fallback_tags)]
 
 
@@ -382,7 +374,7 @@ def cmd_partition(config: RunConfig) -> dict:
         "warnings": corpus.skips.reasons,
         "counts": corpus.counts(),
         "imbalance_ratio": corpus.imbalance_ratio(),
-        "files": {"unlabeled" if label is None else label.value: f for label, f in files.items()},
+        "files": {label.value: f for label, f in files.items()},
     }
 
 
@@ -428,18 +420,11 @@ def cmd_divergence(config: RunConfig, mode: str) -> dict:
     else:
         raise ConfigError(f"unknown divergence mode: {mode!r}")
     skips = Skips()
-    homes: dict[str, list] = {}  # id -> groups of the selected tweet until it is counted
-
-    def selected() -> Iterator[RawTweet]:
-        for tweet in iter_corpus(config.input, skips):
-            if names := groups_of(tweet):
-                homes.clear()  # _tagged skipped the one before, if it is still here
-                homes[tweet.id] = names
-                yield tweet
-
-    for tweet, tagged in _tagged(selected(), skips, ()):
-        for name in homes.pop(tweet.id):
-            count_ngrams(groups[name], "", tagged.words, 1)
+    for tweet in iter_corpus(config.input, skips):
+        if names := groups_of(tweet):
+            for _, tagged in _tagged((tweet,), skips, ()):
+                for name in names:
+                    count_ngrams(groups[name], "", tagged.words, 1)
     matrix, warnings = build(groups)
     return {
         "warnings": list(warnings) + skips.reasons,
@@ -530,7 +515,8 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
     from crisislang import model as mdl
 
     model, classes = mdl.load_model(model_path)
-    source = input_path if input_path is not None else _partition_path(config, UNLABELED_FILE)
+    if (source := input_path) is None:
+        source = _partition_path(config, PartitionLabel.UNLABELED)
     tally = dict.fromkeys(("classified", "classified_ir"), 0)
 
     def records(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
@@ -579,16 +565,15 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     skips = Skips()
     counts: dict[str, int] = {}  # the IR bigrams, then the model's additions' too
     tally = dict.fromkeys(("geotagged_ir", "model_additions"), 0)
-    ir = _partition_tweets(config, PARTITION_FILES[PartitionLabel.IR], skips)
+    ir = _partition_tweets(config, PartitionLabel.IR, skips)
     for _, tagged in _tagged(ir, skips, ()):
         tally["geotagged_ir"] += 1
         count_ngrams(counts, "", tagged.words, 2)
     geotagged_cloud = ev.bigram_cloud(counts, k)
 
     model, classes = mdl.load_model(model_path)
-    pool = _tagged(
-        _partition_tweets(config, UNLABELED_FILE, skips), skips, classes, config.fallback_tags
-    )
+    pool = _tagged(_partition_tweets(config, PartitionLabel.UNLABELED, skips),
+                   skips, classes, config.fallback_tags)
     for _, tagged, p in _predicted(pool, model, classes):
         if p.label == mdl.IR:
             tally["model_additions"] += 1

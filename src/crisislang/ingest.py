@@ -4,7 +4,7 @@ and every output encoder: JSON documents, JSON lines and CSV tables.
 One message per line: {"id", "text", "created_at", optional "geo" {lat, lon},
 optional "ark_tags"/"ptb_tags"/"chunk_tags"}. Geotagged messages inside the
 configured time windows are split into IR / OR / PC_IR / PC_OR; non-geotagged
-messages form the unlabeled pool that classification later targets.
+messages are UNLABELED, the pool that classification later targets.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class PartitionLabel(str, Enum):
     PC_IR = "PC_IR"
     PC_OR = "PC_OR"
     UNASSIGNED = "UNASSIGNED"
+    UNLABELED = "unlabeled"  # no geo: the pool classification targets
 
 
 class RawTweet(NamedTuple):
@@ -125,7 +126,9 @@ def json_value(data: bytes | str):
     reason: "malformed JSON: …" or "not UTF-8 (… at byte N)", the latter
     read without trailing line breaks, so it is the same with or without."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")  # rebound: bytes passed as a temporary go before parsing
+        return json.loads(data)
     except UnicodeDecodeError as exc:
         try:  # good lines never get here
             data.rstrip(b"\r\n").decode("utf-8")
@@ -202,9 +205,9 @@ def assign_partition(
     crisis: TimeWindow,
     pre_crisis: TimeWindow | None = None,
 ) -> PartitionLabel:
-    """Label a geotagged tweet by disc membership within the crisis windows."""
+    """A tweet's label: UNLABELED without geo, else by disc within the crisis windows."""
     if tweet.geo is None:
-        raise ValueError(f"tweet {tweet.id} has no geo coordinates")
+        return PartitionLabel.UNLABELED
     if crisis.contains(tweet.created_at):
         return PartitionLabel.IR if region.contains(tweet.geo) else PartitionLabel.OR
     if pre_crisis is not None and pre_crisis.contains(tweet.created_at):
@@ -231,10 +234,10 @@ class Skips:
 
 
 class Corpus:
-    """A partitioned corpus's record count per label (None: unlabeled) and skip ledger."""
+    """A partitioned corpus's record count per label and skip ledger."""
 
     def __init__(self) -> None:
-        self.sizes: dict[PartitionLabel | None, int] = dict.fromkeys([*PartitionLabel, None], 0)
+        self.sizes: dict[PartitionLabel, int] = dict.fromkeys(PartitionLabel, 0)
         self.skips = Skips()
 
     @property
@@ -242,8 +245,7 @@ class Corpus:
         return self.skips.duplicates
 
     def counts(self) -> dict[str, int]:
-        summary = {label.value: self.sizes[label] for label in PartitionLabel}
-        summary["unlabeled"] = self.sizes[None]
+        summary = {label.value: size for label, size in self.sizes.items()}
         summary["skipped"] = self.skips.count
         summary["duplicates"] = self.duplicates
         summary["lines"] = sum(self.sizes.values()) + self.skips.count  # non-blank lines
@@ -295,10 +297,10 @@ def load_corpus(
     crisis: TimeWindow,
     pre_crisis: TimeWindow | None = None,
     *,
-    files: Mapping[PartitionLabel | None, str | Path],
+    files: Mapping[PartitionLabel, str | Path],
 ) -> Corpus:
     """Partition a JSON Lines corpus read through iter_corpus as it is read: each
-    tweet goes to files[label] (None: no geo) through one write_jsonl call.
+    tweet goes to files[assign_partition(tweet, …)] through one write_jsonl call.
 
     Malformed records and duplicate ids are skipped and counted, never fatal; blank
     lines are ignored. The counts plus skips always sum to the non-blank input lines.
@@ -307,7 +309,7 @@ def load_corpus(
 
     def routed() -> Iterator[tuple[str | Path, dict]]:
         for tweet in iter_corpus(path, corpus.skips):
-            label = None if tweet.geo is None else assign_partition(tweet, region, crisis, pre_crisis)
+            label = assign_partition(tweet, region, crisis, pre_crisis)
             corpus.sizes[label] += 1
             yield files[label], tweet_to_record(tweet)
 

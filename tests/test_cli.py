@@ -466,7 +466,7 @@ class TestPartition:
 
         def full_on_unlabeled(file, *args, **kwargs):
             handle = open(file, *args, **kwargs)
-            if Path(file).name.startswith(f".{cli.UNLABELED_FILE}."):
+            if Path(file).name.startswith(f".{cli.PARTITION_FILES[cli.PartitionLabel.UNLABELED]}."):
                 write = handle.write
 
                 def write_half(text):
@@ -1374,7 +1374,7 @@ class TestCloudMemory:
         run(workspace, "train")
         config = load_config(workspace["config"])
         model_path = config.output_dir / "model.json"
-        unlabeled = config.partitions_dir() / cli.UNLABELED_FILE
+        unlabeled = config.partitions_dir() / cli.PARTITION_FILES[cli.PartitionLabel.UNLABELED]
         pool = [json.loads(line) for line in read_lines(unlabeled)]
         n = 8 * len(pool)
 
@@ -2069,9 +2069,10 @@ class TestEndToEndDeterminism:
 
 
 class TestHashSeedDeterminism:
-    """No set or frozenset order reaches an output: partition, train and
-    classify, each its own process, write the same bytes under two hash
-    seeds, with classes that read the words and the ARK layer."""
+    """No set or frozenset order reaches an output: partition, train,
+    classify, both divergences and cloud, each its own process, write the
+    same bytes under two hash seeds, with classes that read the words and
+    the ARK layer."""
 
     def test_outputs_do_not_depend_on_the_hash_seed(self, workspace):
         _set_classes(workspace, ["UNIGRAM", "ARK_POS", "CRISIS_SENSITIVE"])
@@ -2080,12 +2081,18 @@ class TestHashSeedDeterminism:
         for hash_seed in ("0", "1"):
             if out.exists():
                 shutil.rmtree(out)
-            for argv in (["partition"], ["train"], ["classify", "--model", model]):
+            for argv in (
+                ["partition"], ["train"], ["classify", "--model", model],
+                ["divergence", "--mode", "hourly"], ["divergence", "--mode", "regional"],
+                ["cloud", "--model", model],
+            ):
                 result = stage_process(workspace, *argv, env={"PYTHONHASHSEED": hash_seed})
                 assert result.returncode == 0, result.stderr
             outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
         assert read_json(out / "classify_summary.json")["classified"] > 0
         assert len(outputs[0]) >= 10
+        tables = ("divergence_hourly.csv", "divergence_regional.csv", "cloud_combined.json")
+        assert {Path(name) for name in tables} <= outputs[0].keys()
         assert outputs[0] == outputs[1]
 
 

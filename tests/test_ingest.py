@@ -235,10 +235,9 @@ class TestAssignPartition:
         ts = datetime(2013, 4, 15, 19, 30, tzinfo=timezone.utc)
         assert assign_partition(_tweet(NYC, ts), region, CRISIS) is PartitionLabel.IR
 
-    def test_missing_geo_rejected(self):
+    def test_missing_geo_is_unlabeled(self):
         ts = datetime(2013, 4, 15, 19, 30, tzinfo=timezone.utc)
-        with pytest.raises(ValueError, match="geo"):
-            assign_partition(_tweet(None, ts), BOSTON_REGION, CRISIS)
+        assert assign_partition(_tweet(None, ts), BOSTON_REGION, CRISIS) is PartitionLabel.UNLABELED
 
     def test_window_half_open(self):
         assert CRISIS.contains(CRISIS.start)
@@ -246,9 +245,8 @@ class TestAssignPartition:
 
 
 def _partition_files(root):
-    """A path under root for each partition label and for the unlabeled pool (None)."""
-    return {label: root / f"{'unlabeled' if label is None else label.value}.jsonl"
-            for label in [*PartitionLabel, None]}
+    """A path under root for each partition label."""
+    return {label: root / f"{label.value}.jsonl" for label in PartitionLabel}
 
 
 def _load(path, pre_crisis=None):
@@ -284,7 +282,7 @@ class TestLoadCorpus:
         files = _partition_files(tmp_path / "corpus-parts")
         assert {label: _ids(f) for label, f in files.items()} == {
             PartitionLabel.IR: ["a"], PartitionLabel.OR: ["b"], PartitionLabel.PC_IR: [],
-            PartitionLabel.PC_OR: [], PartitionLabel.UNASSIGNED: [], None: ["c"],
+            PartitionLabel.PC_OR: [], PartitionLabel.UNASSIGNED: [], PartitionLabel.UNLABELED: ["c"],
         }
 
     def test_empty_file(self, tmp_path):
@@ -304,7 +302,7 @@ class TestLoadCorpus:
         assert corpus.duplicates == 2
         assert corpus.skips.count == 2
         assert corpus.counts()["unlabeled"] == 1
-        assert _ids(_partition_files(tmp_path / "dup-parts")[None]) == ["a"]
+        assert _ids(_partition_files(tmp_path / "dup-parts")[PartitionLabel.UNLABELED]) == ["a"]
 
     def test_malformed_records_skipped_not_fatal(self, tmp_path):
         lines = [
@@ -337,7 +335,7 @@ class TestLoadCorpus:
         corpus = _load(path, PRE_CRISIS)
         counts = corpus.counts()
         total = sum(counts[label.value] for label in PartitionLabel)
-        assert total + counts["unlabeled"] + counts["skipped"] == counts["lines"] == 200
+        assert total + counts["skipped"] == counts["lines"] == 200
 
     def test_order_independence(self, tmp_path):
         lines = [
@@ -472,14 +470,14 @@ def test_corpus_record_rule(lines):
         written = {label: f.read_text(encoding="utf-8").splitlines() for label, f in files.items()}
 
     counts = corpus.counts()
-    partitioned = sum(counts[label.value] for label in PartitionLabel) + counts["unlabeled"]
+    partitioned = sum(counts[label.value] for label in PartitionLabel)
     assert partitioned + counts["skipped"] == len(lines) - len(blank)
     assert counts["duplicates"] == corpus.duplicates == len(valid) - len(firsts)
     assert counts["lines"] == len(lines) - len(blank)
     assert read == list(firsts.values())
     routed = {label: [] for label in files}  # each file holds its records in input order
     for tweet in read:
-        label = None if tweet.geo is None else assign_partition(tweet, BOSTON_REGION, CRISIS, PRE_CRISIS)
+        label = assign_partition(tweet, BOSTON_REGION, CRISIS, PRE_CRISIS)
         routed[label].append(json.dumps(tweet_to_record(tweet), sort_keys=True))
     assert written == routed
     assert (skips.count, skips.duplicates) == (len(malformed) + len(repeats), len(repeats))

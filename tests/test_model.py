@@ -1,8 +1,10 @@
 import copy
+import gc
 import json
 import math
 import random
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -384,6 +386,38 @@ class TestLogRegMemory:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 4, (peak, dense_bytes)
+
+
+class TestLoadModelMemory:
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller keeps the bytes alive")
+    def test_file_bytes_are_freed_before_parsing(self, tmp_path):
+        # An NB model the size and shape of a trained one: about 7,000 unigram
+        # and bigram ids, 660 KB of model.json. Holding the file's bytes while
+        # its text is parsed put the peak at what the model holds plus twice
+        # the file; without them it is about once the file.
+        rng = random.Random(33)
+        words = ["".join(rng.choice("abdefiklmnoprstuvz") for _ in range(rng.randint(3, 9)))
+                 for _ in range(3000)]
+
+        def row():
+            picked = rng.sample(words, 10)
+            bigrams = [f"BIGRAM:{a} {b}" for a, b in zip(picked, picked[1:])]
+            return dict.fromkeys([uf(w) for w in picked] + bigrams, 1)
+
+        path = tmp_path / "model.json"
+        model = train_naive_bayes([(row(), IR if i % 4 == 0 else OR) for i in range(500)])
+        save_model(path, model, feature_classes=[U, B])
+        size = path.stat().st_size
+        load_model(path)  # any one-off set-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded[0].vocabulary) > 6000
+        assert peak < held + 1.5 * size, (peak, held, size)
 
 
 class TestTopFeatures:

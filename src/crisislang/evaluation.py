@@ -313,13 +313,12 @@ def roc_auc(scores: Sequence[float], truth: Sequence[str]) -> float:
     order = sorted(range(len(scores)), key=lambda i: scores[i])
     ranks = [0.0] * len(scores)
     i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
+    for _, group in itertools.groupby(order, key=lambda k: scores[k]):
+        tied = list(group)
+        j = i + len(tied) - 1
         avg_rank = (i + j) / 2.0 + 1.0  # ranks are 1-based
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg_rank
+        for k in tied:
+            ranks[k] = avg_rank
         i = j + 1
     pos_rank_sum = sum(r for r, t in zip(ranks, truth) if t == IR)
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -346,10 +345,7 @@ def _test_split(
     for label in sorted(indices_by_label):
         members = list(indices_by_label[label])
         rng.shuffle(members)
-        n_test = max(1, round(len(members) * test_fraction))
-        if n_test >= len(members):
-            raise ValueError(f"label {label} too small to split train/test")
-        test.extend(members[:n_test])
+        test.extend(members[: max(1, round(len(members) * test_fraction))])
     return test
 
 
@@ -453,8 +449,6 @@ def enumerate_combinations(
         if all(not missing_classes(tweet, [cls]) for tweet, _ in data)
     ]
     excluded = [cls for cls in FeatureClass if cls not in available]
-    if not available:
-        raise ValueError("no feature class is extractable from this data")
     subsets: list[tuple[int, ...]] = []
     for size in range(1, len(available) + 1):
         subsets.extend(itertools.combinations(range(len(available)), size))

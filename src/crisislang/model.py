@@ -194,7 +194,7 @@ def logistic_loss_and_gradient(
     """Mean negative log-likelihood plus (l2/2)||w||^2; bias unregularized."""
     import numpy as np
 
-    with np.errstate(over="ignore"):  # inf loss is caught by the trainer
+    with np.errstate(over="ignore", invalid="ignore"):  # the trainer catches a non-finite loss
         z = np.bincount(x.rows, weights=x.values * weights[x.cols], minlength=len(y)) + bias
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * float(weights @ weights))
         residual = _sigmoid(z) - y
@@ -237,7 +237,8 @@ def train_logreg(
         loss, grad_w, grad_b = logistic_loss_and_gradient(x, y, weights, bias, params.l2)
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch)
-        step_w = params.learning_rate * grad_w
+        with np.errstate(over="ignore"):  # the next loss, or the check after the loop, fails
+            step_w = params.learning_rate * grad_w
         step_b = params.learning_rate * grad_b
         weights -= step_w
         bias -= step_b

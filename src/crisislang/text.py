@@ -10,15 +10,15 @@ and IOB chunk layers; for untagged desk-scale data the rule-based fallback
 produces ARK-style tags only.
 
 Both ``tokenize`` and ``fallback_ark_tags`` memoize their per-item work,
-because tweets repeat the same pieces and tokens. ``tokenize`` keys a dict
-by whitespace piece and stores the piece's tokens as a tuple; the tagger
-keys a dict by token and stores its tag, a string. An alphanumeric piece
-skips the memo: it holds no punctuation, sigil or URL prefix, so it is one
-token, lowercased, which costs less than a lookup. Each memo is
-process-wide and holds at most ``MEMO_ENTRIES`` (1,024) entries: it is
-emptied when an insert finds it full, so no input, not even one long text,
-can grow it further. Stored values are immutable and both functions return
-a fresh list, so a caller that mutates its result changes no later call.
+because tweets repeat the same pieces and tokens. ``tokenize`` caches a
+whitespace piece's tokens as a tuple; the tagger caches a token's tag, a
+string. An alphanumeric piece skips the memo: it holds no punctuation,
+sigil or URL prefix, so it is one token, lowercased, which costs less than
+a lookup. Each memo is a process-wide ``functools.lru_cache`` of at most
+``MEMO_ENTRIES`` (1,024) entries: a miss on a full memo evicts the least
+recently used entry, so no input, not even one long text, can grow it
+further. Cached values are immutable and both functions return a fresh
+list, so a caller that mutates its result changes no later call.
 
 A tagged tweet is stored by column, not by token: ``words`` holds the tokens
 and ``ark``, ``ptb`` and ``chunk`` hold one tag per token each, as parallel
@@ -29,6 +29,7 @@ tweet builds no per-token object.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from typing import NamedTuple
@@ -136,13 +137,12 @@ def _split_piece(piece: str) -> list[str]:
     return out
 
 
-# The bound on each memo below; an insert that finds a memo full empties it.
+# The bound on each memo below; a miss on a full memo evicts the least
+# recently used entry.
 MEMO_ENTRIES = 1024
 
-_PIECE_TOKENS: dict[str, tuple[str, ...]] = {}
-_TOKEN_TAGS: dict[str, str] = {}
 
-
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _piece_tokens(piece: str) -> tuple[str, ...]:
     """The tokens of one whitespace piece that is not alphanumeric."""
     if _URL_RE.match(piece):
@@ -162,21 +162,14 @@ def _piece_tokens(piece: str) -> tuple[str, ...]:
 def tokenize(text: str) -> list[str]:
     """Deterministic, lowercasing tokenization of one message."""
     tokens: list[str] = []
-    memo = _PIECE_TOKENS
     for piece in text.split():
         if piece.isalnum():
             # No alphanumeric character is punctuation, '@' or '#', nor does
             # one lowercase to any, so the piece is one token. Lowercasing it
             # costs less than a memo lookup.
             tokens.append(piece.lower())
-            continue
-        piece_tokens = memo.get(piece)
-        if piece_tokens is None:
-            piece_tokens = _piece_tokens(piece)
-            if len(memo) >= MEMO_ENTRIES:
-                memo.clear()
-            memo[piece] = piece_tokens
-        tokens += piece_tokens
+        else:
+            tokens += _piece_tokens(piece)
     return tokens
 
 
@@ -226,6 +219,7 @@ _CLOSED: dict[str, str] = {
 }
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _fallback_tag(token: str) -> str:
     tag = _CLOSED.get(token)
     if tag is not None:
@@ -254,17 +248,7 @@ def _fallback_tag(token: str) -> str:
 
 def fallback_ark_tags(tokens: list[str]) -> list[str]:
     """Rule-based ARK-style tag per token; deterministic, list-driven."""
-    tags: list[str] = []
-    memo = _TOKEN_TAGS
-    for token in tokens:
-        tag = memo.get(token)
-        if tag is None:
-            tag = _fallback_tag(token)
-            if len(memo) >= MEMO_ENTRIES:
-                memo.clear()
-            memo[token] = tag
-        tags.append(tag)
-    return tags
+    return list(map(_fallback_tag, tokens))
 
 
 def tag_raw_tweet(tweet: RawTweet, use_fallback: bool = False) -> TaggedTweet:

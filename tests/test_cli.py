@@ -229,6 +229,7 @@ class TestConfig:
             ("model", {"alpha": 0}, ["partition"]),
             ("cv", {"repeats": 1e18}, ["partition"]),
             ("logreg", {"max_epochs": 1e18}, ["partition"]),
+            ("divergence", {"day": "2013-04-15", "hours": [20, 3]}, ["partition"]),
         ],
     )
     def test_malformed_value_is_one_error_line(self, workspace, capsys, key, value, command):
@@ -518,6 +519,33 @@ def _geo_record(tweet_id, text, created_at, geo=None):
 
 
 class TestDivergence:
+    @pytest.mark.parametrize(
+        "edit, mode, message",
+        [
+            (
+                lambda doc: doc["divergence"].pop("day"),
+                "hourly",
+                "hourly mode needs divergence.day and divergence.hours in the config",
+            ),
+            (
+                lambda doc: (
+                    doc.pop("pre_crisis_window"), doc["divergence"].update(window="pre_crisis")
+                ),
+                "regional",
+                "divergence window 'pre_crisis' requires pre_crisis_window",
+            ),
+        ],
+        ids=["hourly-without-day", "pre-crisis-without-window"],
+    )
+    def test_mode_without_its_setting_is_one_error_line(
+        self, workspace, capsys, edit, mode, message
+    ):
+        doc = read_json(workspace["config"])
+        edit(doc)
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        assert run(workspace, "divergence", "--mode", mode) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_regional_matrix(self, workspace):
         assert run(workspace, "divergence", "--mode", "regional") == 0
         doc = read_json(workspace["out"] / "divergence_regional.json")
@@ -764,6 +792,15 @@ class TestTrainClassify:
         summary = read_json(workspace["out"] / "train_summary.json")
         assert summary["balanced"] is True
         assert summary["class_counts"]["IR"] == summary["class_counts"]["OR"] == 80
+
+    def test_train_on_empty_ir_partition_is_one_error_line(self, workspace, capsys):
+        run(workspace, "partition")
+        (workspace["out"] / "partitions" / "ir.jsonl").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, "train") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: IR partition is empty; cannot build a labeled set"
+        ]
 
     def test_no_balance_flag(self, workspace, capsys):
         """The balance config key is the one switch: train --no-balance is a
@@ -1189,6 +1226,29 @@ class TestTrainClassify:
         assert run(workspace, "train") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite loss at epoch ")
+
+    def test_overflowing_logreg_step_prints_only_the_error_line(self, workspace):
+        # In a stage process numpy's warnings reach stderr: the first step
+        # overflows, and no warning may precede the one error line.
+        records = [
+            {"created_at": "2013-04-15T19:00:00Z", "geo": geo, "id": f"{name}{i}", "text": text}
+            for i in range(20)
+            for name, geo, text in (
+                ("ir", {"lat": 42.35, "lon": -71.08}, " ".join(["help"] * 8)),
+                ("or", {"lat": 40.75, "lon": -73.99}, "calm day here"),
+            )
+        ]
+        workspace["corpus"].write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        doc = read_json(workspace["config"])
+        doc["feature_classes"] = ["UNIGRAM"]
+        doc["logreg"] = {"learning_rate": 1e308, "max_epochs": 1}
+        workspace["config"].write_text(json.dumps(doc), encoding="utf-8")
+        assert run(workspace, "partition") == 0
+        result = stage_process(workspace, "top-features", "--k", "2")
+        assert result.returncode == 1
+        assert result.stderr == "error: non-finite loss at epoch 1; lower the learning rate\n"
 
     def test_train_logreg_kind(self, workspace):
         doc = read_json(workspace["config"])

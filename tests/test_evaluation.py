@@ -129,6 +129,10 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics([IR], [IR, OR])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^empty prediction set$"):
+            compute_metrics([], [])
+
     def test_all_two_instance_cases_match_confusion_arithmetic(self):
         labels = (IR, OR)
         for predicted in itertools.product(labels, repeat=2):
@@ -276,6 +280,10 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([0.1, 0.2], [IR, IR])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^scores and truth differ in length$"):
+            roc_auc([0.1, 0.2], [IR, OR, OR])
+
     def test_matches_pairwise_oracle(self):
         rng = random.Random(14)
         for _ in range(400):
@@ -310,6 +318,14 @@ class TestImbalanceSweep:
         or_pool = [t for t, label in data if label == OR]
         with pytest.raises(ValueError, match="infeasible"):
             imbalance_sweep(ir, or_pool, U, ratios=(0.95,), seed=1)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, 1.5])
+    def test_ratio_outside_open_unit_interval_rejected(self, ratio):
+        data = separable_labeled_set(n=20, seed=10)
+        ir = [t for t, label in data if label == IR]
+        or_pool = [t for t, label in data if label == OR]
+        with pytest.raises(ValueError, match=re.escape(f"ratio must be in (0, 1), got {ratio}")):
+            imbalance_sweep(ir, or_pool, U, ratios=(0.5, ratio), seed=1)
 
     def test_no_ratio_rejected_before_vectorizing(self):
         # The tweets carry no PTB layer, so vectorizing them would raise

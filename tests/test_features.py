@@ -388,6 +388,27 @@ class TestReferenceEquality:
             reference_vector(tweet, "CRISIS_SENSITIVE").items()
         )
 
+    @pytest.mark.parametrize(
+        "words, ark, chunks",
+        [
+            (["in", "the", "city"], ["P", "D", "N"], ["B-NP", "I-NP", "I-NP"]),
+            (["in", "boston"], ["P", "N"], ["B-VP", "B-NP"]),
+            (["in", "boston"], ["P", "N"], ["B-PP", "I-PP"]),
+            (["in", "the", "city"], ["P", "D", "N"], ["B-PP", "O", "O"]),
+            (
+                ["the", "city", "in", "boston"],
+                ["D", "N", "P", "N"],
+                ["B-NP", "I-NP", "B-PP", "I-PP"],
+            ),
+        ],
+        ids=["in-np-chunk", "in-vp-chunk", "pp-is-last", "pp-then-outside", "np-then-last-pp"],
+    )
+    def test_in_outside_a_pp_before_an_np_has_no_pp_id(self, words, ark, chunks):
+        tweet = tweet_of(words, ark=ark, chunks=chunks)
+        got = extract_crisis_sensitive(tweet)
+        assert list(got.items()) == list(reference_vector(tweet, "CRISIS_SENSITIVE").items())
+        assert not any(key.startswith("PP:") for key in keys(got))
+
     def test_crisis_ids_keep_pattern_order(self):
         # "safe" matches A first, then A N P; pattern order puts N before A.
         tweet = tweet_of(["safe", "city", "in"], ark=["A", "N", "P"])

@@ -123,6 +123,11 @@ class TestParseTweetRecord:
         )
         assert tweet.created_at == datetime(2013, 4, 15, 19, 30, tzinfo=timezone.utc)
 
+    def test_timestamp_without_offset_is_read_as_utc(self):
+        tweet = parse_tweet_record('{"id":"1","text":"x","created_at":"2013-04-15T19:30:00"}')
+        assert tweet.created_at == datetime(2013, 4, 15, 19, 30, tzinfo=timezone.utc)
+        assert tweet.created_at.tzinfo is timezone.utc
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

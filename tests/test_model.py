@@ -106,6 +106,10 @@ class TestTrainNaiveBayes:
         with pytest.raises(ValueError, match="both labels"):
             train_naive_bayes([(uvec(x=1), IR)])
 
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("labels must be IR or OR, got ['XX']")):
+            train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR), (uvec(z=1), "XX")])
+
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
             train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)], alpha=0.0)
@@ -240,6 +244,17 @@ class TestLogisticRegression:
         with pytest.raises(TrainingDiverged) as err:
             train_logreg(data, LogRegParams(learning_rate=1e9, max_epochs=50))
         assert err.value.epoch >= 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_epochs", [1, 3])
+    def test_overflowing_step_raises_without_a_warning(self, max_epochs):
+        # The first step overflows the weights to infinity. With one epoch the
+        # check after the loop reports it, with more the second loss does;
+        # numpy must not warn on the way.
+        data = [(uvec(a=40), IR), (uvec(b=40), OR)]
+        with pytest.raises(TrainingDiverged) as err:
+            train_logreg(data, LogRegParams(learning_rate=1e308, max_epochs=max_epochs))
+        assert err.value.epoch == 1
 
     def test_gradient_matches_finite_differences(self):
         rng = random.Random(6)

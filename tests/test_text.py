@@ -291,9 +291,12 @@ _MEMO_TEXTS = (
 )
 
 
+_MEMOS = (text_module._piece_tokens, text_module._fallback_tag)
+
+
 def _clear_memos():
-    text_module._PIECE_TOKENS.clear()
-    text_module._TOKEN_TAGS.clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def _push_distinct(n):
@@ -301,16 +304,6 @@ def _push_distinct(n):
     fillers = [f"~{i}~" for i in range(n)]
     assert tokenize(" ".join(fillers)) == fillers
     fallback_ark_tags(fillers)
-
-
-class _Watched(dict):
-    """A memo stand-in that records its largest size after any insert."""
-
-    most = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.most = max(self.most, len(self))
 
 
 class TestMemo:
@@ -331,12 +324,14 @@ class TestMemo:
         _clear_memos()
         self._check(text)  # cold
         self._check(text)  # warm: every memo lookup hits
-        # Fill both memos to the bound, so the next miss empties them mid-text.
+        # Fill both memos to the bound, so the next miss evicts mid-text.
         bound = text_module.MEMO_ENTRIES
-        _push_distinct(bound - len(text_module._PIECE_TOKENS))
-        fallback_ark_tags([f"~~{i}" for i in range(bound - len(text_module._TOKEN_TAGS))])
-        self._check(text)
-        # More than MEMO_ENTRIES distinct pieces later, the memos were emptied.
+        pieces_memo, tags_memo = _MEMOS
+        _push_distinct(bound - pieces_memo.cache_info().currsize)
+        fallback_ark_tags([f"~~{i}" for i in range(bound - tags_memo.cache_info().currsize)])
+        assert [memo.cache_info().currsize for memo in _MEMOS] == [bound, bound]
+        self._check(text)  # full: each miss evicts the least recently used entry
+        # More than MEMO_ENTRIES distinct pieces later, every entry was evicted.
         _push_distinct(bound + 1)
         self._check(text)
         self._check(text)
@@ -352,13 +347,15 @@ class TestMemo:
             result.append("extra")
         assert tokenize(text) == first_tokens == reference_tokenize(text)
         assert fallback_ark_tags(first_tokens) == first_tags
-        assert all(type(v) is tuple for v in text_module._PIECE_TOKENS.values())
-        assert all(type(v) is str for v in text_module._TOKEN_TAGS.values())
+        # The memos hold immutable values: tuples for pieces, strings for tags.
+        pieces = [piece for piece in text.split() if not piece.isalnum()]
+        for memo, keys, kind in zip(_MEMOS, (pieces, first_tokens), (tuple, str)):
+            hits = memo.cache_info().hits
+            assert all(type(memo(key)) is kind for key in keys)
+            assert memo.cache_info().hits == hits + len(keys)  # all read from the memo
 
-    def test_memos_stay_bounded_within_one_call(self, monkeypatch):
-        pieces_memo, tags_memo = _Watched(), _Watched()
-        monkeypatch.setattr(text_module, "_PIECE_TOKENS", pieces_memo)
-        monkeypatch.setattr(text_module, "_TOKEN_TAGS", tags_memo)
+    def test_memos_stay_bounded_within_one_call(self):
+        _clear_memos()
         bound = text_module.MEMO_ENTRIES
         # Each piece is new and not alphanumeric, and it has one new token.
         text = " ".join(f"w{i}." for i in range(10 * bound))
@@ -367,6 +364,8 @@ class TestMemo:
         assert len(tokens) == 2 * 10 * bound
         assert tokens == reference_tokenize(text)
         assert tags == reference_fallback_ark_tags(tokens)
-        for memo in (pieces_memo, tags_memo):
-            assert memo.most == bound  # filled, and emptied rather than grown
-            assert 0 < len(memo) <= bound
+        for memo in _MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == bound
+            assert info.misses >= 10 * bound  # every piece and token was new once
+            assert info.currsize == bound  # filled, and evicting rather than grown

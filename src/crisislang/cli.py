@@ -543,8 +543,8 @@ def cmd_top_features(config: RunConfig, k: int) -> dict:
     vectors = [(vectorize(t, config.feature_classes), label) for t, label in data]
     model = mdl.train_logreg(vectors, config.logreg)
     rows: list[list] = [["class", "rank", "feature", "weight"]]
-    for cls in config.feature_classes:
-        ranked = mdl.top_features(model, k, cls)
+    classes = config.feature_classes
+    for cls, ranked in zip(classes, mdl.rank_features(model, k, classes)):
         for rank, (fid, weight) in enumerate(ranked, start=1):
             rows.append([cls.value, rank, split_feature(fid)[1], weight])
     csv_path = config.output_dir / "top_features.csv"

@@ -211,7 +211,13 @@ def missing_classes(tweet: TaggedTweet, classes: Iterable[FeatureClass]) -> list
 
 def count_ngrams(counts: dict[str, int], prefix: str, seq: Sequence[str], n: int) -> None:
     """Count the contiguous n-grams of seq into counts, as prefix + the
-    space-joined n-gram, each id inserted where it first occurs."""
+    space-joined n-gram, each id inserted where it first occurs. A bigram's
+    id is formatted in one step rather than joined, then prefixed."""
+    if n == 2:
+        for first, second in zip(seq, seq[1:]):
+            fid = f"{prefix}{first} {second}"
+            counts[fid] = counts.get(fid, 0) + 1
+        return
     grams = seq if n == 1 else map(" ".join, zip(*(seq[k:] for k in range(n))))
     for gram in grams:
         fid = prefix + gram

@@ -1,6 +1,12 @@
 """Corpus ingestion and geo/time partitioning, plus the one JSON decode rule
 and every output encoder: JSON documents, JSON lines and CSV tables.
 
+json_value decodes an object or array, such as a corpus line, with the C
+scanner that json.loads ends in, skipping the Python frames around it. Any
+text the scanner does not take whole goes through json.loads, so each value
+and error message is json.loads's own. A record is built as a plain tuple
+(tuple.__new__), skipping the NamedTuple's generated Python __new__.
+
 One message per line: {"id", "text", "created_at", optional "geo" {lat, lon},
 optional "ark_tags"/"ptb_tags"/"chunk_tags"}. Geotagged messages inside the
 configured time windows are split into IR / OR / PC_IR / PC_OR; non-geotagged
@@ -103,6 +109,8 @@ def parse_timestamp(value: str) -> datetime:
         parsed = datetime.fromisoformat(text)
     except ValueError:
         raise RecordError(f"unparseable timestamp: {value!r}") from None
+    if parsed.tzinfo is timezone.utc:  # astimezone would return parsed itself
+        return parsed
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     try:
@@ -120,14 +128,29 @@ def _parse_tag_layer(obj: dict, name: str) -> tuple[str, ...] | None:
     return tuple(raw)
 
 
+# json.loads's own scanner, without json.loads's Python frames around it.
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def json_value(data: bytes | str):
     """The JSON value data holds; bytes are read as strict UTF-8 (never
     guessed as UTF-16/32). Any failure is one ValueError whose text is the
     reason: "malformed JSON: …" or "not UTF-8 (… at byte N)", the latter
-    read without trailing line breaks, so it is the same with or without."""
+    read without trailing line breaks, so it is the same with or without.
+
+    Text that starts with { or [ goes to the C scanner first; its value is
+    taken when only JSON whitespace follows it. Any other text, and any the
+    scanner raises on, goes to json.loads, which gives the value or error."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")  # rebound: bytes passed as a temporary go before parsing
+        if data.startswith(("{", "[")):
+            try:
+                value, end = _SCAN(data, 0)
+                if not data[end:].strip(" \t\n\r"):
+                    return value
+            except (StopIteration, ValueError, RecursionError):
+                pass  # json.loads meets it too and says so in its own words
         return json.loads(data)
     except UnicodeDecodeError as exc:
         try:  # good lines never get here
@@ -179,15 +202,17 @@ def parse_tweet_record(line: bytes | str) -> RawTweet:
         except OverflowError:
             raise RecordError("geo lat/lon out of range") from None
 
-    return RawTweet(
-        tweet_id,
-        text,
-        created_at,
-        geo,
-        _parse_tag_layer(obj, "ark_tags"),
-        _parse_tag_layer(obj, "ptb_tags"),
-        _parse_tag_layer(obj, "chunk_tags"),
-    )
+    if "ark_tags" in obj or "ptb_tags" in obj or "chunk_tags" in obj:
+        return RawTweet(
+            tweet_id,
+            text,
+            created_at,
+            geo,
+            _parse_tag_layer(obj, "ark_tags"),
+            _parse_tag_layer(obj, "ptb_tags"),
+            _parse_tag_layer(obj, "chunk_tags"),
+        )
+    return tuple.__new__(RawTweet, (tweet_id, text, created_at, geo, None, None, None))
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -161,7 +161,7 @@ def predict_nb(model: NaiveBayesModel, vector: FeatureVector) -> Prediction:
         term = lookup(fid)
         if term is not None:
             score += count * term
-    return Prediction(IR if score >= 0.0 else OR, score)
+    return tuple.__new__(Prediction, (IR if score >= 0.0 else OR, score))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -264,12 +264,22 @@ def top_features(
     model: LogisticRegressionModel, k: int, feature_class: FeatureClass
 ) -> list[tuple[FeatureId, float]]:
     """Most IR-indicative features of one class: weight descending, key ties."""
+    return rank_features(model, k, [feature_class])[0]
+
+
+def rank_features(
+    model: LogisticRegressionModel, k: int, classes: Sequence[FeatureClass]
+) -> list[list[tuple[FeatureId, float]]]:
+    """top_features of each of classes, in order, from one pass over the ids."""
     k = checked(k, int, "k", *K_RANGE)
-    items = [
-        (fid, w) for fid, w in model.weights.items() if split_feature(fid)[0] is feature_class
-    ]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return items[:k]
+    groups: list[list[tuple[FeatureId, float]]] = [[] for _ in classes]
+    for fid, w in model.weights.items():
+        cls = split_feature(fid)[0]
+        if cls in classes:  # a list, since hashing an Enum member runs Python code
+            groups[classes.index(cls)].append((fid, w))
+    for items in groups:
+        items.sort(key=lambda kv: (-kv[1], kv[0]))
+    return [items[:k] for items in groups]
 
 
 def select_all_baseline(vector: FeatureVector) -> Prediction:

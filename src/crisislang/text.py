@@ -192,13 +192,13 @@ def attach_tags(
         raise AlignmentError(tweet_id, "ptb_tags", len(ptb_tags), n_tokens)
     if chunk_tags is not None and len(chunk_tags) != n_tokens:
         raise AlignmentError(tweet_id, "chunk_tags", len(chunk_tags), n_tokens)
-    return TaggedTweet(
+    return tuple.__new__(TaggedTweet, (
         tweet_id,
         tuple(tokens),
         tuple(ark_tags) if ark_tags is not None else None,
         tuple(ptb_tags) if ptb_tags is not None else None,
         tuple(chunk_tags) if chunk_tags is not None else None,
-    )
+    ))
 
 
 # The closed-class lexicons as one lookup, inserted lowest precedence first

@@ -7,6 +7,7 @@ meaningful check rather than a tautology.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import unicodedata
@@ -484,3 +485,22 @@ def reference_train_logreg(
         bias=float(bias),
         params=params,
     )
+
+
+def reference_json_value(data: bytes | str):
+    """ingest.json_value through json.loads alone, with its error texts: the
+    plain path its scanner fast path short-cuts."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as exc:
+        try:
+            data.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError as without_breaks:
+            exc = without_breaks
+        raise ValueError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from None

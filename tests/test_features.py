@@ -17,7 +17,7 @@ from crisislang.features import (
 )
 from crisislang.ingest import parse_tweet_record
 from crisislang.text import ARK_TAGS, attach_tags, tag_raw_tweet
-from oracles import reference_vector, scan_tag_patterns
+from oracles import _reference_ngrams, reference_vector, scan_tag_patterns
 
 
 def tweet_of(tokens, ark=None, ptb=None, chunks=None, tweet_id="t"):
@@ -65,6 +65,21 @@ class TestPosNgrams:
         counts = {}
         count_ngrams(counts, "", tweet_of(["in", "the", "city"], ark=["P", "D", "N"]).ark, 2)
         assert counts == {"P D": 1, "D N": 1}
+
+    @pytest.mark.parametrize(
+        "seq",
+        [[], ["B-NP"], ("a b", "c"), ["in", "new york", "in", "new york"]],
+        ids=["empty", "one", "two", "repeats"],
+    )
+    @pytest.mark.parametrize("prefix", ["", "BIGRAM:"])
+    def test_bigram_ids_equal_the_reference(self, seq, prefix):
+        """Bigram ids are formatted in one step: the same ids, counts and
+        order as prefix + the space-joined pair, tags holding spaces too."""
+        counts = {f"{prefix}x": 1}
+        count_ngrams(counts, prefix, seq, 2)
+        assert list(counts.items()) == [
+            (f"{prefix}x", 1), *_reference_ngrams(seq, 2, prefix).items()
+        ]
 
     def test_missing_layer(self):
         with pytest.raises(MissingLayerError):

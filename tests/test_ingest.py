@@ -37,7 +37,7 @@ from crisislang.ingest import (
     write_jsonl,
 )
 from crisislang.model import IR, OR, save_model, train_naive_bayes
-from oracles import spherical_law_km
+from oracles import reference_json_value, spherical_law_km
 from synthdata import JSON_VALUES
 
 BOSTON = GeoPoint(42.35, -71.08)
@@ -148,6 +148,33 @@ class TestParseTweetRecord:
         line = '{"id": ' + "9" * 5000 + ', "text": "x", "created_at": "2013-04-15T19:30:00Z"}'
         with pytest.raises(RecordError, match="malformed JSON"):
             parse_tweet_record(line)
+
+
+_NO_TAGS = {"id": "1", "text": "in boston", "created_at": "2013-04-15T19:30:00Z"}
+
+
+@pytest.mark.parametrize(
+    "doc, want",
+    [
+        (_NO_TAGS, {}),
+        (dict(_NO_TAGS, geo={"lat": 42.35, "lon": -71.08}), {"geo": BOSTON}),
+        (dict(_NO_TAGS, ark_tags=["P", "^"]), {"ark_tags": ("P", "^")}),
+        (dict(_NO_TAGS, chunk_tags=None), {}),
+        (VALID_RECORD, {"geo": BOSTON, "ark_tags": ("P", "^"), "ptb_tags": ("IN", "NNP"),
+                        "chunk_tags": ("B-PP", "B-NP")}),
+    ],
+    ids=["no-tags", "geo", "ark", "null-tag-key", "every-field"],
+)
+def test_parsed_record_is_exactly_what_the_constructor_builds(doc, want):
+    """A record is built as a plain tuple, with or without tag keys: it must
+    still be a RawTweet of every field, equal to the constructor's."""
+    assert len(RawTweet._fields) == 7  # a new field must be added to that build too
+    tweet = parse_tweet_record(json.dumps(doc))
+    assert type(tweet) is RawTweet
+    assert tweet == RawTweet(
+        id="1", text="in boston", created_at=datetime(2013, 4, 15, 19, 30, tzinfo=timezone.utc),
+        **want,
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -414,6 +441,59 @@ class TestLoadCorpus:
             json_value(b"\xc2" + ending)
 
 
+# Texts on each side of json_value's scanner fast path: objects and arrays the
+# scanner takes whole, and every text it must hand to json.loads. Each str is
+# also tried as its UTF-8 bytes.
+JSON_TEXTS = {
+    "object": '{"id": "1", "geo": {"lat": 1.5, "lon": -2}, "tags": ["a", null, true]}',
+    "array": '[1, 2.5e3, "x\\u00e9", {}, []]',
+    "leading-space": ' {"a": 1}',
+    "trailing-space": '{"a": 1} \t ',
+    "crlf": '{"a": 1}\r\n',
+    "form-feed-after": '{"a": 1}\x0c',  # str.isspace, but not JSON whitespace
+    "nbsp-after": "[1]\u00a0",
+    "bom": '\ufeff{"a": 1}',
+    "extra-data": "{} x",
+    "second-value": "[1][2]",
+    "truncated-object": '{"a": ',
+    "truncated-array": "[1, 2",
+    "bare-int": "1",
+    "bare-string": '"s"',
+    "nan": "[NaN, -Infinity]",
+    "bare-nan": "NaN",
+    "int-over-digit-limit": "[" + "9" * 5000 + "]",
+    "nested": "[" * 100_000,
+    "empty": "",
+    "bad-utf8-in-string": b'{"a": "caf\xe9"}',
+    "bad-utf8-after": b"[1]\xff\r\n",
+}
+
+
+def _outcome(decode, data) -> tuple[str, str]:
+    try:
+        return "value", repr(decode(data))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(form, id=f"{name}-{type(form).__name__}")
+        for name, text in JSON_TEXTS.items()
+        for form in ((text, text.encode()) if isinstance(text, str) else (text,))
+    ],
+)
+def test_json_value_equals_the_json_loads_path(data):
+    assert _outcome(json_value, data) == _outcome(reference_json_value, data)
+
+
+def test_json_value_takes_an_object_or_array_line_without_json_loads(monkeypatch):
+    monkeypatch.setattr(json, "loads", None)
+    assert json_value(b'{"a": [1, {"b": null}]}\r\n') == {"a": [1, {"b": None}]}
+    assert json_value("[]") == []
+
+
 # One corpus line, as bytes without b"\n": a valid record (its id drawn from a
 # pool small enough to repeat; 7 and "7" are the same id), a malformed line,
 # any bytes at all, or a blank one.
@@ -436,6 +516,7 @@ MALFORMED_LINES = st.sampled_from([
     b"[" * 200_000,
     NOT_UTF8_RECORD,
     "\u00a0".encode(),  # not ASCII whitespace, so not blank
+    b'{"id": "a", "text": "x", "created_at": "2013-04-15T19:30:00Z"} x',  # then extra data
 ])
 CORPUS_LINES = st.lists(
     st.one_of(

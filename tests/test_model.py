@@ -29,6 +29,7 @@ from crisislang.model import (
     predict_lr,
     Prediction,
     predict_nb,
+    rank_features,
     save_model,
     select_all_baseline,
     top_features,
@@ -212,6 +213,16 @@ class TestPredictNb:
     def test_score_equals_enumeration_oracle_on_random_training_sets(self, data, query, alpha):
         got = predict_nb(train_naive_bayes(data, alpha=alpha), query).score
         assert got == pytest.approx(nb_posterior_margin(data, query, alpha), abs=1e-9)
+
+    def test_result_is_exactly_what_the_constructor_builds(self):
+        """predict_nb builds a plain tuple: it must still be a Prediction of
+        both fields, equal to the constructor's."""
+        assert len(Prediction._fields) == 2  # a new field must be added to that build too
+        model = train_naive_bayes([(uvec(x=1), IR), (uvec(y=1), OR)], alpha=1.0)
+        for vector, label in ((uvec(x=1), IR), (uvec(y=1), OR)):
+            p = predict_nb(model, vector)
+            assert type(p) is Prediction
+            assert p == Prediction(label=label, score=reference_nb_score(model, vector))
 
     @settings(max_examples=300, deadline=None)
     @given(data=_nb_training_data(), queries=st.lists(_query_vectors(), min_size=1, max_size=4))
@@ -463,6 +474,24 @@ class TestTopFeatures:
         )
         ranked = top_features(model, 3, U)
         assert [split_feature(fid)[1] for fid, _ in ranked] == ["mid", "alpha", "zeta"]
+
+    def test_one_pass_ranks_each_class_as_its_own_filter(self):
+        rng = random.Random(36)
+        weights = {}
+        for i in range(40):  # few distinct weights, so ties are broken by key
+            weights[f"{rng.choice([U, B, CS]).value}:k{i}"] = rng.choice([-1.0, 0.5, 2.0])
+        model = LogisticRegressionModel(weights=weights, bias=0.0, params=LogRegParams())
+        classes = [CS, FeatureClass.ARK_POS, U, B]  # ARK_POS holds no id
+        for k in (1, 3, 100):
+            want = [
+                sorted(
+                    ((fid, w) for fid, w in weights.items() if split_feature(fid)[0] is cls),
+                    key=lambda kv: (-kv[1], kv[0]),
+                )[:k]
+                for cls in classes
+            ]
+            assert rank_features(model, k, classes) == want
+            assert [top_features(model, k, cls) for cls in classes] == want
 
     def test_class_filter(self):
         from crisislang.model import LogisticRegressionModel

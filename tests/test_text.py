@@ -15,6 +15,7 @@ from crisislang.text import (
     PREPOSITIONS,
     VERB_LEXICON,
     AlignmentError,
+    TaggedTweet,
     attach_tags,
     fallback_ark_tags,
     tag_raw_tweet,
@@ -99,6 +100,20 @@ class TestAttachTags:
         tweet = attach_tags(["a", "b", "c"], tweet_id="t1")
         assert tweet.ark is None and tweet.ptb is None and tweet.chunk is None
         assert list(tweet.words) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize(
+        "layers",
+        [{}, {"ark_tags": ["N", "V"]}, {"ptb_tags": ("NN", "VB"), "chunk_tags": ["B-NP", "O"]}],
+        ids=["none", "ark", "ptb-chunk"],
+    )
+    def test_result_is_exactly_what_the_constructor_builds(self, layers):
+        """attach_tags builds a plain tuple: it must still be a TaggedTweet of
+        every field, equal to the constructor's."""
+        assert len(TaggedTweet._fields) == 5  # a new field must be added to that build too
+        tweet = attach_tags(["a", "b"], **layers, tweet_id="t1")
+        assert type(tweet) is TaggedTweet
+        want = {name[:-5]: tuple(tags) for name, tags in layers.items()}
+        assert tweet == TaggedTweet(tweet_id="t1", words=("a", "b"), **want)
 
     def test_round_trip_with_tokenize(self):
         tokens = tokenize("there is a bomb")

@@ -316,7 +316,7 @@ def _predicted(
     tagged: Iterator[tuple[RawTweet, TaggedTweet]],
     model: mdl.NaiveBayesModel | mdl.LogisticRegressionModel,
     classes: Sequence[FeatureClass],
-) -> Iterator[tuple[RawTweet, TaggedTweet, mdl.Prediction]]:
+) -> Iterator[tuple[tuple[RawTweet, TaggedTweet], mdl.Prediction]]:
     """Each (tweet, tagged) pair with the model's prediction, lazily.
     Vectorizes and predicts CLASSIFY_BATCH tagged tweets at a time and holds
     only that batch. The predictor of the model's kind is read once per call."""
@@ -324,10 +324,8 @@ def _predicted(
 
     predict = mdl.predict_nb if isinstance(model, mdl.NaiveBayesModel) else mdl.predict_lr
     while batch := list(islice(tagged, CLASSIFY_BATCH)):
-        predictions = [predict(model, vectorize(t, classes)) for _, t in batch]
-        for (tweet, t), prediction in zip(batch, predictions):
-            yield tweet, t, prediction
-        del batch, predictions  # or both would live on while the next batch is read
+        yield from zip(batch, [predict(model, vectorize(t, classes)) for _, t in batch])
+        del batch  # or it would live on while the next batch is read
 
 
 def _partition_path(config: RunConfig, label: PartitionLabel) -> Path:
@@ -521,7 +519,7 @@ def cmd_classify(config: RunConfig, model_path: Path, input_path: Path | None) -
 
     def records(tweets: Iterator[RawTweet], skips: Skips) -> Iterator[dict]:
         tagged = _tagged(tweets, skips, classes, config.fallback_tags)
-        for tweet, _, p in _predicted(tagged, model, classes):
+        for (tweet, _), p in _predicted(tagged, model, classes):
             if not math.isfinite(p.score):  # JSON has no such number
                 raise ValueError(f"tweet {tweet.id}: score {p.score} is not finite")
             tally["classified"] += 1
@@ -574,7 +572,7 @@ def cmd_cloud(config: RunConfig, model_path: Path, k: int) -> dict:
     model, classes = mdl.load_model(model_path)
     pool = _tagged(_partition_tweets(config, PartitionLabel.UNLABELED, skips),
                    skips, classes, config.fallback_tags)
-    for _, tagged, p in _predicted(pool, model, classes):
+    for (_, tagged), p in _predicted(pool, model, classes):
         if p.label == mdl.IR:
             tally["model_additions"] += 1
             count_ngrams(counts, "", tagged.words, 2)

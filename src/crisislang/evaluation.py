@@ -11,8 +11,10 @@ run uses seed + i, so each reading is individually reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from typing import Mapping, NamedTuple, Sequence
@@ -91,15 +93,11 @@ def compute_metrics(predicted: Sequence[str], truth: Sequence[str]) -> Metrics:
 
 
 def mean_metrics(readings: Sequence[Metrics]) -> Metrics:
-    n = len(readings)
-    flags = sorted({flag for m in readings for flag in m.degenerate_flags})
-    return Metrics(
-        accuracy=sum(m.accuracy for m in readings) / n,
-        precision=sum(m.precision for m in readings) / n,
-        recall=sum(m.recall for m in readings) / n,
-        f1=sum(m.f1 for m in readings) / n,
-        degenerate_flags=tuple(flags),
-    )
+    *columns, flag_sets = zip(*readings)
+    # Each column added left to right: builtin sum adds floats with compensated
+    # summation from Python 3.12, so its means would differ across versions.
+    means = [functools.reduce(operator.add, column) / len(readings) for column in columns]
+    return Metrics(*means, tuple(sorted(set().union(*flag_sets))))
 
 
 def balanced_sample(
@@ -114,15 +112,15 @@ def balanced_sample(
         raise ValueError("IR set is empty; nothing to balance against")
     rng = random.Random(seed)
     if len(or_pool) >= len(ir):
-        chosen_or = rng.sample(list(or_pool), len(ir))
-        return [(t, IR) for t in ir] + [(t, OR) for t in chosen_or]
-    import logging
+        or_pool = rng.sample(or_pool, len(ir))
+    else:
+        import logging
 
-    logging.getLogger(__name__).warning(
-        "OR pool (%d) smaller than IR (%d); downsampling IR", len(or_pool), len(ir)
-    )
-    chosen_ir = rng.sample(list(ir), len(or_pool))
-    return [(t, IR) for t in chosen_ir] + [(t, OR) for t in or_pool]
+        logging.getLogger(__name__).warning(
+            "OR pool (%d) smaller than IR (%d); downsampling IR", len(or_pool), len(ir)
+        )
+        ir = rng.sample(ir, len(or_pool))
+    return [(t, IR) for t in ir] + [(t, OR) for t in or_pool]
 
 
 def stratified_fold_indices(
@@ -338,17 +336,6 @@ class ImbalanceSweep:
         return [["ratio", "auc"], *map(list, zip(self.ratios, self.auc_per_ratio))]
 
 
-def _test_split(
-    indices_by_label: dict[str, Sequence[int]], test_fraction: float, rng: random.Random
-) -> list[int]:
-    test: list[int] = []
-    for label in sorted(indices_by_label):
-        members = list(indices_by_label[label])
-        rng.shuffle(members)
-        test.extend(members[: max(1, round(len(members) * test_fraction))])
-    return test
-
-
 def imbalance_sweep(
     ir: Sequence[TaggedTweet],
     or_pool: Sequence[TaggedTweet],
@@ -384,12 +371,16 @@ def imbalance_sweep(
         rng = random.Random(seed * 1000003 + step)
         sample = rng.sample(ir_rows, k_ir) + rng.sample(or_rows, k_or)
         labels = [IR] * k_ir + [OR] * k_or
-        test = _test_split({IR: range(k_ir), OR: range(k_ir, len(sample))}, TEST_FRACTION, rng)
+        test: list[int] = []
+        for members in (list(range(k_ir)), list(range(k_ir, len(sample)))):  # IR, then OR
+            rng.shuffle(members)
+            test += members[: max(1, round(len(members) * TEST_FRACTION))]
         alpha = checked(alpha, float, "alpha", *ALPHA_RANGE)
         whole = [nb_counts(zip((v for [v] in sample), labels))]
         [scores] = _held_out_scores(whole, sample, labels, test, [(0,)], alpha)
         aucs.append(roc_auc(scores, [labels[i] for i in test]))
-    return ImbalanceSweep(list(ratios), aucs, sum(aucs) / len(aucs), seed)
+    summary = functools.reduce(operator.add, aucs) / len(aucs)  # as mean_metrics adds
+    return ImbalanceSweep(list(ratios), aucs, summary, seed)
 
 
 class CombinationEntry:

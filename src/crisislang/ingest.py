@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from enum import Enum
@@ -108,7 +109,13 @@ def parse_timestamp(value: str) -> datetime:
     try:
         parsed = datetime.fromisoformat(text)
     except ValueError:
-        raise RecordError(f"unparseable timestamp: {value!r}") from None
+        # Python 3.10 reads a seconds fraction of 3 or 6 digits only; 3.11+ reads
+        # any length and keeps 6 digits. Pad or cut it to 6 and try once more.
+        text = re.sub(r"^(.{11}\d\d:\d\d:\d\d\.)(\d+)", lambda m: f"{m[1]}{m[2]:0<6.6}", text)
+        try:
+            parsed = datetime.fromisoformat(text)
+        except ValueError:
+            raise RecordError(f"unparseable timestamp: {value!r}") from None
     if parsed.tzinfo is timezone.utc:  # astimezone would return parsed itself
         return parsed
     if parsed.tzinfo is None:

@@ -72,6 +72,17 @@ class TestBalancedSample:
         balanced_sample(make_tweets(4, "ir"), make_tweets(10, "or"), seed=3)
         assert caplog.records == []
 
+    @pytest.mark.parametrize("n_ir, n_or", [(5, 20), (10, 4)])
+    def test_draw_is_random_sample_of_the_larger_side(self, n_ir, n_or):
+        ir, or_pool = make_tweets(n_ir, "ir"), make_tweets(n_or, "or")
+        rng = random.Random(4)
+        if n_or >= n_ir:
+            or_pool_drawn, ir_drawn = rng.sample(or_pool, n_ir), ir
+        else:
+            ir_drawn, or_pool_drawn = rng.sample(ir, n_or), or_pool
+        want = [(t, IR) for t in ir_drawn] + [(t, OR) for t in or_pool_drawn]
+        assert balanced_sample(ir, or_pool, seed=4) == want
+
 
 class TestComputeMetrics:
     def test_select_all_on_balanced_set(self):
@@ -140,6 +151,24 @@ class TestComputeMetrics:
                 m = compute_metrics(list(predicted), list(truth))
                 acc, prec, rec, f1 = confusion_metrics(list(predicted), list(truth))
                 assert (m.accuracy, m.precision, m.recall, m.f1) == (acc, prec, rec, f1)
+
+
+class TestMeanMetrics:
+    def test_means_add_left_to_right_on_every_python(self):
+        """Builtin sum gives 0.1 here from Python 3.12 (compensated summation);
+        the reported means must not depend on the interpreter."""
+        m = evaluation.mean_metrics([evaluation.Metrics(0.1, 0.1, 0.1, 0.1)] * 10)
+        assert (m.accuracy, m.precision, m.recall, m.f1) == (0.09999999999999999,) * 4
+        assert m.degenerate_flags == ()
+
+    def test_flags_are_the_sorted_union(self):
+        readings = [
+            evaluation.Metrics(0.5, 0.0, 0.0, 0.0, ("precision", "f1")),
+            evaluation.Metrics(0.5, 1.0, 0.0, 0.0, ("recall",)),
+            evaluation.Metrics(1.0, 1.0, 1.0, 1.0),
+        ]
+        m = evaluation.mean_metrics(readings)
+        assert m == (2.0 / 3, 2.0 / 3, 1.0 / 3, 1.0 / 3, ("f1", "precision", "recall"))
 
 
 class TestStratifiedFolds:
@@ -445,8 +474,10 @@ def reference_sweep(ir, or_pool, classes, ratios, seed, alpha=1.0):
         rng = random.Random(seed * 1000003 + step)
         sample = [(v, IR) for v in rng.sample(ir_vectors, k_ir)]
         sample += [(v, OR) for v in rng.sample(or_vectors, k_or)]
-        by_label = {IR: list(range(k_ir)), OR: list(range(k_ir, k_ir + k_or))}
-        test_idx = evaluation._test_split(by_label, 0.2, rng)
+        test_idx = []
+        for members in (list(range(k_ir)), list(range(k_ir, k_ir + k_or))):
+            rng.shuffle(members)  # each label's indices, IR first, a fifth of each held out
+            test_idx += members[: max(1, round(len(members) * 0.2))]
         train = [row for i, row in enumerate(sample) if i not in test_idx]
         fitted = reference_train_naive_bayes(train, alpha=alpha)
         scores = [predict_nb(fitted, sample[i][0]).score for i in test_idx]

@@ -128,6 +128,23 @@ class TestParseTweetRecord:
         assert tweet.created_at == datetime(2013, 4, 15, 19, 30, tzinfo=timezone.utc)
         assert tweet.created_at.tzinfo is timezone.utc
 
+    @pytest.mark.parametrize("offset, hour", [("Z", 19), ("-04:00", 23), ("", 19)])
+    @pytest.mark.parametrize(
+        "fraction, micros",
+        [("", 0), (".1", 100000), (".12", 120000), (".1234", 123400), (".12345", 123450),
+         (".1234567", 123456), (".123456789", 123456)],
+    )
+    def test_seconds_fraction_of_any_length(self, fraction, micros, offset, hour):
+        """RFC 3339 allows a fraction of any length; Python 3.10's fromisoformat
+        reads 3 or 6 digits only, 3.11+ any number, keeping 6."""
+        got = ingest.parse_timestamp(f"2013-04-15T19:30:00{fraction}{offset}")
+        assert got == datetime(2013, 4, 15, hour, 30, 0, micros, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("value", ["2013-04-15T19:30:00.1x", "2013-04-15T19:30:00.Zz"])
+    def test_bad_text_after_a_short_fraction_is_record_error(self, value):
+        with pytest.raises(RecordError, match="unparseable timestamp"):
+            ingest.parse_timestamp(value)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
